@@ -98,9 +98,13 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
             f"prices (got p_to={p_to}, p_from={p_from}); use marginal_value "
             "for general prices"
         )
+    _check_loss(r)
+    return p_to * (1 - r) > p_from
+
+
+def _check_loss(r: float) -> None:
     if not (0 <= r < 1):
         raise ValueError(f"loss fraction must be in [0, 1), got {r}")
-    return p_to * (1 - r) > p_from
 
 
 def _margins(p_a: float, p_b: float, r: float) -> tuple[float, float]:
@@ -113,8 +117,7 @@ def marginal_value(p_i: float, p_j: float, r: float) -> float:
 
     max(p_i - p_j - r*p_i, p_j - p_i - r*p_j, 0)
     """
-    if not (0 <= r < 1):
-        raise ValueError(f"loss fraction must be in [0, 1), got {r}")
+    _check_loss(r)
     m_to_i, m_to_j = _margins(p_i, p_j, r)
     return max(m_to_i, m_to_j, 0.0)
 
@@ -147,8 +150,7 @@ def pairwise_profit_biased(
     """
     if not (x >= 0):
         raise ValueError(f"dispatch quantity must be >= 0, got {x}")
-    if not (0 <= r < 1):
-        raise ValueError(f"loss fraction must be in [0, 1), got {r}")
+    _check_loss(r)
     if not (r_b >= 0):
         raise ValueError(f"bias must be >= 0, got {r_b}")
     m_to_i, m_to_j = _margins(p_i, p_j, r)
@@ -180,6 +182,9 @@ def optimal_flow(
     """
     if not (x_max >= 0):
         raise ValueError(f"x_max must be >= 0, got {x_max}")
+    _check_loss(r)
+    if not (r_b >= 0):
+        raise ValueError(f"bias must be >= 0, got {r_b}")
     m_to_a, m_to_b = _margins(p_a, p_b, r)
     lam = max(m_to_a - r_b, m_to_b - r_b, 0.0)
     if lam > 0 and x_max > 0:
@@ -188,11 +193,10 @@ def optimal_flow(
     else:
         direction = Direction.IDLE
         quantity = 0.0
-    profit = pairwise_profit_biased(p_a, p_b, r, quantity, r_b, duration_h)
     return FlowDecision(
         timestep=timestep,
         direction=direction,
         quantity_mw=quantity,
         marginal_value=lam,
-        profit=profit,
+        profit=quantity * duration_h * lam,
     )

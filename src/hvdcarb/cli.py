@@ -19,14 +19,7 @@ from .dataio import (
     load_prices,
     write_report,
 )
-from .errors import (
-    AlignmentError,
-    CapacityError,
-    HvdcArbError,
-    ParseError,
-    ResolutionError,
-    ValidationError,
-)
+from .errors import HvdcArbError, ParseError, ResolutionError, ValidationError
 from .model import Network, validate_network
 from .scheduler import extrapolate_annual, schedule_portfolio
 from .wheeling import WheelScenario, WheelingChain, evaluate_wheel
@@ -46,9 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_PARSE)
     except ResolutionError as exc:
         return _fail(exc, EXIT_RESOLUTION)
-    except (ValidationError, AlignmentError, CapacityError, ValueError) as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    except HvdcArbError as exc:
+    except (HvdcArbError, ValueError) as exc:
         return _fail(exc, EXIT_VALIDATION)
 
 

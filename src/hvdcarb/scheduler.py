@@ -75,32 +75,62 @@ def _aligned_horizon(
     capacity: CapacityProfile,
 ) -> tuple[int, ...]:
     """Common timestep tuple, or AlignmentError naming what is missing where."""
+    reference = prices_a.timesteps
     sources = {
-        f"prices '{prices_a.region_id}'": prices_a.timesteps,
+        f"prices '{prices_a.region_id}'": reference,
         f"prices '{prices_b.region_id}'": prices_b.timesteps,
         f"capacity '{capacity.interconnector_id}'": capacity.timesteps,
     }
-    union = sorted(set().union(*sources.values()))
-    missing = {
-        name: tuple(t for t in union if t not in set(ts))
-        for name, ts in sources.items()
-        if set(ts) != set(union)
-    }
+    if all(ts == reference for ts in sources.values()):
+        if any(t1 <= t0 for t0, t1 in zip(reference, reference[1:])):
+            raise AlignmentError("horizon timesteps must be strictly increasing")
+        return reference
+    union = set().union(*sources.values())
+    missing = {}
+    for name, ts in sources.items():
+        gaps = union.difference(ts)
+        if gaps:
+            missing[name] = tuple(sorted(gaps))
     if missing:
         detail = "; ".join(
             f"{name} missing timesteps {list(gaps)}" for name, gaps in missing.items()
         )
         raise AlignmentError(f"horizon mismatch: {detail}", missing)
-    reference = prices_a.timesteps
-    if prices_b.timesteps != reference or capacity.timesteps != reference:
-        # Same sets but different sequences means a source violates its
-        # own strictly-increasing invariant.
-        raise AlignmentError(
-            "horizon mismatch: sources cover the same timesteps in different order"
+    # Same sets but different sequences means a source violates its
+    # own strictly-increasing invariant.
+    raise AlignmentError(
+        "horizon mismatch: sources cover the same timesteps in different order"
+    )
+
+
+def _prepare(
+    prices_a: PriceSeries,
+    prices_b: PriceSeries,
+    link: Interconnector,
+    capacity: CapacityProfile | None,
+    bias: BiasPolicy | None,
+    duration_h: float,
+) -> tuple[tuple[int, ...], float, zip]:
+    """Checked, endpoint-relative inputs of one link's horizon problem.
+
+    Returns the horizon, the bias r_b and a lazy iterator of per-step
+    ``((t, p_a), (t, p_b), (t, x_max))`` triples.
+    """
+    if not (duration_h > 0):
+        raise ValueError(f"duration_h must be > 0, got {duration_h}")
+    if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
+        raise ValueError(
+            f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
+            f"match link '{link.id}' endpoints ({link.endpoint_a}, {link.endpoint_b})"
         )
-    if any(t1 <= t0 for t0, t1 in zip(reference, reference[1:])):
-        raise AlignmentError("horizon timesteps must be strictly increasing")
-    return reference
+    # Present prices endpoint-relative so A_to_B always means a -> b.
+    if prices_a.region_id != link.endpoint_a:
+        prices_a, prices_b = prices_b, prices_a
+    if capacity is None:
+        capacity = CapacityProfile.constant(link, prices_a.timesteps)
+    r_b = (bias or BiasPolicy()).r_b
+    horizon = _aligned_horizon(prices_a, prices_b, capacity)
+    return horizon, r_b, zip(prices_a.steps, prices_b.steps, capacity.steps)
 
 
 def schedule_link(
@@ -122,27 +152,11 @@ def schedule_link(
         AlignmentError: the three sources cover different timesteps.
         ValueError: the series do not belong to the link's endpoints.
     """
-    if not (duration_h > 0):
-        raise ValueError(f"duration_h must be > 0, got {duration_h}")
-    if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
-        raise ValueError(
-            f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
-            f"match link '{link.id}' endpoints ({link.endpoint_a}, {link.endpoint_b})"
-        )
-    # Present prices endpoint-relative so A_to_B always means a -> b.
-    if prices_a.region_id != link.endpoint_a:
-        prices_a, prices_b = prices_b, prices_a
-    if capacity is None:
-        capacity = CapacityProfile.constant(link, prices_a.timesteps)
-    r_b = (bias or BiasPolicy()).r_b
-
-    _aligned_horizon(prices_a, prices_b, capacity)
-    caps = dict(capacity.steps)
+    _, r_b, steps = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    r = link.loss_fraction
     decisions = []
-    for (t, p_a), (_, p_b) in zip(prices_a.steps, prices_b.steps):
-        decisions.append(
-            optimal_flow(p_a, p_b, link.loss_fraction, caps[t], r_b, duration_h, t)
-        )
+    for (t, p_a), (_, p_b), (_, x_max) in steps:
+        decisions.append(optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t))
     total = sum(d.profit for d in decisions)
     return Schedule(link.id, tuple(decisions), total)
 
@@ -219,29 +233,15 @@ def lp_oracle(
     :func:`schedule_link` decision for decision. Intended as a test
     oracle for small horizons, not the production path.
     """
-    if not (duration_h > 0):
-        raise ValueError(f"duration_h must be > 0, got {duration_h}")
-    if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
-        raise ValueError(
-            f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
-            f"match link '{link.id}' endpoints ({link.endpoint_a}, {link.endpoint_b})"
-        )
-    if prices_a.region_id != link.endpoint_a:
-        prices_a, prices_b = prices_b, prices_a
-    if capacity is None:
-        capacity = CapacityProfile.constant(link, prices_a.timesteps)
-    r_b = (bias or BiasPolicy()).r_b
-    horizon = _aligned_horizon(prices_a, prices_b, capacity)
+    horizon, r_b, steps = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     if len(horizon) > _ORACLE_MAX_STEPS:
         raise ValueError(
             f"lp_oracle is limited to {_ORACLE_MAX_STEPS} steps, got {len(horizon)}"
         )
 
     r = link.loss_fraction
-    caps = dict(capacity.steps)
     decisions = []
-    for (t, p_a), (_, p_b) in zip(prices_a.steps, prices_b.steps):
-        x_max = caps[t]
+    for (t, p_a), (_, p_b), (_, x_max) in steps:
         raw_to_a = p_a - p_b - r * p_a
         raw_to_b = p_b - p_a - r * p_b
         lam = max(raw_to_a - r_b, raw_to_b - r_b, 0.0)

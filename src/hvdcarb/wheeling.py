@@ -9,10 +9,11 @@ hand-off adds value on its own; the per-scenario gate pair encodes that:
     1 -> 2 -> 3:  p3*(1-r2)*(1-c) - p2 > 0   and   p2*(1-r1) - p1 > 0
     3 -> 2 -> 1:  p1*(1-r1)*(1-c) - p2 > 0   and   p2*(1-r2) - p3 > 0
 
-Note the two scenarios' gate pairs are not exact mirrors: the forward
-scenario charges the transit loss on the destination-side gate while the
-reverse charges it on the gate involving p1. Both are implemented
-verbatim; normalizing them is deliberately avoided.
+The reverse gate pair is the forward one with the areas mirrored, exactly:
+gates_321(p1, p2, p3, r1, r2, c) == gates_123(p3, p2, p1, r2, r1, c).
+The profit mirror swaps only the prices and keeps the loss product in
+chain order, (1-r1)*(1-r2), in both scenarios: multiplying the losses in
+mirrored order would round differently in the last bit.
 
 End-to-end profit per scenario (may be negative when evaluated on an
 infeasible instance; :func:`evaluate_wheel` dispatches zero instead):
@@ -116,8 +117,9 @@ def wheel_gates_321(
     p1: float, p2: float, p3: float, r1: float, r2: float, c: float
 ) -> tuple[float, float]:
     """Gate pair for wheeling area3 -> area2 -> area1; feasible iff both > 0."""
+    # Checked in the caller's order first, so an error names the caller's loss.
     _check_losses(r1, r2, c)
-    return (p1 * (1 - r1) * (1 - c) - p2, p2 * (1 - r2) - p3)
+    return wheel_gates_123(p3, p2, p1, r2, r1, c)
 
 
 def wheel_profit_321(
@@ -130,10 +132,7 @@ def wheel_profit_321(
     duration_h: float = 1.0,
 ) -> float:
     """End-to-end profit (EUR) of wheeling x MW from area 3 to area 1."""
-    _check_losses(r1, r2, c)
-    if not (x >= 0):
-        raise ValueError(f"dispatch quantity must be >= 0, got {x}")
-    return (p1 * (1 - r1) * (1 - r2) * (1 - c) - p3) * x * duration_h
+    return wheel_profit_123(p3, p1, r1, r2, c, x, duration_h)
 
 
 def _check_losses(r1: float, r2: float, c: float):
@@ -171,35 +170,24 @@ def evaluate_wheel(
     c = chain.transit_loss_c
 
     results = []
-    for scenario in (WheelScenario.S123, WheelScenario.S321):
-        if scenario is WheelScenario.S123:
-            gates = wheel_gates_123(p1, p2, p3, r1, r2, c)
-            legs = (
-                (chain.link12, x_request),
-                (chain.link23, x_request * (1 - r1) * (1 - c)),
-            )
-        else:
-            gates = wheel_gates_321(p1, p2, p3, r1, r2, c)
-            legs = (
-                (chain.link23, x_request),
-                (chain.link12, x_request * (1 - r2) * (1 - c)),
-            )
-        feasible = gates[0] > 0 and gates[1] > 0
-        if feasible:
-            for link, flow in legs:
-                if flow > link.capacity_mw:
-                    raise CapacityError(
-                        f"scenario {scenario.value}: leg '{link.id}' would carry "
-                        f"{flow} MW, above its {link.capacity_mw} MW capacity",
-                        binding_link=link.id,
-                    )
-            if scenario is WheelScenario.S123:
-                profit = wheel_profit_123(p1, p3, r1, r2, c, x_request, duration_h)
-            else:
-                profit = wheel_profit_321(p1, p3, r1, r2, c, x_request, duration_h)
-            results.append(
-                WheelingResult(scenario, True, gates, x_request, profit)
-            )
-        else:
+    # Each scenario as (prices, losses) along its own path, and its legs in
+    # flow order. The profit keeps the losses in chain order (module doc).
+    for scenario, (q1, q2, q3, s1, s2), legs in (
+        (WheelScenario.S123, (p1, p2, p3, r1, r2), (chain.link12, chain.link23)),
+        (WheelScenario.S321, (p3, p2, p1, r2, r1), (chain.link23, chain.link12)),
+    ):
+        gates = wheel_gates_123(q1, q2, q3, s1, s2, c)
+        if not (gates[0] > 0 and gates[1] > 0):
             results.append(WheelingResult(scenario, False, gates, 0.0, 0.0))
+            continue
+        flows = (x_request, x_request * (1 - s1) * (1 - c))
+        for link, flow in zip(legs, flows):
+            if flow > link.capacity_mw:
+                raise CapacityError(
+                    f"scenario {scenario.value}: leg '{link.id}' would carry "
+                    f"{flow} MW, above its {link.capacity_mw} MW capacity",
+                    binding_link=link.id,
+                )
+        profit = wheel_profit_123(q1, q3, r1, r2, c, x_request, duration_h)
+        results.append(WheelingResult(scenario, True, gates, x_request, profit))
     return (results[0], results[1])

@@ -135,9 +135,21 @@ class TestOptimalFlow:
         assert d.direction is Direction.B_TO_A
         assert d.profit == pytest.approx(5.0 * 100, rel=1e-9)
 
-    def test_negative_quantity_rejected(self):
+    @pytest.mark.parametrize(
+        "r, x_max, r_b",
+        [
+            (0.1, -5, 0.0),
+            (1.5, 5, 0.0),
+            (-0.1, 5, 0.0),
+            (math.nan, 5, 0.0),
+            (0.1, 5, -1.0),
+            (0.1, 5, math.nan),
+        ],
+        ids=["x_max=-5", "r=1.5", "r=-0.1", "r=nan", "r_b=-1", "r_b=nan"],
+    )
+    def test_negative_quantity_rejected(self, r, x_max, r_b):
         with pytest.raises(ValueError):
-            optimal_flow(100, 50, 0.1, -5)
+            optimal_flow(100, 50, r, x_max, r_b)
 
 
 class TestFlowDecisionInvariants:

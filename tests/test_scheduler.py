@@ -87,6 +87,33 @@ class TestScheduleLink:
             "capacity 'celtic'": (2,),
         }
 
+    def test_long_shifted_horizon_lists_missing(self, celtic):
+        # 20 000 steps, one series a step later: the check must stay linear
+        n = 20_000
+        a = PriceSeries("ireland", tuple((t, 100.0) for t in range(n)))
+        b = PriceSeries("france", tuple((t, 50.0) for t in range(1, n + 1)))
+        with pytest.raises(AlignmentError) as err:
+            schedule_link(a, b, celtic)
+        assert list(err.value.missing.items()) == [
+            ("prices 'ireland'", (n,)),
+            ("prices 'france'", (0,)),
+            ("capacity 'celtic'", (n,)),
+        ]
+
+    def test_same_timesteps_in_different_order_rejected(self, celtic):
+        a = PriceSeries("ireland", ((1, 100.0), (2, 100.0)))
+        b = PriceSeries("france", ((2, 50.0), (1, 50.0)))
+        with pytest.raises(AlignmentError, match="different order") as err:
+            schedule_link(a, b, celtic)
+        assert err.value.missing == {}
+
+    @pytest.mark.parametrize("timesteps", [(2, 1), (1, 1)])
+    def test_non_increasing_horizon_rejected(self, celtic, timesteps):
+        a = PriceSeries("ireland", tuple((t, 100.0) for t in timesteps))
+        b = PriceSeries("france", tuple((t, 50.0) for t in timesteps))
+        with pytest.raises(AlignmentError, match="strictly increasing"):
+            schedule_link(a, b, celtic)
+
     def test_wrong_regions_rejected(self, celtic_hour):
         a, _, link = celtic_hour
         with pytest.raises(ValueError, match="endpoints"):

@@ -195,6 +195,24 @@ class TestWheelingProperties:
         assert (gate_a > 0 and gate_b > 0) == (p3 > p2 > p1)
         assert wheel_profit_123(p1, p3, 0, 0, 0, x) == (p3 - p1) * x
 
+    @given(
+        p1=st.floats(min_value=-50, max_value=200),
+        p2=st.floats(min_value=-50, max_value=200),
+        p3=st.floats(min_value=-50, max_value=200),
+        r1=losses,
+        r2=losses,
+        c=losses,
+        x=st.floats(min_value=0, max_value=500),
+    )
+    def test_321_forms_are_mirrored_123_forms(self, p1, p2, p3, r1, r2, c, x):
+        # gates mirror prices and losses; the profit mirrors only the prices
+        assert wheel_gates_321(p1, p2, p3, r1, r2, c) == wheel_gates_123(
+            p3, p2, p1, r2, r1, c
+        )
+        assert wheel_profit_321(p1, p3, r1, r2, c, x) == wheel_profit_123(
+            p3, p1, r1, r2, c, x
+        )
+
     def test_feasibility_matches_forwarding_oracle(self):
         rng = random.Random(4040)
         for _ in range(10_000):
