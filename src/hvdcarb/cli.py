@@ -8,6 +8,7 @@ deterministic report, and exits. Exit codes: 0 success, 2 parse failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -201,6 +202,8 @@ def _load_run_network(args) -> Network:
             )
     if not (args.duration_hours > 0):
         raise ValueError(f"--duration-hours must be > 0, got {args.duration_hours}")
+    if args.duration_hours == math.inf:
+        raise ValueError(f"--duration-hours must be finite, got {args.duration_hours}")
     return network
 
 
@@ -288,6 +291,10 @@ def _cmd_wheel(args) -> int:
         link23 = network.link(args.via[1])
     except KeyError as exc:
         raise ResolutionError(f"unknown link {exc}")
+    # WheelingChain raises ValueError for a bad loss and for a broken path;
+    # checking the loss first leaves only the path to the resolution error.
+    if not (0 <= args.transit_loss < 1):
+        raise ValueError(f"--transit-loss must be in [0, 1), got {args.transit_loss}")
     try:
         chain = WheelingChain(
             args.area1, args.area2, args.area3, link12, link23, args.transit_loss
@@ -362,13 +369,11 @@ def _cmd_plotdata(args) -> int:
     )
     lines = ["timestep,link_id,lambda_eur_mwh,quantity_mw,cumulative_profit_eur"]
     for schedule in result.schedules:
+        link_id = schedule.interconnector_id
         running = 0.0
-        for d in schedule.decisions:
-            running += d.profit
-            lines.append(
-                f"{d.timestep},{schedule.interconnector_id},"
-                f"{d.marginal_value!r},{d.quantity_mw!r},{running!r}"
-            )
+        for t, _, quantity, lam, profit in schedule.rows():
+            running += profit
+            lines.append(f"{t},{link_id},{lam!r},{quantity!r},{running!r}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -370,10 +370,10 @@ def _report_csv(result) -> str:
 def _report_csv_schedules(schedules: Sequence[Schedule]) -> str:
     out = [SCHEDULE_CSV_HEADER]
     for schedule in schedules:
-        for d in schedule.decisions:
+        link_id = schedule.interconnector_id
+        for t, direction, quantity, lam, profit in schedule.rows():
             out.append(
-                f"{d.timestep},{schedule.interconnector_id},{d.direction.value},"
-                f"{d.quantity_mw!r},{d.marginal_value!r},{d.profit!r}"
+                f"{t},{link_id},{direction.value},{quantity!r},{lam!r},{profit!r}"
             )
     return "\n".join(out) + "\n"
 
@@ -388,21 +388,20 @@ def _report_csv_wheeling(results: Sequence[WheelingResult]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _decision_dict(d) -> dict:
-    return {
-        "timestep": d.timestep,
-        "direction": d.direction.value,
-        "quantity_mw": d.quantity_mw,
-        "lambda_eur_mwh": d.marginal_value,
-        "profit_eur": d.profit,
-    }
-
-
 def _schedule_dict(s: Schedule) -> dict:
     return {
         "link_id": s.interconnector_id,
         "total_profit_eur": s.total_profit,
-        "decisions": [_decision_dict(d) for d in s.decisions],
+        "decisions": [
+            {
+                "timestep": t,
+                "direction": direction.value,
+                "quantity_mw": quantity,
+                "lambda_eur_mwh": lam,
+                "profit_eur": profit,
+            }
+            for t, direction, quantity, lam, profit in s.rows()
+        ],
     }
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InvalidLossError
@@ -60,11 +61,11 @@ class PriceSeries:
     def __post_init__(self):
         object.__setattr__(self, "steps", _as_steps(self.steps))
 
-    @property
+    @cached_property
     def timesteps(self) -> tuple[int, ...]:
         return tuple(t for t, _ in self.steps)
 
-    @property
+    @cached_property
     def prices(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.steps)
 
@@ -160,9 +161,13 @@ class CapacityProfile:
     def __post_init__(self):
         object.__setattr__(self, "steps", _as_steps(self.steps))
 
-    @property
+    @cached_property
     def timesteps(self) -> tuple[int, ...]:
         return tuple(t for t, _ in self.steps)
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(x for _, x in self.steps)
 
     @classmethod
     def constant(cls, link: Interconnector, timesteps: Iterable[int]) -> "CapacityProfile":

@@ -10,8 +10,16 @@ inside the max so a zero bias recovers the unbiased problem). The
 objective sum x_t * lambda_t is separable across timesteps and linear in
 each x_t over a box, so the per-step bang-bang rule of
 :func:`hvdcarb.arbitrage.optimal_flow` attains the horizon optimum.
-:func:`lp_oracle` re-solves the same problem by explicit per-step
-enumeration and exists as an independent check on the production path.
+
+A :class:`Schedule` holds the horizon as parallel columns: timesteps,
+directions, quantities, lambdas and profits. :func:`schedule_link` computes
+each column in one pass over the price columns, with the expressions of
+``optimal_flow`` in the same order, so every value is bit-identical to
+deciding step by step; ``Schedule.decisions`` builds the per-step
+:class:`~hvdcarb.arbitrage.FlowDecision` view only when asked. Totals are
+summed left to right. :func:`lp_oracle` re-solves the same problem by
+explicit per-step enumeration and exists as an independent check on the
+production path.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
@@ -20,7 +28,11 @@ link independently and sums.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from typing import Iterable, Iterator
 
 from .arbitrage import BiasPolicy, Direction, FlowDecision, optimal_flow
 from .errors import AlignmentError
@@ -42,18 +54,64 @@ HOURS_PER_YEAR = 8760
 # mistakes it for the production path.
 _ORACLE_MAX_STEPS = 10_000
 
+_Column = tuple[float, ...]
+
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-timestep dispatch of one link over a horizon, with total profit."""
+    """Dispatch of one link over a horizon, as parallel per-step columns.
+
+    Entry i of ``directions``, ``quantities`` (MW), ``lambdas`` (EUR/MWh
+    after any bias) and ``profits`` (EUR) belongs to ``timesteps[i]``.
+    :meth:`from_decisions` builds a schedule from per-step decisions and
+    :attr:`decisions` is the per-step view.
+    """
 
     interconnector_id: str
-    decisions: tuple[FlowDecision, ...]
+    timesteps: tuple[int, ...]
+    directions: tuple[Direction, ...]
+    quantities: tuple[float, ...]
+    lambdas: tuple[float, ...]
+    profits: tuple[float, ...]
     total_profit: float
 
+    def __post_init__(self):
+        n = len(self.timesteps)
+        columns = (self.directions, self.quantities, self.lambdas, self.profits)
+        if any(len(column) != n for column in columns):
+            raise ValueError(
+                f"schedule '{self.interconnector_id}': columns differ in length"
+            )
+
+    @classmethod
+    def from_decisions(
+        cls,
+        interconnector_id: str,
+        decisions: Iterable[FlowDecision],
+        total_profit: float,
+    ) -> "Schedule":
+        """Schedule whose columns are the fields of ``decisions``, in order."""
+        decisions = tuple(decisions)
+        return cls(
+            interconnector_id,
+            tuple(d.timestep for d in decisions),
+            tuple(d.direction for d in decisions),
+            tuple(d.quantity_mw for d in decisions),
+            tuple(d.marginal_value for d in decisions),
+            tuple(d.profit for d in decisions),
+            total_profit,
+        )
+
+    def rows(self) -> Iterator[tuple[int, Direction, float, float, float]]:
+        """``(timestep, direction, quantity_mw, lambda, profit)`` per step."""
+        return zip(
+            self.timesteps, self.directions, self.quantities, self.lambdas, self.profits
+        )
+
     @property
-    def timesteps(self) -> tuple[int, ...]:
-        return tuple(d.timestep for d in self.decisions)
+    def decisions(self) -> tuple[FlowDecision, ...]:
+        """One :class:`FlowDecision` per step, built anew on each access."""
+        return tuple(FlowDecision(*row) for row in self.rows())
 
 
 @dataclass(frozen=True)
@@ -69,18 +127,18 @@ class PortfolioResult:
     annualized: float
 
 
-def _aligned_horizon(
-    prices_a: PriceSeries,
-    prices_b: PriceSeries,
-    capacity: CapacityProfile,
-) -> tuple[int, ...]:
-    """Common timestep tuple, or AlignmentError naming what is missing where."""
-    reference = prices_a.timesteps
-    sources = {
-        f"prices '{prices_a.region_id}'": reference,
-        f"prices '{prices_b.region_id}'": prices_b.timesteps,
-        f"capacity '{capacity.interconnector_id}'": capacity.timesteps,
-    }
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    """Float sum in input order; ``sum()`` compensates from Python 3.12."""
+    return reduce(operator.add, values, 0.0)
+
+
+def _aligned_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """Common timestep tuple, or AlignmentError naming what is missing where.
+
+    ``sources`` maps a source's name to its timesteps; the first is the
+    reference.
+    """
+    reference = next(iter(sources.values()))
     if all(ts == reference for ts in sources.values()):
         if any(t1 <= t0 for t0, t1 in zip(reference, reference[1:])):
             raise AlignmentError("horizon timesteps must be strictly increasing")
@@ -103,6 +161,18 @@ def _aligned_horizon(
     )
 
 
+def _check_finite_prices(series: PriceSeries) -> None:
+    # One sum tests the column; the scan for the culprit runs on failure
+    # only (a finite column can also overflow the sum).
+    if math.isfinite(sum(series.prices)):
+        return
+    for t, p in series.steps:
+        if not math.isfinite(p):
+            raise ValueError(
+                f"price series '{series.region_id}': non-finite price {p} at t={t}"
+            )
+
+
 def _prepare(
     prices_a: PriceSeries,
     prices_b: PriceSeries,
@@ -110,14 +180,16 @@ def _prepare(
     capacity: CapacityProfile | None,
     bias: BiasPolicy | None,
     duration_h: float,
-) -> tuple[tuple[int, ...], float, zip]:
+) -> tuple[tuple[int, ...], float, _Column, _Column, _Column]:
     """Checked, endpoint-relative inputs of one link's horizon problem.
 
-    Returns the horizon, the bias r_b and a lazy iterator of per-step
-    ``((t, p_a), (t, p_b), (t, x_max))`` triples.
+    Returns the horizon, the bias r_b and the columns p_a, p_b and x_max,
+    aligned with the horizon.
     """
     if not (duration_h > 0):
         raise ValueError(f"duration_h must be > 0, got {duration_h}")
+    if duration_h == math.inf:
+        raise ValueError(f"duration_h must be finite, got {duration_h}")
     if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
         raise ValueError(
             f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
@@ -126,11 +198,27 @@ def _prepare(
     # Present prices endpoint-relative so A_to_B always means a -> b.
     if prices_a.region_id != link.endpoint_a:
         prices_a, prices_b = prices_b, prices_a
-    if capacity is None:
-        capacity = CapacityProfile.constant(link, prices_a.timesteps)
     r_b = (bias or BiasPolicy()).r_b
-    horizon = _aligned_horizon(prices_a, prices_b, capacity)
-    return horizon, r_b, zip(prices_a.steps, prices_b.steps, capacity.steps)
+    # Without a profile the rated capacity applies over series a's horizon.
+    if capacity is None:
+        capacity_name, capacity_timesteps = link.id, prices_a.timesteps
+    else:
+        capacity_name = capacity.interconnector_id
+        capacity_timesteps = capacity.timesteps
+    horizon = _aligned_horizon(
+        {
+            f"prices '{prices_a.region_id}'": prices_a.timesteps,
+            f"prices '{prices_b.region_id}'": prices_b.timesteps,
+            f"capacity '{capacity_name}'": capacity_timesteps,
+        }
+    )
+    _check_finite_prices(prices_a)
+    _check_finite_prices(prices_b)
+    if capacity is None:
+        x_max = (float(link.capacity_mw),) * len(horizon)
+    else:
+        x_max = capacity.values
+    return horizon, r_b, prices_a.prices, prices_b.prices, x_max
 
 
 def schedule_link(
@@ -146,19 +234,51 @@ def schedule_link(
     Both price series and the capacity profile must cover exactly the same
     timesteps. With no profile given, the link's rated capacity applies at
     every step. Separability makes the per-step optimum the horizon
-    optimum.
+    optimum. Each column is computed over the whole horizon with the
+    expressions of :func:`~hvdcarb.arbitrage.optimal_flow`, so every value
+    is bit-identical to deciding step by step.
 
     Raises:
         AlignmentError: the three sources cover different timesteps.
-        ValueError: the series do not belong to the link's endpoints.
+        ValueError: the series do not belong to the link's endpoints, a
+            price or the step duration is not finite, or a step is invalid
+            (the error :func:`~hvdcarb.arbitrage.optimal_flow` raises at
+            the first such step).
     """
-    _, r_b, steps = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    horizon, r_b, col_a, col_b, col_x = _prepare(
+        prices_a, prices_b, link, capacity, bias, duration_h
+    )
     r = link.loss_fraction
-    decisions = []
-    for (t, p_a), (_, p_b), (_, x_max) in steps:
-        decisions.append(optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t))
-    total = sum(d.profit for d in decisions)
-    return Schedule(link.id, tuple(decisions), total)
+    to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
+    to_b = [p_b - p_a - r * p_b for p_a, p_b in zip(col_a, col_b)]
+    lambdas = tuple(
+        [max(m_a - r_b, m_b - r_b, 0.0) for m_a, m_b in zip(to_a, to_b)]
+    )
+    # Whole-column tests keep valid input cheap. When one fails, replaying
+    # the per-step rule raises its error at the first failing step; it may
+    # also pass, since an infinite cap or lambda is valid.
+    if not (
+        0 <= r < 1
+        and r_b >= 0
+        and min(col_x, default=0.0) >= 0
+        and math.isfinite(sum(col_x) + sum(lambdas))
+    ):
+        for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
+            optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+    quantities = tuple(
+        [x if lam > 0 and x > 0 else 0.0 for lam, x in zip(lambdas, col_x)]
+    )
+    # Ties on the pre-bias margins resolve into endpoint a.
+    into_a, into_b, idle = Direction.B_TO_A, Direction.A_TO_B, Direction.IDLE
+    directions = tuple(
+        [
+            (into_a if m_a >= m_b else into_b) if q > 0 else idle
+            for q, m_a, m_b in zip(quantities, to_a, to_b)
+        ]
+    )
+    profits = tuple([q * duration_h * lam for q, lam in zip(quantities, lambdas)])
+    total = _sum_left_to_right(profits)
+    return Schedule(link.id, horizon, directions, quantities, lambdas, profits, total)
 
 
 def schedule_portfolio(
@@ -199,10 +319,10 @@ def schedule_portfolio(
             raise KeyError(
                 f"link '{link.id}': no price series for region {exc}"
             ) from exc
-    grand_total = sum(s.total_profit for s in schedules)
+    grand_total = _sum_left_to_right(s.total_profit for s in schedules)
     horizon_hours = 0.0
     if schedules:
-        horizon_hours = len(schedules[0].decisions) * duration_h
+        horizon_hours = len(schedules[0].timesteps) * duration_h
     if horizon_hours > 0:
         annualized = extrapolate_annual(grand_total / horizon_hours)
     else:
@@ -233,7 +353,9 @@ def lp_oracle(
     :func:`schedule_link` decision for decision. Intended as a test
     oracle for small horizons, not the production path.
     """
-    horizon, r_b, steps = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    horizon, r_b, col_a, col_b, col_x = _prepare(
+        prices_a, prices_b, link, capacity, bias, duration_h
+    )
     if len(horizon) > _ORACLE_MAX_STEPS:
         raise ValueError(
             f"lp_oracle is limited to {_ORACLE_MAX_STEPS} steps, got {len(horizon)}"
@@ -241,7 +363,7 @@ def lp_oracle(
 
     r = link.loss_fraction
     decisions = []
-    for (t, p_a), (_, p_b), (_, x_max) in steps:
+    for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a
         raw_to_b = p_b - p_a - r * p_b
         lam = max(raw_to_a - r_b, raw_to_b - r_b, 0.0)
@@ -264,5 +386,5 @@ def lp_oracle(
                 profit=best_x * duration_h * lam,
             )
         )
-    total = sum(d.profit for d in decisions)
-    return Schedule(link.id, tuple(decisions), total)
+    total = _sum_left_to_right(d.profit for d in decisions)
+    return Schedule.from_decisions(link.id, decisions, total)

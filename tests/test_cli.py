@@ -148,6 +148,17 @@ class TestSchedule:
         assert "bias" in err
 
 
+    def test_infinite_duration_validation_error(self, capsys):
+        code, _, err = run(capsys, "schedule", "--duration-hours", "inf")
+        assert code == 3
+        assert "--duration-hours must be finite, got inf" in err
+
+    def test_empty_horizon_total_is_a_float(self, capsys):
+        code, out, _ = run(capsys, "schedule", "--from", "7", "--to", "3")
+        assert code == 0
+        assert "grand_total_eur: 0.0\n" in out
+
+
 class TestWheel:
     WHEEL = (
         "wheel", "france", "ireland", "scotland",
@@ -205,6 +216,16 @@ class TestWheel:
         )
         assert code == 4
         assert "does not resolve" in err
+
+    @pytest.mark.parametrize("loss", ["nan", "1.5", "-0.1"])
+    def test_bad_transit_loss_validation_error(self, capsys, loss):
+        code, _, err = run(
+            capsys,
+            "wheel", "france", "ireland", "scotland",
+            "--via", "celtic", "moyle", "--transit-loss", loss, "--quantity", "10",
+        )
+        assert code == 3
+        assert f"--transit-loss must be in [0, 1), got {float(loss)}" in err
 
     def test_unknown_region(self, capsys):
         code, _, err = run(

@@ -201,12 +201,12 @@ class TestWriteReport:
         assert len(lines) == 5
 
     def test_empty_schedule_is_header_only(self):
-        doc = write_report(Schedule("x", (), 0.0), "csv")
+        doc = write_report(Schedule.from_decisions("x", (), 0.0), "csv")
         assert doc == "timestep,link_id,direction,quantity_mw,lambda_eur_mwh,profit_eur\n"
 
     def test_single_schedule_csv(self):
         decision = FlowDecision(3, Direction.A_TO_B, 10.0, 2.5, 25.0)
-        doc = write_report(Schedule("ab", (decision,), 25.0), "csv")
+        doc = write_report(Schedule.from_decisions("ab", (decision,), 25.0), "csv")
         assert "3,ab,A_to_B,10.0,2.5,25.0" in doc
 
     def test_wheeling_csv_schema(self):

@@ -1,8 +1,14 @@
 """Horizon scheduling, portfolio aggregation, and the enumeration oracle."""
 
+import functools
+import math
+import operator
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvdcarb import (
     AlignmentError,
@@ -13,8 +19,10 @@ from hvdcarb import (
     Network,
     PriceSeries,
     Region,
+    Schedule,
     extrapolate_annual,
     lp_oracle,
+    optimal_flow,
     schedule_link,
     schedule_portfolio,
 )
@@ -124,10 +132,169 @@ class TestScheduleLink:
         with pytest.raises(ValueError):
             schedule_link(a, b, link, duration_h=0.0)
 
+    @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
+    def test_infinite_duration_rejected(self, celtic_hour, solver):
+        a, b, link = celtic_hour
+        with pytest.raises(ValueError, match="duration_h must be finite, got inf"):
+            solver(a, b, link, duration_h=math.inf)
+
+    @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("region", ["ireland", "france"])
+    def test_non_finite_price_rejected(self, celtic, solver, bad, region):
+        steps = {
+            "ireland": ((1, 100.0), (2, 90.0), (3, 80.0)),
+            "france": ((1, 50.0), (2, 60.0), (3, 70.0)),
+        }
+        steps[region] = steps[region][:1] + ((2, bad),) + steps[region][2:]
+        a = PriceSeries("ireland", steps["ireland"])
+        b = PriceSeries("france", steps["france"])
+        with pytest.raises(
+            ValueError,
+            match=rf"price series '{region}': non-finite price {bad} at t=2",
+        ):
+            solver(a, b, celtic)
+
+    def test_total_is_summed_left_to_right(self):
+        # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1e16 + 2
+        a = PriceSeries("a", ((1, 1e16), (2, 1.0), (3, 1.0)))
+        b = PriceSeries("b", ((1, 0.0), (2, 0.0), (3, 0.0)))
+        link = Interconnector("ab", "a", "b", 1.0, 0.0)
+        schedule = schedule_link(a, b, link)
+        assert schedule.profits == (1e16, 1.0, 1.0)
+        assert schedule.total_profit == 1e16
+
+    def test_empty_horizon_total_is_a_float(self, celtic):
+        schedule = schedule_link(PriceSeries("ireland", ()), PriceSeries("france", ()), celtic)
+        assert repr(schedule.total_profit) == "0.0"
+        assert schedule.decisions == ()
+
     def test_duration_scales_profit(self, celtic_hour):
         a, b, link = celtic_hour
         half = schedule_link(a, b, link, duration_h=0.5)
         assert half.total_profit == pytest.approx(30975.0 / 2, rel=1e-12)
+
+
+class TestScheduleColumns:
+    def test_from_decisions_round_trips(self):
+        rng = random.Random(41)
+        a, b, link, caps, bias = random_link_instance(rng, max_steps=30)
+        schedule = schedule_link(a, b, link, caps, bias)
+        rebuilt = Schedule.from_decisions(
+            schedule.interconnector_id, schedule.decisions, schedule.total_profit
+        )
+        assert rebuilt == schedule
+        assert schedule.timesteps == a.timesteps
+        assert [d.profit for d in schedule.decisions] == list(schedule.profits)
+
+    def test_columns_of_different_length_rejected(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            Schedule("ab", (1, 2), (Direction.IDLE,), (0.0,), (0.0,), (0.0,), 0.0)
+
+
+def per_step_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
+    """Reference for the column core: one validated optimal_flow per step."""
+    if prices_a.region_id != link.endpoint_a:
+        prices_a, prices_b = prices_b, prices_a
+    if capacity is None:
+        capacity = CapacityProfile.constant(link, prices_a.timesteps)
+    r_b = (bias or BiasPolicy()).r_b
+    decisions = [
+        optimal_flow(p_a, p_b, link.loss_fraction, x_max, r_b, duration_h, t)
+        for (t, p_a), (_, p_b), (_, x_max) in zip(
+            prices_a.steps, prices_b.steps, capacity.steps
+        )
+    ]
+    total = functools.reduce(operator.add, (d.profit for d in decisions), 0.0)
+    return Schedule.from_decisions(link.id, decisions, total)
+
+
+def link_problem(p_a, p_b, r=0.0, caps=None, bias=None, duration_h=1.0, rated=100.0):
+    """Argument tuple of schedule_link for a horizon starting at t=1."""
+    timesteps = range(1, len(p_a) + 1)
+    a = PriceSeries("a", tuple(zip(timesteps, p_a)))
+    b = PriceSeries("b", tuple(zip(timesteps, p_b)))
+    capacity = None if caps is None else CapacityProfile("ln", tuple(zip(timesteps, caps)))
+    return a, b, Interconnector("ln", "a", "b", rated, r), capacity, bias, duration_h
+
+
+# Few distinct prices, so that equal prices (ties, lambda == 0) and margins
+# equal to the bias come up often; +-1e308 overflow lambda to inf.
+_step_prices = st.one_of(
+    st.sampled_from([-20.0, -0.0, 0.0, 50.0, 100.0]),
+    st.floats(-500, 500),
+    st.sampled_from([1e308, -1e308]),
+)
+_capacities = st.one_of(
+    st.sampled_from([0.0, -0.0, 700.0, -1.0, math.nan, math.inf]),
+    st.floats(0, 2000),
+)
+_losses = st.one_of(
+    st.sampled_from([0.0, 0.0575, 0.5]),
+    st.floats(0, 0.999),
+    st.sampled_from([-0.1, 1.0, math.nan]),
+)
+# BiasPolicy rejects a bad r_b; a duck-typed bias still reaches the rule.
+_biases = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 5.0, 50.0]).map(BiasPolicy),
+    st.floats(0, 100).map(BiasPolicy),
+    st.sampled_from([-1.0, math.nan, math.inf]).map(lambda r_b: SimpleNamespace(r_b=r_b)),
+)
+
+
+@st.composite
+def link_problems(draw):
+    n = draw(st.integers(0, 12))
+    p_a = [draw(_step_prices) for _ in range(n)]
+    p_b = [draw(_step_prices) for _ in range(n)]
+    caps = [draw(_capacities) for _ in range(n)] if draw(st.booleans()) else None
+    a, b, link, capacity, bias, duration_h = link_problem(
+        p_a,
+        p_b,
+        draw(_losses),
+        caps,
+        draw(_biases),
+        draw(st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 1e3)),
+        draw(_capacities),
+    )
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, link, capacity, bias, duration_h
+
+
+class TestColumnCoreMatchesPerStepRule:
+    @settings(max_examples=300)
+    @given(link_problems())
+    @example(link_problem([-20.0], [-20.0], r=0.5))  # tie: delivers into a
+    @example(link_problem([100.0], [50.0], caps=[-0.0]))
+    @example(link_problem([98.0], [50.0], caps=[244.0], duration_h=0.3))
+    @example(link_problem([1e308], [-1e308], caps=[0.0]))  # lambda inf, idle
+    @example(link_problem([1e308], [-1e308], bias=SimpleNamespace(r_b=math.inf)))
+    @example(link_problem([100.0], [50.0], bias=SimpleNamespace(r_b=-1.0)))
+    @example(link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[-1.0, 5.0]))
+    @example(link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[5.0, -1.0]))
+    @example(link_problem([], [], r=math.nan, bias=SimpleNamespace(r_b=-1.0)))
+    def test_columns_errors_and_decisions_bit_for_bit(self, problem):
+        try:
+            expected = per_step_schedule(*problem)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as err:
+                schedule_link(*problem)
+            assert str(err.value) == str(exc)
+            return
+        got = schedule_link(*problem)
+        for column in (
+            "interconnector_id",
+            "timesteps",
+            "directions",
+            "quantities",
+            "lambdas",
+            "profits",
+            "total_profit",
+        ):
+            assert repr(getattr(got, column)) == repr(getattr(expected, column))
+        assert repr(got.decisions) == repr(expected.decisions)
 
 
 class TestScheduleProperties:
@@ -265,6 +432,18 @@ class TestPortfolio:
         )
         with pytest.raises(AlignmentError, match="link 'ab'"):
             schedule_portfolio(net)
+
+    def test_grand_total_is_summed_left_to_right(self):
+        # link totals 1e16, 1.0, 1.0 in id order; a compensated sum adds 2
+        regions = (Region("a"), Region("b"))
+        links = tuple(
+            Interconnector(link_id, "a", "b", capacity, 0.0)
+            for link_id, capacity in (("l1", 1e16), ("l2", 1.0), ("l3", 1.0))
+        )
+        prices = (PriceSeries("a", ((1, 1.0),)), PriceSeries("b", ((1, 0.0),)))
+        result = schedule_portfolio(Network(regions, links, prices))
+        assert [s.total_profit for s in result.schedules] == [1e16, 1.0, 1.0]
+        assert result.grand_total == 1e16
 
     def test_multi_hour_annualization_uses_mean_hourly_profit(self):
         # two identical hours: same mean hourly profit as the one-hour study
