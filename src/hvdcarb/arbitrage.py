@@ -107,6 +107,24 @@ def _check_loss(r: float) -> None:
         raise ValueError(f"loss fraction must be in [0, 1), got {r}")
 
 
+def _check_duration(duration_h: float) -> None:
+    if not (duration_h > 0):
+        raise ValueError(f"duration_h must be > 0, got {duration_h}")
+    if duration_h == math.inf:
+        raise ValueError(f"duration_h must be finite, got {duration_h}")
+
+
+def _check_margins(
+    m_to_a: float, m_to_b: float, p_a: float, p_b: float, timestep: int
+) -> None:
+    # Finite prices can still overflow the spread, and an infinite margin
+    # would make an idle step's profit 0 * inf = nan.
+    if not (math.isfinite(m_to_a) and math.isfinite(m_to_b)):
+        raise ValueError(
+            f"price spread at t={timestep} is not finite: p_a={p_a}, p_b={p_b}"
+        )
+
+
 def _margins(p_a: float, p_b: float, r: float) -> tuple[float, float]:
     """Per-MWh margins (deliver-into-a, deliver-into-b), before bias."""
     return (p_a - p_b - r * p_a, p_b - p_a - r * p_b)
@@ -179,13 +197,20 @@ def optimal_flow(
     the loss charge to act as a subsidy), the tie resolves toward
     delivering into endpoint a, mirroring the argument order of the
     combined profit expression.
+
+    Raises:
+        ValueError: x_max < 0, r outside [0, 1), r_b < 0, duration_h not
+            finite and > 0, or a margin that is not finite (the prices'
+            spread overflows, or a price is not finite).
     """
     if not (x_max >= 0):
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     _check_loss(r)
     if not (r_b >= 0):
         raise ValueError(f"bias must be >= 0, got {r_b}")
+    _check_duration(duration_h)
     m_to_a, m_to_b = _margins(p_a, p_b, r)
+    _check_margins(m_to_a, m_to_b, p_a, p_b, timestep)
     lam = max(m_to_a - r_b, m_to_b - r_b, 0.0)
     if lam > 0 and x_max > 0:
         direction = Direction.B_TO_A if m_to_a >= m_to_b else Direction.A_TO_B

@@ -4,7 +4,8 @@ Formats (all stable):
 
 * Price CSV: header ``timestep,region_id,price_eur_mwh``, one row per
   (timestep, region), UTF-8, decimal point. Timesteps must be strictly
-  increasing within each region.
+  increasing within each region. Fields may be quoted or padded with
+  whitespace; :func:`load_prices` reads a plain file as whole columns.
 * Network config: YAML with a ``regions`` list, a ``links`` list, and an
   optional ``prices_csv`` reference resolved relative to the config file.
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
@@ -24,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -85,13 +87,69 @@ def _read_text(source: Source) -> str:
 def load_prices(source: Source) -> dict[str, PriceSeries]:
     """Parse a price CSV into one series per region, keyed by region id.
 
+    The body is split, converted and checked as whole columns. Anything
+    unusual (a quote, a blank line, a line without exactly three fields, a
+    value that does not convert, regions not listed in the same order at
+    every timestep, a column that fails its test) sends the file through
+    the row-by-row reader instead, which accepts it or raises the error of
+    its first bad row.
+
     Raises:
         ParseError: bad header, malformed row, non-finite price,
             out-of-order timesteps (with the offending line number).
         DuplicateRowError: a (timestep, region) pair repeats.
     """
     text = _read_text(source)
-    lines = text.splitlines()
+    series = _load_price_columns(text)
+    if series is None:
+        series = _load_price_rows(text.splitlines())
+    return series
+
+
+def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
+    """Per-region series read as whole columns, or None for the row-by-row reader."""
+    body = text.splitlines()
+    if not body or body[0].strip() != PRICE_CSV_HEADER:
+        return None
+    del body[0]
+    if not body:
+        return {}
+    # Quotes and NUL are the csv module's to interpret, over-long fields
+    # its to refuse, and a blank line has no comma.
+    if '"' in text or "\0" in text or set(map(str.count, body, repeat(","))) != {2}:
+        return None
+    if max(map(len, body)) > csv.field_size_limit():
+        return None
+    joined = ",".join(body)
+    del body  # the line strings, before the fields take their place
+    fields = joined.split(",")
+    del joined
+    try:
+        timesteps = tuple(map(int, fields[0::3]))
+        prices = tuple(map(float, fields[2::3]))
+    except ValueError:
+        return None
+    regions = list(map(str.strip, fields[1::3]))
+    del fields
+    # Rows that list the regions in the same order at every timestep split
+    # into per-region columns by slicing; any other order is read row by row.
+    order = list(dict.fromkeys(regions))
+    k = len(order)
+    if regions != order * (len(regions) // k):
+        return None
+    series = {
+        rid: PriceSeries.from_columns(rid, timesteps[i::k], prices[i::k])
+        for i, rid in enumerate(order)
+    }
+    # A series without violations has increasing, non-negative timesteps and
+    # finite prices, as every row must.
+    if "" in series or any(s.violations() for s in series.values()):
+        return None
+    return series
+
+
+def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
+    """The price file read row by row; raises the error of its first bad row."""
     if not lines or lines[0].strip() != PRICE_CSV_HEADER:
         raise ParseError(
             f"expected header '{PRICE_CSV_HEADER}', got "
@@ -142,7 +200,7 @@ def prices_to_csv(series: Iterable[PriceSeries]) -> str:
     """Render price series back to the CSV format, deterministically."""
     out = [PRICE_CSV_HEADER]
     for s in series:
-        for t, p in s.steps:
+        for t, p in zip(s.timesteps, s.prices):
             out.append(f"{t},{s.region_id},{p!r}")
     return "\n".join(out) + "\n"
 

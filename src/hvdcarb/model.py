@@ -12,6 +12,7 @@ data so that loaders and callers decide how to fail.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -29,13 +30,47 @@ __all__ = [
 ]
 
 
-def _as_steps(steps: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    out = []
+_Columns = tuple[tuple[int, ...], tuple[float, ...]]
+
+
+def _per_step(steps: Iterable[tuple[int, float]]) -> _Columns:
+    timesteps, values = [], []
     for t, v in steps:
         if int(t) != t:
             raise ValueError(f"timestep {t!r} is not an integer")
-        out.append((int(t), float(v)))
-    return tuple(out)
+        timesteps.append(int(t))
+        values.append(float(v))
+    return tuple(timesteps), tuple(values)
+
+
+def _columns(timesteps: Iterable[int], values: Iterable[float]) -> _Columns:
+    """The timestep and value columns as tuples of ints and floats.
+
+    Columns that already hold only ints and floats are taken as they are;
+    anything else goes through the per-step conversion, which raises at the
+    first timestep that is not an integer.
+    """
+    timesteps, values = tuple(timesteps), tuple(values)
+    if len(timesteps) != len(values):
+        raise ValueError(
+            f"{len(timesteps)} timesteps but {len(values)} values: columns "
+            f"differ in length"
+        )
+    if set(map(type, timesteps)) <= {int} and set(map(type, values)) <= {float}:
+        return timesteps, values
+    return _per_step(zip(timesteps, values))
+
+
+def _step_columns(steps: Iterable[tuple[int, float]]) -> _Columns:
+    """The columns of ``(timestep, value)`` pairs, normalised by :func:`_columns`."""
+    steps = tuple(steps)
+    if set(map(type, steps)) <= {tuple} and set(map(len, steps)) <= {2}:
+        return _columns(*zip(*steps)) if steps else ((), ())
+    return _per_step(steps)
+
+
+def _strictly_increasing(timesteps: tuple[int, ...]) -> bool:
+    return all(map(operator.lt, timesteps, timesteps[1:]))
 
 
 @dataclass(frozen=True)
@@ -46,31 +81,46 @@ class Region:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PriceSeries:
     """Per-timestep prices (EUR/MWh) for one region.
 
     Timestep indices must be strictly increasing. Negative prices are
     admitted: European day-ahead markets produce them and the
     difference-form profit expressions stay valid.
+
+    The series is stored as two parallel columns, ``timesteps`` and
+    ``prices``; ``steps``, the ``(timestep, price)`` pairs the constructor
+    takes, is built on first use.
     """
 
     region_id: str
-    steps: tuple[tuple[int, float], ...]
+    timesteps: tuple[int, ...]
+    prices: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", _as_steps(self.steps))
+    def __init__(self, region_id: str, steps: Iterable[tuple[int, float]]):
+        self._init(region_id, *_step_columns(steps))
+
+    @classmethod
+    def from_columns(
+        cls, region_id: str, timesteps: Iterable[int], prices: Iterable[float]
+    ) -> "PriceSeries":
+        """Series from its timestep and price columns, normalised like steps."""
+        series = cls.__new__(cls)
+        series._init(region_id, *_columns(timesteps, prices))
+        return series
+
+    def _init(self, region_id: str, timesteps: tuple[int, ...], prices: tuple[float, ...]):
+        object.__setattr__(self, "region_id", region_id)
+        object.__setattr__(self, "timesteps", timesteps)
+        object.__setattr__(self, "prices", prices)
 
     @cached_property
-    def timesteps(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.steps)
-
-    @cached_property
-    def prices(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.steps)
+    def steps(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.timesteps, self.prices))
 
     def price_at(self, timestep: int) -> float:
-        for t, p in self.steps:
+        for t, p in zip(self.timesteps, self.prices):
             if t == timestep:
                 return p
         raise KeyError(timestep)
@@ -79,20 +129,29 @@ class PriceSeries:
         """Sub-series with start <= t <= end (either bound optional)."""
         kept = [
             (t, p)
-            for t, p in self.steps
+            for t, p in zip(self.timesteps, self.prices)
             if (start is None or t >= start) and (end is None or t <= end)
         ]
         return PriceSeries(self.region_id, tuple(kept))
 
     def violations(self) -> list[str]:
+        ts, prices = self.timesteps, self.prices
+        # Whole-column tests; the per-step scan runs only when one fails (a
+        # finite column can also overflow the sum).
+        if (
+            _strictly_increasing(ts)
+            and (not ts or ts[0] >= 0)
+            and math.isfinite(sum(prices))
+        ):
+            return []
         out = []
-        for (t0, _), (t1, _) in zip(self.steps, self.steps[1:]):
+        for t0, t1 in zip(ts, ts[1:]):
             if t1 <= t0:
                 out.append(
                     f"price series '{self.region_id}': timesteps not strictly "
                     f"increasing at t={t1}"
                 )
-        for t, p in self.steps:
+        for t, p in zip(ts, prices):
             if not math.isfinite(p):
                 out.append(f"price series '{self.region_id}': non-finite price at t={t}")
             if t < 0:
@@ -147,27 +206,29 @@ class Interconnector:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CapacityProfile:
     """Per-timestep cap on transferable power (MW) for one link.
 
     Network capability to import/export varies over time; the horizon
-    scheduler bounds each step's dispatch by the profile's value.
+    scheduler bounds each step's dispatch by the profile's value. Stored,
+    like :class:`PriceSeries`, as ``timesteps`` and ``values`` columns,
+    with the ``steps`` the constructor takes built on first use.
     """
 
     interconnector_id: str
-    steps: tuple[tuple[int, float], ...]
+    timesteps: tuple[int, ...]
+    values: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", _as_steps(self.steps))
+    def __init__(self, interconnector_id: str, steps: Iterable[tuple[int, float]]):
+        timesteps, values = _step_columns(steps)
+        object.__setattr__(self, "interconnector_id", interconnector_id)
+        object.__setattr__(self, "timesteps", timesteps)
+        object.__setattr__(self, "values", values)
 
     @cached_property
-    def timesteps(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.steps)
-
-    @cached_property
-    def values(self) -> tuple[float, ...]:
-        return tuple(x for _, x in self.steps)
+    def steps(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.timesteps, self.values))
 
     @classmethod
     def constant(cls, link: Interconnector, timesteps: Iterable[int]) -> "CapacityProfile":
@@ -175,14 +236,21 @@ class CapacityProfile:
         return cls(link.id, tuple((t, link.capacity_mw) for t in timesteps))
 
     def violations(self) -> list[str]:
+        ts, values = self.timesteps, self.values
+        if (
+            _strictly_increasing(ts)
+            and min(values, default=0.0) >= 0
+            and math.isfinite(sum(values))
+        ):
+            return []
         out = []
-        for (t0, _), (t1, _) in zip(self.steps, self.steps[1:]):
+        for t0, t1 in zip(ts, ts[1:]):
             if t1 <= t0:
                 out.append(
                     f"capacity profile '{self.interconnector_id}': timesteps not "
                     f"strictly increasing at t={t1}"
                 )
-        for t, x in self.steps:
+        for t, x in zip(ts, values):
             if not (x >= 0) or not math.isfinite(x):
                 out.append(
                     f"capacity profile '{self.interconnector_id}': x_max {x} at t={t} "
@@ -319,12 +387,26 @@ def validate_network(network: Network) -> list[str]:
             continue
         horizons[region_id] = network.prices_for(region_id).timesteps
     if horizons:
-        reference = next(iter(horizons.values()))
+        reference_id, reference = next(iter(horizons.items()))
         for region_id, ts in horizons.items():
             if ts != reference:
                 report.append(
-                    f"price series '{region_id}' horizon {ts} differs from other "
-                    f"linked regions"
+                    _horizon_mismatch(region_id, ts, reference_id, reference)
                 )
 
     return report
+
+
+def _horizon_mismatch(
+    region_id: str, ts: tuple[int, ...], reference_id: str, reference: tuple[int, ...]
+) -> str:
+    """One line naming where a linked region's horizon first leaves the reference."""
+    n = min(len(ts), len(reference))
+    i = next((i for i in range(n) if ts[i] != reference[i]), n)
+    here = f"t={ts[i]}" if i < len(ts) else "no step"
+    there = f"t={reference[i]}" if i < len(reference) else "no step"
+    return (
+        f"price series '{region_id}' horizon ({len(ts)} steps) differs from "
+        f"linked region '{reference_id}' ({len(reference)} steps) first at step "
+        f"{i}: {here} against {there}"
+    )

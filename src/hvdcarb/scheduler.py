@@ -34,7 +34,14 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .arbitrage import BiasPolicy, Direction, FlowDecision, optimal_flow
+from .arbitrage import (
+    BiasPolicy,
+    Direction,
+    FlowDecision,
+    _check_duration,
+    _check_margins,
+    optimal_flow,
+)
 from .errors import AlignmentError
 from .model import CapacityProfile, Interconnector, Network, PriceSeries
 
@@ -166,7 +173,7 @@ def _check_finite_prices(series: PriceSeries) -> None:
     # only (a finite column can also overflow the sum).
     if math.isfinite(sum(series.prices)):
         return
-    for t, p in series.steps:
+    for t, p in zip(series.timesteps, series.prices):
         if not math.isfinite(p):
             raise ValueError(
                 f"price series '{series.region_id}': non-finite price {p} at t={t}"
@@ -186,10 +193,7 @@ def _prepare(
     Returns the horizon, the bias r_b and the columns p_a, p_b and x_max,
     aligned with the horizon.
     """
-    if not (duration_h > 0):
-        raise ValueError(f"duration_h must be > 0, got {duration_h}")
-    if duration_h == math.inf:
-        raise ValueError(f"duration_h must be finite, got {duration_h}")
+    _check_duration(duration_h)
     if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
         raise ValueError(
             f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
@@ -256,12 +260,13 @@ def schedule_link(
     )
     # Whole-column tests keep valid input cheap. When one fails, replaying
     # the per-step rule raises its error at the first failing step; it may
-    # also pass, since an infinite cap or lambda is valid.
+    # also pass, since an infinite cap is valid and finite columns can
+    # overflow their sums.
     if not (
         0 <= r < 1
         and r_b >= 0
         and min(col_x, default=0.0) >= 0
-        and math.isfinite(sum(col_x) + sum(lambdas))
+        and math.isfinite(sum(col_x) + sum(to_a) + sum(to_b))
     ):
         for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
             optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
@@ -366,6 +371,7 @@ def lp_oracle(
     for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a
         raw_to_b = p_b - p_a - r * p_b
+        _check_margins(raw_to_a, raw_to_b, p_a, p_b, t)
         lam = max(raw_to_a - r_b, raw_to_b - r_b, 0.0)
         # Enumerate the two box corners; keep the strictly better one.
         best_x = 0.0

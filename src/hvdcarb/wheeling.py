@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .arbitrage import _check_duration
 from .errors import CapacityError
 from .model import Interconnector
 
@@ -159,12 +160,13 @@ def evaluate_wheel(
     attenuated quantity.
 
     Raises:
-        ValueError: x_request < 0.
+        ValueError: x_request < 0, or duration_h not finite and > 0.
         CapacityError: a dispatching scenario's leg cannot carry its flow;
             the error names the binding link.
     """
     if not (x_request >= 0):
         raise ValueError(f"x_request must be >= 0, got {x_request}")
+    _check_duration(duration_h)
     r1 = chain.link12.loss_fraction
     r2 = chain.link23.loss_fraction
     c = chain.transit_loss_c

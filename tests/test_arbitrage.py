@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -150,6 +151,26 @@ class TestOptimalFlow:
     def test_negative_quantity_rejected(self, r, x_max, r_b):
         with pytest.raises(ValueError):
             optimal_flow(100, 50, r, x_max, r_b)
+
+    @pytest.mark.parametrize("x_max", [0.0, 700.0])
+    @pytest.mark.parametrize("p_a, p_b", [(1e308, -1e308), (-1e308, 1e308)])
+    def test_overflowing_spread_rejected(self, p_a, p_b, x_max):
+        message = f"price spread at t=7 is not finite: p_a={p_a}, p_b={p_b}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimal_flow(p_a, p_b, 0.0, x_max, 0.0, 1.0, 7)
+
+    @pytest.mark.parametrize(
+        "duration_h, message",
+        [
+            (math.nan, "duration_h must be > 0, got nan"),
+            (0.0, "duration_h must be > 0, got 0.0"),
+            (-1.0, "duration_h must be > 0, got -1.0"),
+            (math.inf, "duration_h must be finite, got inf"),
+        ],
+    )
+    def test_bad_duration_rejected(self, duration_h, message):
+        with pytest.raises(ValueError, match=message):
+            optimal_flow(100.0, 100.0, 0.0, 700.0, duration_h=duration_h)
 
 
 class TestFlowDecisionInvariants:

@@ -153,6 +153,22 @@ class TestSchedule:
         assert code == 3
         assert "--duration-hours must be finite, got inf" in err
 
+    @pytest.mark.parametrize("command", [["schedule"], ["evaluate", "celtic", "-t", "2"]])
+    def test_overflowing_spread_validation_error(self, capsys, tmp_path, command):
+        prices = tmp_path / "prices.csv"
+        rows = [
+            f"{t},{region},{price}"
+            for t in (1, 2)
+            for region, price in (
+                ("ireland", 1e308), ("scotland", 100.0), ("wales", 100.0), ("france", -1e308)
+            )
+        ]
+        prices.write_text(PRICE_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, *command, "--prices", str(prices))
+        assert code == 3
+        assert out == ""
+        assert "price spread at t=" in err and "is not finite" in err
+
     def test_empty_horizon_total_is_a_float(self, capsys):
         code, out, _ = run(capsys, "schedule", "--from", "7", "--to", "3")
         assert code == 0

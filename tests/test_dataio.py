@@ -1,15 +1,20 @@
 """File ingestion, report emission, round-trips, and mutation fuzzing."""
 
+import csv
 import io
+import math
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvdcarb import (
     ConfigConflictError,
     Direction,
     DuplicateRowError,
     FlowDecision,
+    PriceSeries,
     Network,
     ParseError,
     Schedule,
@@ -78,6 +83,183 @@ class TestLoadPrices:
         path = tmp_path / "p.csv"
         path.write_text(CASE_CSV)
         assert load_prices(path)["france"].price_at(1) == 50.0
+
+
+def row_by_row_prices(text: str) -> dict[str, tuple[tuple[int, ...], tuple[float, ...]]]:
+    """Reference reader: the price CSV parsed and checked one row at a time."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != PRICE_CSV_HEADER:
+        raise ParseError(
+            f"expected header '{PRICE_CSV_HEADER}', got "
+            f"{lines[0].strip() if lines else '<empty file>'!r}",
+            line=1,
+        )
+    steps: dict[str, list[tuple[int, float]]] = {}
+    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
+    for offset, row in enumerate(reader):
+        lineno = offset + 2
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
+        raw_t, region_id, raw_price = (field.strip() for field in row)
+        try:
+            t = int(raw_t)
+        except ValueError:
+            raise ParseError(f"timestep {raw_t!r} is not an integer", line=lineno)
+        if t < 0:
+            raise ParseError(f"timestep {t} is negative", line=lineno)
+        if not region_id:
+            raise ParseError("empty region_id", line=lineno)
+        try:
+            price = float(raw_price)
+        except ValueError:
+            raise ParseError(f"price {raw_price!r} is not a number", line=lineno)
+        if not math.isfinite(price):
+            raise ParseError(f"price {raw_price!r} is not finite", line=lineno)
+        series = steps.setdefault(region_id, [])
+        if series:
+            last_t = series[-1][0]
+            if t == last_t:
+                raise DuplicateRowError(
+                    f"duplicate timestep {t} for region '{region_id}'", line=lineno
+                )
+            if t < last_t:
+                raise ParseError(
+                    f"timestep {t} for region '{region_id}' is out of order "
+                    f"(last was {last_t})",
+                    line=lineno,
+                )
+        series.append((t, price))
+    return {
+        rid: (tuple(t for t, _ in s), tuple(p for _, p in s)) for rid, s in steps.items()
+    }
+
+
+_ODD_TIMESTEPS = ["1_000", "+5", " 7 ", "-1", "1.5", "x", "", "\u0663", "\u20037", "\x1f3"]
+_ODD_PRICES = [
+    "nan", "inf", "-inf", "1e309", "1e308", "-1e308", " 50.5 ", "1_0.5",
+    "cheap", "", "+5", "\xa01.0",
+]
+_ODD_REGIONS = ["", " ", " a", "a ", "\tb", "\x1fa"]
+_price_cells = st.one_of(
+    st.floats(-200, 200).map(repr), st.sampled_from(["1e308", "1.7e308", "-0.0"])
+)
+
+
+@st.composite
+def price_csv_texts(draw):
+    """Price CSVs, mostly well formed, with the quirks a row reader meets."""
+    regions = draw(st.lists(st.sampled_from(["a", "b", "ireland"]), min_size=1, max_size=3, unique=True))
+    start = draw(st.integers(0, 3))
+    timesteps = range(start, start + draw(st.integers(0, 6)))
+    # Each region may cover the next stretch of time instead of the same one.
+    shift = draw(st.sampled_from([0, len(timesteps)]))
+    rows = [
+        [str(t + shift * j), r, draw(_price_cells)]
+        for t in timesteps
+        for j, r in enumerate(regions)
+    ]
+    if draw(st.booleans()):  # region-blocked instead of interleaved
+        rows.sort(key=lambda row: regions.index(row[1]))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        kind = draw(
+            st.sampled_from(
+                ["timestep", "price", "region", "fields", "quote", "blank", "swap", "repeat"]
+            )
+        )
+        if kind == "blank" or not rows:
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        row = list(rows[i])
+        if kind == "timestep":
+            row[0] = draw(st.sampled_from(_ODD_TIMESTEPS))
+        elif kind == "price":
+            row[2] = draw(st.sampled_from(_ODD_PRICES))
+        elif kind == "region":
+            row[1] = draw(st.sampled_from(_ODD_REGIONS))
+        elif kind == "fields":
+            row = row[:2] if draw(st.booleans()) else row + ["9"]
+        elif kind == "quote":
+            k = draw(st.integers(0, 2))
+            row[k] = f'"{row[k]}"'
+        elif kind == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            continue
+        else:
+            lines.insert(i, lines[i])
+            continue
+        lines[i] = ",".join(row)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return sep.join([PRICE_CSV_HEADER, *lines]) + draw(st.sampled_from(["", sep]))
+
+
+def _csv(*rows: str, sep: str = "\n") -> str:
+    return sep.join([PRICE_CSV_HEADER, *rows]) + sep
+
+
+class TestBulkIngestMatchesRowByRow:
+    @settings(max_examples=400)
+    @given(price_csv_texts())
+    @example(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "1,b,4.0"))  # interleaved
+    @example(_csv("0,a,1.0", "1,a,3.0", "0,b,2.0", "1,b,4.0"))  # region-blocked
+    @example(_csv("0,a,1.0", "1,a,3.0", "2,b,2.0", "3,b,4.0"))
+    @example(_csv("0,a,1.0", "0,b,2.0", "1,b,4.0", "1,a,3.0"))  # neither
+    @example(_csv('0,"a",1.0', "1,a,2.0"))
+    @example(_csv(' 0 , a , 1.0 ', "1,\ta,2.0"))
+    @example(_csv("0,a,1.0", "", "1,a,2.0"))
+    @example(_csv("0,a,1.0", "   ", "1,a,2.0"))
+    @example(_csv("0,a,1.0", "1,a,2.0", sep="\r\n"))
+    @example(_csv("0,a,1.0", "1,a,2.0", sep="\r"))
+    @example(_csv("1_000,a,1.0", "+5,b,2.0"))
+    @example(_csv("0,a,nan"))
+    @example(_csv("0,a,inf"))
+    @example(_csv("0,a,1e309"))
+    @example(_csv("0,a,1e308", "1,a,1e308"))  # finite prices, overflowing sum
+    @example(_csv("-1,a,1.0"))
+    @example(_csv("0,a,1.0", "0,a,2.0"))
+    @example(_csv("1,a,1.0", "0,a,2.0"))
+    @example(_csv("0, ,1.0"))
+    @example(_csv("0,a"))
+    @example(_csv("0,a,1.0,2"))
+    @example(_csv("0,a,1.0,2", "a,3.0"))  # 4 + 2 fields: 6 in total
+    @example(_csv("0,a\x00b,1.0"))
+    @example(_csv())
+    @example("")
+    @example("t,region,price\n0,a,1.0\n")
+    def test_columns_and_errors_match(self, text):
+        try:
+            expected = row_by_row_prices(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                load_prices(io.StringIO(text))
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+            assert err.value.line == exc.line
+            return
+        got = load_prices(io.StringIO(text))
+        assert list(got) == list(expected)
+        for rid, (timesteps, prices) in expected.items():
+            assert got[rid].region_id == rid
+            assert repr(got[rid].timesteps) == repr(timesteps)
+            assert repr(got[rid].prices) == repr(prices)
+
+    def test_over_long_field_is_left_to_the_csv_module(self):
+        text = _csv("0,a" + "a" * csv.field_size_limit() + ",1.0")
+        with pytest.raises(csv.Error):
+            row_by_row_prices(text)
+        with pytest.raises(csv.Error):
+            load_prices(io.StringIO(text))
+
+    def test_loaded_series_equal_series_built_from_steps(self):
+        got = load_prices(io.StringIO(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "1,b,4.0")))
+        assert got == {
+            "a": PriceSeries("a", ((0, 1.0), (1, 3.0))),
+            "b": PriceSeries("b", ((0, 2.0), (1, 4.0))),
+        }
 
 
 def write_two_region_config(tmp_path, link_lines: str):

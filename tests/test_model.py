@@ -1,7 +1,11 @@
 """Domain types, loss model, and network validation."""
 
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvdcarb import (
@@ -73,6 +77,138 @@ class TestPriceSeries:
     def test_violations_non_finite(self):
         s = PriceSeries("x", ((1, float("nan")),))
         assert any("non-finite" in v for v in s.violations())
+
+
+def steps_by_loop(steps):
+    """Reference normalisation of (timestep, value) steps, one step at a time."""
+    out = []
+    for t, v in steps:
+        if int(t) != t:
+            raise ValueError(f"timestep {t!r} is not an integer")
+        out.append((int(t), float(v)))
+    return tuple(out)
+
+
+def violations_by_loop(series):
+    """Reference violations of a price series, one step at a time."""
+    steps, out = steps_by_loop(series.steps), []
+    for (t0, _), (t1, _) in zip(steps, steps[1:]):
+        if t1 <= t0:
+            out.append(
+                f"price series '{series.region_id}': timesteps not strictly "
+                f"increasing at t={t1}"
+            )
+    for t, p in steps:
+        if not math.isfinite(p):
+            out.append(f"price series '{series.region_id}': non-finite price at t={t}")
+        if t < 0:
+            out.append(f"price series '{series.region_id}': negative timestep {t}")
+    return out
+
+
+def capacity_violations_by_loop(profile):
+    steps, out = steps_by_loop(profile.steps), []
+    for (t0, _), (t1, _) in zip(steps, steps[1:]):
+        if t1 <= t0:
+            out.append(
+                f"capacity profile '{profile.interconnector_id}': timesteps not "
+                f"strictly increasing at t={t1}"
+            )
+    for t, x in steps:
+        if not (x >= 0) or not math.isfinite(x):
+            out.append(
+                f"capacity profile '{profile.interconnector_id}': x_max {x} at t={t} "
+                f"must be finite and >= 0"
+            )
+    return out
+
+
+def outcome(f, *args):
+    """``repr`` of f's result, or the type and message of what it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the comparison covers every error
+        return (type(exc), str(exc))
+
+
+_odd_numbers = st.sampled_from(
+    [1, 2.0, 1.5, -3, True, math.nan, math.inf, Fraction(4, 1), Fraction(1, 2),
+     Decimal("2"), Decimal("2.5"), "3", "x", None, 2**70]
+)
+_odd_steps = st.one_of(
+    st.tuples(_odd_numbers, _odd_numbers),
+    st.tuples(st.integers(-2, 5), st.floats(allow_nan=True)).map(list),
+    st.tuples(st.integers(-2, 5)),
+    st.tuples(st.integers(-2, 5), st.floats(), st.floats()),
+)
+_plain_steps = st.tuples(
+    st.integers(-2, 8),
+    st.one_of(st.floats(-100, 100), st.sampled_from([math.nan, math.inf, -math.inf, 1e308])),
+)
+
+
+class TestColumnStorage:
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(_plain_steps, _odd_steps), max_size=5))
+    @example([(1, 10.0), (2, 20.0)])
+    @example([(1.0, 10), (True, 1.5)])
+    @example([(True, 1.5), (2, 2.0)])
+    @example([(1, 1.0), (1.5, 2.0)])
+    @example([(1, 1.0), (2, 2.0, 3.0)])
+    @example([(1, 1.0), (2,)])
+    @example([[1, 1.0]])
+    @example([("3", 1.0)])
+    @example([(1, "2.5")])
+    @example([(None, 1.0)])
+    def test_steps_normalise_as_before(self, steps):
+        expected = outcome(steps_by_loop, steps)
+        for cls in (PriceSeries, CapacityProfile):
+            assert outcome(lambda: cls("x", steps).steps) == expected
+            assert outcome(lambda: cls("x", iter(steps)).steps) == expected
+
+    def test_from_columns_matches_steps(self):
+        series = PriceSeries.from_columns("x", [1, 2.0], [10, 20.5])
+        assert series == PriceSeries("x", ((1, 10.0), (2, 20.5)))
+        assert hash(series) == hash(PriceSeries("x", ((1, 10.0), (2, 20.5))))
+        assert repr(series.timesteps) == "(1, 2)" and repr(series.prices) == "(10.0, 20.5)"
+        with pytest.raises(ValueError, match="is not an integer"):
+            PriceSeries.from_columns("x", [1.5], [1.0])
+        with pytest.raises(ValueError, match="columns differ in length"):
+            PriceSeries.from_columns("x", (1, 2), (1.0,))
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(_plain_steps, max_size=6),
+        st.one_of(st.none(), st.integers(-3, 9), st.sampled_from([2.0, 2.5, math.nan])),
+        st.one_of(st.none(), st.integers(-3, 9), st.sampled_from([4.0, math.nan, "x"])),
+    )
+    @example([(1, 1.0), (2, 2.0), (3, 3.0)], 2, 2)
+    @example([(3, 1.0), (1, 2.0), (3, 3.0)], 3, None)  # not increasing: first match
+    @example([(1, 1.0), (5, 2.0)], 4, 2)
+    @example([(1, 1.0), (2, 2.0)], math.nan, None)
+    def test_lookups_and_violations_as_before(self, steps, a, b):
+        series = PriceSeries("x", steps)
+        by_t = steps_by_loop(steps)
+
+        def scan(t):
+            for s, p in by_t:
+                if s == t:
+                    return p
+            raise KeyError(t)
+
+        def kept(start, end):
+            return tuple(
+                (t, p)
+                for t, p in by_t
+                if (start is None or t >= start) and (end is None or t <= end)
+            )
+
+        for t in (a, b):
+            assert outcome(series.price_at, t) == outcome(scan, t)
+        assert outcome(lambda: series.restricted(a, b).steps) == outcome(kept, a, b)
+        assert series.violations() == violations_by_loop(series)
+        profile = CapacityProfile("x", steps)
+        assert profile.violations() == capacity_violations_by_loop(profile)
 
 
 class TestCapacityProfile:
@@ -184,6 +320,37 @@ class TestValidateNetwork:
             ),
         )
         assert any("horizon" in v for v in validate_network(net))
+
+    def test_shifted_year_names_the_first_difference_briefly(self):
+        year = range(8760)
+        net = Network(
+            (Region("a"), Region("b")),
+            (Interconnector("ab", "a", "b", 100.0, 0.0),),
+            (
+                PriceSeries("a", tuple((t, 1.0) for t in year)),
+                PriceSeries("b", tuple((t + 1, 1.0) for t in year)),
+            ),
+        )
+        (message,) = validate_network(net)
+        assert message == (
+            "price series 'b' horizon (8760 steps) differs from linked region 'a' "
+            "(8760 steps) first at step 0: t=1 against t=0"
+        )
+        assert len(message) < 300
+
+    def test_shorter_horizon_names_where_it_ends(self):
+        net = Network(
+            (Region("a"), Region("b")),
+            (Interconnector("ab", "a", "b", 100.0, 0.0),),
+            (
+                PriceSeries("a", ((1, 1.0), (2, 1.0))),
+                PriceSeries("b", ((1, 1.0),)),
+            ),
+        )
+        assert validate_network(net) == [
+            "price series 'b' horizon (1 steps) differs from linked region 'a' "
+            "(2 steps) first at step 1: no step against t=2"
+        ]
 
     def test_unpriced_unlinked_region_is_fine(self, bundle):
         # northern_ireland carries no link and needs no series

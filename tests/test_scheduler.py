@@ -155,6 +155,18 @@ class TestScheduleLink:
         ):
             solver(a, b, celtic)
 
+    @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
+    @pytest.mark.parametrize("capacity", [None, (700.0, 0.0, 700.0)])
+    def test_overflowing_spread_rejected(self, celtic, solver, capacity):
+        a = PriceSeries("ireland", ((1, 100.0), (2, 1e308), (3, 1e308)))
+        b = PriceSeries("france", ((1, 50.0), (2, -1e308), (3, -1e308)))
+        if capacity is not None:
+            capacity = CapacityProfile("celtic", tuple(zip((1, 2, 3), capacity)))
+        with pytest.raises(
+            ValueError, match=r"price spread at t=2 is not finite: p_a=1e\+308, p_b=-1e\+308"
+        ):
+            solver(a, b, celtic, capacity)
+
     def test_total_is_summed_left_to_right(self):
         # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1e16 + 2
         a = PriceSeries("a", ((1, 1e16), (2, 1.0), (3, 1.0)))
@@ -219,7 +231,7 @@ def link_problem(p_a, p_b, r=0.0, caps=None, bias=None, duration_h=1.0, rated=10
 
 
 # Few distinct prices, so that equal prices (ties, lambda == 0) and margins
-# equal to the bias come up often; +-1e308 overflow lambda to inf.
+# equal to the bias come up often; +-1e308 overflow the spread.
 _step_prices = st.one_of(
     st.sampled_from([-20.0, -0.0, 0.0, 50.0, 100.0]),
     st.floats(-500, 500),
@@ -269,7 +281,7 @@ class TestColumnCoreMatchesPerStepRule:
     @example(link_problem([-20.0], [-20.0], r=0.5))  # tie: delivers into a
     @example(link_problem([100.0], [50.0], caps=[-0.0]))
     @example(link_problem([98.0], [50.0], caps=[244.0], duration_h=0.3))
-    @example(link_problem([1e308], [-1e308], caps=[0.0]))  # lambda inf, idle
+    @example(link_problem([1e308], [-1e308], caps=[0.0]))  # spread overflows
     @example(link_problem([1e308], [-1e308], bias=SimpleNamespace(r_b=math.inf)))
     @example(link_problem([100.0], [50.0], bias=SimpleNamespace(r_b=-1.0)))
     @example(link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[-1.0, 5.0]))

@@ -1,5 +1,6 @@
 """Three-area wheeling: gates, profits, feasibility, oracles."""
 
+import math
 import random
 
 import pytest
@@ -138,6 +139,19 @@ class TestEvaluateWheel:
     def test_negative_request_rejected(self):
         with pytest.raises(ValueError):
             evaluate_wheel(make_chain(), 50, 75, 100, -1)
+
+    @pytest.mark.parametrize(
+        "duration_h, message",
+        [
+            (math.nan, "duration_h must be > 0, got nan"),
+            (0.0, "duration_h must be > 0, got 0.0"),
+            (-1.0, "duration_h must be > 0, got -1.0"),
+            (math.inf, "duration_h must be finite, got inf"),
+        ],
+    )
+    def test_bad_duration_rejected(self, duration_h, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_wheel(make_chain(), 50, 75, 100, 100, duration_h)
 
     def test_chain_must_connect(self):
         far = Interconnector("far", "four", "five", 100.0, 0.0)
