@@ -210,10 +210,11 @@ def _load_run_network(args) -> Network:
 def _pick_timestep(network: Network, requested: int | None) -> int:
     if requested is not None:
         return requested
-    timesteps = sorted({t for s in network.price_series for t in s.timesteps})
-    if not timesteps:
+    # Validated series are strictly increasing: each one starts at its minimum.
+    first = min((s.timesteps[0] for s in network.price_series if s.timesteps), default=None)
+    if first is None:
         raise ResolutionError("no priced timesteps in the loaded data")
-    return timesteps[0]
+    return first
 
 
 def _price_at(network: Network, region_id: str, t: int) -> float:

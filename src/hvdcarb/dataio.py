@@ -11,7 +11,9 @@ Formats (all stable):
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
 * Reports: CSV (schema per result kind, below) or a structured JSON
-  document carrying every per-timestep decision.
+  document carrying every per-timestep decision. The structured writer
+  renders the decision objects straight from the schedule columns and is
+  byte-identical to ``json.dumps(doc, indent=2)`` of the nested dicts.
 
 Writers are deterministic: identical inputs yield byte-identical output,
 and writing what was loaded reproduces the file.
@@ -410,10 +412,7 @@ def write_report(
     if fmt == "csv":
         return _report_csv(result)
     if fmt == "structured":
-        doc = _report_dict(result)
-        if expected is not None:
-            doc["expected"] = expected
-        return json.dumps(doc, indent=2) + "\n"
+        return _report_structured(result, expected)
     raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'structured')")
 
 
@@ -446,36 +445,66 @@ def _report_csv_wheeling(results: Sequence[WheelingResult]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _schedule_dict(s: Schedule) -> dict:
-    return {
-        "link_id": s.interconnector_id,
-        "total_profit_eur": s.total_profit,
-        "decisions": [
-            {
-                "timestep": t,
-                "direction": direction.value,
-                "quantity_mw": quantity,
-                "lambda_eur_mwh": lam,
-                "profit_eur": profit,
-            }
-            for t, direction, quantity, lam, profit in s.rows()
-        ],
-    }
+# The structured report, as json.dumps(doc, indent=2) would write it. ``pad``
+# is the indentation of the line a value starts on.
+
+_DECISION_KEYS = ("timestep", "direction", "quantity_mw", "lambda_eur_mwh", "profit_eur")
 
 
-def _report_dict(result) -> dict:
+def _json(value, pad: str) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_array(items: str, pad: str) -> list[str]:
+    """Fragments of an array whose joined, indented items are ``items``."""
+    return ["[\n", items, "\n" + pad + "]"] if items else ["[]"]
+
+
+def _json_column(column: Sequence, pad: str) -> Iterable[str]:
+    # json.dumps writes an int, or a float other than NaN and ±inf, as its
+    # repr; bools and subclasses take the per-value path
+    types = set(map(type, column))
+    if types == {int} or (types == {float} and math.isfinite(sum(column))):
+        return map(repr, column)
+    return [_json(value, pad) for value in column]
+
+
+def _schedule_members(s: Schedule, pad: str) -> list[str]:
+    """Fragments of a schedule object's members, on lines indented by ``pad``."""
+    row, field = pad + "  ", pad + "    "
+    members = ",\n".join(f'{field}"{key}": %s' for key in _DECISION_KEYS)
+    template = f"{row}{{\n{members}\n{row}}}"
+    directions = {d: _json(d.value, field) for d in set(s.directions)}
+    columns = (
+        _json_column(s.timesteps, field),
+        map(directions.__getitem__, s.directions),
+        *(_json_column(c, field) for c in (s.quantities, s.lambdas, s.profits)),
+    )
+    return [
+        f'{pad}"link_id": {_json(s.interconnector_id, pad)},\n'
+        f'{pad}"total_profit_eur": {_json(s.total_profit, pad)},\n'
+        f'{pad}"decisions": ',
+        *_json_array(",\n".join(map(template.__mod__, zip(*columns))), pad),
+    ]
+
+
+def _report_structured(result, expected: dict | None) -> str:
     if isinstance(result, Schedule):
-        return {"type": "schedule", **_schedule_dict(result)}
-    if isinstance(result, PortfolioResult):
-        return {
-            "type": "portfolio",
-            "grand_total_eur": result.grand_total,
-            "annualized_eur": result.annualized,
-            "schedules": [_schedule_dict(s) for s in result.schedules],
-        }
-    return {
-        "type": "wheeling",
-        "scenarios": [
+        parts = ['  "type": "schedule",\n', *_schedule_members(result, "  ")]
+    elif isinstance(result, PortfolioResult):
+        schedules = ",\n".join(
+            "".join(["    {\n", *_schedule_members(s, "      "), "\n    }"])
+            for s in result.schedules
+        )
+        parts = [
+            '  "type": "portfolio",\n'
+            f'  "grand_total_eur": {_json(result.grand_total, "  ")},\n'
+            f'  "annualized_eur": {_json(result.annualized, "  ")},\n'
+            '  "schedules": ',
+            *_json_array(schedules, "  "),
+        ]
+    else:
+        scenarios = [
             {
                 "scenario": r.scenario.value,
                 "feasible": r.feasible,
@@ -485,8 +514,11 @@ def _report_dict(result) -> dict:
                 "profit_eur": r.profit,
             }
             for r in result
-        ],
-    }
+        ]
+        parts = ['  "type": "wheeling",\n  "scenarios": ', _json(scenarios, "  ")]
+    if expected is not None:
+        parts.append(',\n  "expected": ' + _json(expected, "  "))
+    return "".join(["{\n", *parts, "\n}\n"])
 
 
 # ---------------------------------------------------------------------------

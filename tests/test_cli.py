@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hvdcarb import Interconnector, Network, save_network
+from hvdcarb import Interconnector, Network, PriceSeries, Region, save_network
 from hvdcarb.cli import main
 from hvdcarb.dataio import PRICE_CSV_HEADER
 from conftest import tiny_network
@@ -42,6 +42,24 @@ class TestEvaluate:
         code, out, _ = run(capsys, "evaluate", "celtic")
         assert code == 0
         assert "timestep: 1" in out
+
+    def test_default_timestep_is_the_smallest_first_timestep(self, capsys, tmp_path):
+        # an unlinked region, declared first, starts after the linked ones
+        network = Network(
+            (Region("c"), Region("a"), Region("b")),
+            (Interconnector("ab", "a", "b", 100.0, 0.0),),
+            (
+                PriceSeries("c", ((9, 1.0), (10, 1.0))),
+                PriceSeries("a", ((5, 10.0), (6, 10.0))),
+                PriceSeries("b", ((5, 30.0), (6, 10.0))),
+            ),
+        )
+        save_network(network, tmp_path / "network.yaml")
+        code, out, _ = run(
+            capsys, "evaluate", "ab", "--network", str(tmp_path / "network.yaml")
+        )
+        assert code == 0
+        assert "timestep: 5\n" in out
 
     def test_bias_above_margin_idles(self, capsys):
         code, out, _ = run(capsys, "evaluate", "celtic", "-t", "1", "--bias", "100")

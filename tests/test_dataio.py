@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 
 import pytest
@@ -17,8 +18,11 @@ from hvdcarb import (
     PriceSeries,
     Network,
     ParseError,
+    PortfolioResult,
     Schedule,
     ValidationError,
+    WheelingResult,
+    WheelScenario,
     evaluate_wheel,
     load_case_study,
     load_network,
@@ -427,6 +431,203 @@ class TestWriteReport:
     def test_unknown_format_rejected(self, bundle):
         with pytest.raises(ValueError, match="format"):
             write_report(schedule_portfolio(bundle.network), "xml")
+
+
+def reference_structured_report(result, expected=None) -> str:
+    """The structured report built as a dict tree and encoded by json.dumps."""
+
+    def schedule_dict(s):
+        return {
+            "link_id": s.interconnector_id,
+            "total_profit_eur": s.total_profit,
+            "decisions": [
+                {
+                    "timestep": t,
+                    "direction": direction.value,
+                    "quantity_mw": quantity,
+                    "lambda_eur_mwh": lam,
+                    "profit_eur": profit,
+                }
+                for t, direction, quantity, lam, profit in s.rows()
+            ],
+        }
+
+    if isinstance(result, Schedule):
+        doc = {"type": "schedule", **schedule_dict(result)}
+    elif isinstance(result, PortfolioResult):
+        doc = {
+            "type": "portfolio",
+            "grand_total_eur": result.grand_total,
+            "annualized_eur": result.annualized,
+            "schedules": [schedule_dict(s) for s in result.schedules],
+        }
+    else:
+        doc = {
+            "type": "wheeling",
+            "scenarios": [
+                {
+                    "scenario": r.scenario.value,
+                    "feasible": r.feasible,
+                    "gate_a_eur_mwh": r.gate_values[0],
+                    "gate_b_eur_mwh": r.gate_values[1],
+                    "dispatched_mw": r.dispatched_mw,
+                    "profit_eur": r.profit,
+                }
+                for r in result
+            ],
+        }
+    if expected is not None:
+        doc["expected"] = expected
+    return json.dumps(doc, indent=2) + "\n"
+
+
+SPECIAL_NUMBERS = (-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf)
+HOSTILE_IDS = (
+    'say "hi"',
+    "back\\slash",
+    "100%s %d %%",
+    "Moyle–Éire ✓",
+    "tab\tnl\n\x00\x1f",
+)
+numbers = st.one_of(
+    st.floats(), st.sampled_from(SPECIAL_NUMBERS), st.integers(), st.booleans()
+)
+ledgers = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def report_schedules(draw):
+    n = draw(st.integers(0, 4))
+
+    def column(*values):
+        return tuple(
+            draw(st.one_of([st.lists(v, min_size=n, max_size=n) for v in values]))
+        )
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return Schedule(
+        draw(st.text() | st.sampled_from(HOSTILE_IDS)),
+        column(st.integers(), numbers),
+        column(st.sampled_from(Direction)),
+        column(finite, numbers),
+        column(finite, numbers),
+        column(finite, numbers),
+        draw(numbers),
+    )
+
+
+@st.composite
+def report_results(draw):
+    kind = draw(st.sampled_from(["schedule", "portfolio", "wheeling"]))
+    if kind == "schedule":
+        return draw(report_schedules())
+    if kind == "portfolio":
+        schedules = tuple(draw(st.lists(report_schedules(), max_size=3)))
+        return PortfolioResult(schedules, draw(numbers), draw(numbers))
+    return tuple(
+        WheelingResult(
+            draw(st.sampled_from(WheelScenario)),
+            draw(st.booleans()),
+            (draw(numbers), draw(numbers)),
+            draw(numbers),
+            draw(numbers),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    )
+
+
+def special_schedules():
+    """Every special number in every column and total, built both ways."""
+    decisions = [
+        FlowDecision(0, Direction.IDLE, -0.0, 5e-324, -0.0),
+        FlowDecision(1, Direction.A_TO_B, 1e16, math.inf, math.nan),
+        FlowDecision(2, Direction.B_TO_A, math.inf, 1e16, -math.inf),
+        FlowDecision(3, Direction.IDLE, 0.0, 0.0, 5e-324),
+    ]
+    built = [
+        Schedule.from_decisions(link_id, decisions, total)
+        for link_id, total in zip(HOSTILE_IDS, SPECIAL_NUMBERS)
+    ]
+    timesteps = (0, 1, 2)
+    directions = (Direction.A_TO_B, Direction.B_TO_A, Direction.IDLE)
+    ones, zeros = (1.0,) * 3, (0.0,) * 3
+    for value in SPECIAL_NUMBERS:
+        column = (1.5, value, 2.0)
+        built += [
+            Schedule("q", timesteps, directions, column, zeros, ones, value),
+            Schedule("l", timesteps, directions, ones, column, zeros, 0.0),
+            Schedule("p", timesteps, directions, ones, zeros, column, 0.0),
+        ]
+    # ints, bools and None among the floats, and an int total
+    mixed = (Direction.IDLE,) * 3
+    built.append(
+        Schedule("m", (0, True, 2), mixed, (0, 1.0, False), (1, 2, 3), (0.5, 2, None), 7)
+    )
+    return built
+
+
+class TestStructuredReportMatchesJsonDumps:
+    """write_report's structured form, byte for byte against json.dumps(indent=2)."""
+
+    @settings(max_examples=300)
+    @given(result=report_results(), expected=st.none() | ledgers)
+    def test_random_results(self, result, expected):
+        want = reference_structured_report(result, expected)
+        assert write_report(result, "structured", expected) == want
+
+    def test_case_study(self, bundle):
+        result = schedule_portfolio(bundle.network)
+        for doc in (result, *result.schedules):
+            for expected in (None, bundle.expected):
+                assert write_report(doc, "structured", expected) == (
+                    reference_structured_report(doc, expected)
+                )
+
+    @pytest.mark.parametrize("schedule", special_schedules())
+    def test_special_values_alone_and_in_a_portfolio(self, schedule):
+        total = schedule.total_profit
+        for result in (schedule, PortfolioResult((schedule, schedule), total, math.nan)):
+            want = reference_structured_report(result)
+            assert write_report(result, "structured") == want
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            PortfolioResult((), 0.0, 0.0),
+            PortfolioResult((), -0.0, math.inf),
+            Schedule.from_decisions("x", (), 0.0),
+            PortfolioResult((Schedule.from_decisions("x", (), 0),), 0.0, 0.0),
+        ],
+        ids=["no-schedules", "special-totals", "empty-horizon", "empty-link"],
+    )
+    def test_empty(self, result):
+        assert write_report(result, "structured") == reference_structured_report(result)
+
+    def test_expected_ledger(self):
+        ledger = {
+            "links": {"moyle": {"reported_eur": 9622.0, "note": None, "ok": False}},
+            "list": [1, [2.5, {"deep": True}], [], {}],
+            "unicode": "Éire “quoted” ✓",
+            "special": [math.nan, -0.0, 5e-324, 1e16],
+        }
+        schedule = Schedule.from_decisions(
+            'id "q"', [FlowDecision(1, Direction.A_TO_B, 2.0, 3.0, 6.0)], 6.0
+        )
+        for result in (schedule, PortfolioResult((schedule,), 6.0, 1.0), ()):
+            for expected in (ledger, {}, [], "text", None):
+                assert write_report(result, "structured", expected) == (
+                    reference_structured_report(result, expected)
+                )
+
+    def test_wheeling(self):
+        results = evaluate_wheel(make_chain(), 50, 75, 100, 100)
+        want = reference_structured_report(results)
+        assert write_report(results, "structured") == want
 
 
 class TestCaseStudyBundle:

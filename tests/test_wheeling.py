@@ -179,6 +179,31 @@ class TestEvaluateWheel:
             assert m321.feasible == s123.feasible
             assert m321.profit == s123.profit
 
+    @given(
+        p1=st.floats(min_value=-50, max_value=200),
+        p2=st.floats(min_value=-50, max_value=200),
+        p3=st.floats(min_value=-50, max_value=200),
+        r1=losses,
+        r2=losses,
+        c=losses,
+        x=st.floats(min_value=0, max_value=500),
+    )
+    def test_mirror_symmetry_for_any_chain(self, p1, p2, p3, r1, r2, c, x):
+        chain = make_chain(r1=r1, r2=r2, c=c)
+        reversed_chain = WheelingChain("three", "two", "one", chain.link23, chain.link12, c)
+        s123, s321 = evaluate_wheel(chain, p1, p2, p3, x)
+        m123, m321 = evaluate_wheel(reversed_chain, p3, p2, p1, x)
+        # The reversed chain multiplies its losses in the other order. Each
+        # of the five roundings after that moves by at most a few ulps of
+        # max(|p1|, |p3|) * x, so 16 of them bound the profit difference; the
+        # 1 EUR/MWh floor covers products that underflow.
+        tolerance = 16 * math.ulp(max(abs(p1), abs(p3), 1.0) * x)
+        for mirrored, original in ((m123, s321), (m321, s123)):
+            assert mirrored.gate_values == original.gate_values
+            assert mirrored.feasible == original.feasible
+            assert mirrored.dispatched_mw == original.dispatched_mw
+            assert abs(mirrored.profit - original.profit) <= tolerance
+
 
 class TestWheelingProperties:
     @given(
