@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timestep",
         type=int,
         default=None,
-        help="timestep to evaluate (default: first of the horizon)",
+        help="timestep to evaluate (default: the first priced for the link's regions)",
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_evaluate)
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timestep",
         type=int,
         default=None,
-        help="timestep to evaluate (default: first of the horizon)",
+        help="timestep to evaluate (default: the first priced for the three areas)",
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_wheel)
@@ -207,13 +207,14 @@ def _load_run_network(args) -> Network:
     return network
 
 
-def _pick_timestep(network: Network, requested: int | None) -> int:
+def _pick_timestep(network: Network, requested: int | None, regions) -> int:
     if requested is not None:
         return requested
     # Validated series are strictly increasing: each one starts at its minimum.
-    first = min((s.timesteps[0] for s in network.price_series if s.timesteps), default=None)
+    used = [s for s in network.price_series if s.region_id in regions and s.timesteps]
+    first = min((s.timesteps[0] for s in used), default=None)
     if first is None:
-        raise ResolutionError("no priced timesteps in the loaded data")
+        raise ResolutionError(f"no priced timesteps for {', '.join(regions)}")
     return first
 
 
@@ -238,7 +239,7 @@ def _cmd_evaluate(args) -> int:
         link = network.link(args.link)
     except KeyError:
         raise ResolutionError(f"unknown link '{args.link}'")
-    t = _pick_timestep(network, args.timestep)
+    t = _pick_timestep(network, args.timestep, link.endpoints())
     p_a = _price_at(network, link.endpoint_a, t)
     p_b = _price_at(network, link.endpoint_b, t)
     decision = optimal_flow(
@@ -302,7 +303,7 @@ def _cmd_wheel(args) -> int:
         )
     except ValueError as exc:
         raise ResolutionError(f"chain does not resolve: {exc}")
-    t = _pick_timestep(network, args.timestep)
+    t = _pick_timestep(network, args.timestep, (args.area1, args.area2, args.area3))
     p1 = _price_at(network, args.area1, t)
     p2 = _price_at(network, args.area2, t)
     p3 = _price_at(network, args.area3, t)

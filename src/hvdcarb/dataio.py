@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
 
 import yaml
 
@@ -44,6 +43,7 @@ from .model import (
     Network,
     PriceSeries,
     Region,
+    _strictly_increasing,
     loss_from_length,
     validate_network,
 )
@@ -73,7 +73,13 @@ WHEELING_CSV_HEADER = "scenario,feasible,gate_a_eur_mwh,gate_b_eur_mwh,dispatche
 DATA_DIR_ENV = "HVDCARB_DATA_DIR"
 _BUNDLED_DATA = Path(__file__).resolve().parent / "data" / "ireland"
 
-Source = Union[str, Path, IO[str]]
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # an alias for annotations; typing is not imported at run time
+    from typing import IO, Union
+    Source = Union[str, Path, IO[str]]
+
+# libyaml's safe loader when PyYAML has it: the same documents, read faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _read_text(source: Source) -> str:
@@ -126,28 +132,34 @@ def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
     del body  # the line strings, before the fields take their place
     fields = joined.split(",")
     del joined
-    try:
-        timesteps = tuple(map(int, fields[0::3]))
-        prices = tuple(map(float, fields[2::3]))
-    except ValueError:
-        return None
     regions = list(map(str.strip, fields[1::3]))
-    del fields
     # Rows that list the regions in the same order at every timestep split
     # into per-region columns by slicing; any other order is read row by row.
     order = list(dict.fromkeys(regions))
     k = len(order)
-    if regions != order * (len(regions) // k):
+    if "" in order or regions != order * (len(regions) // k):
         return None
-    series = {
-        rid: PriceSeries.from_columns(rid, timesteps[i::k], prices[i::k])
-        for i, rid in enumerate(order)
+    del regions
+    # Regions that list the first region's timestep strings share its column.
+    steps = [fields[3 * i :: 3 * k] for i in range(k)]
+    try:
+        prices = [tuple(map(float, fields[3 * i + 2 :: 3 * k])) for i in range(k)]
+        first = tuple(map(int, steps[0]))
+        timesteps = [first if s == steps[0] else tuple(map(int, s)) for s in steps]
+    except ValueError:
+        return None
+    del fields, steps
+    # Each column is tested once, as PriceSeries.violations would (a sum
+    # that overflows leaves the file to the row reader).
+    distinct = {id(ts): ts for ts in timesteps}.values()
+    if not all(_strictly_increasing(ts) and ts[0] >= 0 for ts in distinct):
+        return None
+    if not all(math.isfinite(sum(column)) for column in prices):
+        return None
+    return {
+        rid: PriceSeries._checked(rid, ts, column)
+        for rid, ts, column in zip(order, timesteps, prices)
     }
-    # A series without violations has increasing, non-negative timesteps and
-    # finite prices, as every row must.
-    if "" in series or any(s.violations() for s in series.values()):
-        return None
-    return series
 
 
 def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
@@ -252,7 +264,7 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
     if base_dir is None and not hasattr(source, "read"):
         base_dir = Path(source).parent
     try:
-        doc = yaml.safe_load(_read_text(source))
+        doc = yaml.load(_read_text(source), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -398,7 +410,7 @@ def save_network(
 
 
 def write_report(
-    result: Union[Schedule, PortfolioResult, Sequence[WheelingResult]],
+    result: Schedule | PortfolioResult | Sequence[WheelingResult],
     fmt: str = "csv",
     expected: dict | None = None,
 ) -> str:
@@ -452,6 +464,8 @@ _DECISION_KEYS = ("timestep", "direction", "quantity_mw", "lambda_eur_mwh", "pro
 
 
 def _json(value, pad: str) -> str:
+    import json  # here, so that reading files never imports it
+
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
@@ -557,5 +571,6 @@ def load_case_study(data_dir: str | Path | None = None) -> CaseStudyBundle:
     expected_path = directory / "expected.yaml"
     expected = {}
     if expected_path.exists():
-        expected = yaml.safe_load(expected_path.read_text(encoding="utf-8")) or {}
+        text = expected_path.read_text(encoding="utf-8")
+        expected = yaml.load(text, Loader=_YAML_LOADER) or {}
     return CaseStudyBundle(network, expected)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 from .errors import InvalidLossError
 
@@ -91,7 +91,7 @@ class PriceSeries:
 
     The series is stored as two parallel columns, ``timesteps`` and
     ``prices``; ``steps``, the ``(timestep, price)`` pairs the constructor
-    takes, is built on first use.
+    takes, is built on first use, and :meth:`violations` is found once.
     """
 
     region_id: str
@@ -108,6 +108,14 @@ class PriceSeries:
         """Series from its timestep and price columns, normalised like steps."""
         series = cls.__new__(cls)
         series._init(region_id, *_columns(timesteps, prices))
+        return series
+
+    @classmethod
+    def _checked(cls, region_id: str, timesteps, prices) -> "PriceSeries":
+        """Series from exact int and float columns known to have no violations."""
+        series = cls.__new__(cls)
+        series._init(region_id, timesteps, prices)
+        series.__dict__["_violations"] = ()
         return series
 
     def _init(self, region_id: str, timesteps: tuple[int, ...], prices: tuple[float, ...]):
@@ -135,6 +143,10 @@ class PriceSeries:
         return PriceSeries(self.region_id, tuple(kept))
 
     def violations(self) -> list[str]:
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         ts, prices = self.timesteps, self.prices
         # Whole-column tests; the per-step scan runs only when one fails (a
         # finite column can also overflow the sum).
@@ -143,7 +155,7 @@ class PriceSeries:
             and (not ts or ts[0] >= 0)
             and math.isfinite(sum(prices))
         ):
-            return []
+            return ()
         out = []
         for t0, t1 in zip(ts, ts[1:]):
             if t1 <= t0:
@@ -156,7 +168,7 @@ class PriceSeries:
                 out.append(f"price series '{self.region_id}': non-finite price at t={t}")
             if t < 0:
                 out.append(f"price series '{self.region_id}': negative timestep {t}")
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ each x_t over a box, so the per-step bang-bang rule of
 :func:`hvdcarb.arbitrage.optimal_flow` attains the horizon optimum.
 
 A :class:`Schedule` holds the horizon as parallel columns: timesteps,
-directions, quantities, lambdas and profits. :func:`schedule_link` computes
-each column in one pass over the price columns, with the expressions of
-``optimal_flow`` in the same order, so every value is bit-identical to
-deciding step by step; ``Schedule.decisions`` builds the per-step
-:class:`~hvdcarb.arbitrage.FlowDecision` view only when asked. Totals are
-summed left to right. :func:`lp_oracle` re-solves the same problem by
-explicit per-step enumeration and exists as an independent check on the
-production path.
+directions, quantities, lambdas and profits. :func:`schedule_link` checks
+its inputs and computes the link's total in one pass over the price
+columns, with the expressions of ``optimal_flow`` in the same order; the
+other four columns are built on first read, with the same values, so every
+value is bit-identical to deciding step by step. ``Schedule.decisions``
+builds the per-step :class:`~hvdcarb.arbitrage.FlowDecision` view only when
+asked. Totals are summed left to right. :func:`lp_oracle` re-solves the
+same problem by explicit per-step enumeration and exists as an independent
+check on the production path.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator
 
 from .arbitrage import (
     BiasPolicy,
@@ -63,6 +64,8 @@ _ORACLE_MAX_STEPS = 10_000
 
 _Column = tuple[float, ...]
 
+_STEP_COLUMNS = ("directions", "quantities", "lambdas", "profits")
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -72,6 +75,9 @@ class Schedule:
     after any bias) and ``profits`` (EUR) belongs to ``timesteps[i]``.
     :meth:`from_decisions` builds a schedule from per-step decisions and
     :attr:`decisions` is the per-step view.
+
+    A schedule from :func:`schedule_link` builds those four columns on first
+    read; equality, hashing, ``repr``, pickling and copying read them too.
     """
 
     interconnector_id: str
@@ -89,6 +95,16 @@ class Schedule:
             raise ValueError(
                 f"schedule '{self.interconnector_id}': columns differ in length"
             )
+
+    def __getattr__(self, name: str):
+        # Reached only for a name missing from the instance: before its
+        # first read, a step column of a schedule from schedule_link.
+        inputs = self.__dict__.get("_inputs")
+        if inputs is None or name not in _STEP_COLUMNS:
+            raise AttributeError(f"'Schedule' object has no attribute {name!r}")
+        self.__dict__.update(zip(_STEP_COLUMNS, _schedule_columns(*inputs)))
+        self.__dict__.pop("_inputs", None)
+        return self.__dict__[name]
 
     @classmethod
     def from_decisions(
@@ -147,8 +163,6 @@ def _aligned_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     """
     reference = next(iter(sources.values()))
     if all(ts == reference for ts in sources.values()):
-        if any(t1 <= t0 for t0, t1 in zip(reference, reference[1:])):
-            raise AlignmentError("horizon timesteps must be strictly increasing")
         return reference
     union = set().union(*sources.values())
     missing = {}
@@ -166,18 +180,6 @@ def _aligned_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     raise AlignmentError(
         "horizon mismatch: sources cover the same timesteps in different order"
     )
-
-
-def _check_finite_prices(series: PriceSeries) -> None:
-    # One sum tests the column; the scan for the culprit runs on failure
-    # only (a finite column can also overflow the sum).
-    if math.isfinite(sum(series.prices)):
-        return
-    for t, p in zip(series.timesteps, series.prices):
-        if not math.isfinite(p):
-            raise ValueError(
-                f"price series '{series.region_id}': non-finite price {p} at t={t}"
-            )
 
 
 def _prepare(
@@ -216,8 +218,17 @@ def _prepare(
             f"capacity '{capacity_name}'": capacity_timesteps,
         }
     )
-    _check_finite_prices(prices_a)
-    _check_finite_prices(prices_b)
+    # A series without (memoised) violations has increasing timesteps and
+    # finite prices.
+    if prices_a.violations() or prices_b.violations():
+        if any(t1 <= t0 for t0, t1 in zip(horizon, horizon[1:])):
+            raise AlignmentError("horizon timesteps must be strictly increasing")
+        for s in (prices_a, prices_b):
+            for t, p in zip(s.timesteps, s.prices):
+                if not math.isfinite(p):
+                    raise ValueError(
+                        f"price series '{s.region_id}': non-finite price {p} at t={t}"
+                    )
     if capacity is None:
         x_max = (float(link.capacity_mw),) * len(horizon)
     else:
@@ -238,9 +249,10 @@ def schedule_link(
     Both price series and the capacity profile must cover exactly the same
     timesteps. With no profile given, the link's rated capacity applies at
     every step. Separability makes the per-step optimum the horizon
-    optimum. Each column is computed over the whole horizon with the
-    expressions of :func:`~hvdcarb.arbitrage.optimal_flow`, so every value
-    is bit-identical to deciding step by step.
+    optimum. Every input is checked and the total computed in one pass over
+    the horizon, with the expressions of
+    :func:`~hvdcarb.arbitrage.optimal_flow`; the per-step columns are built
+    when first read. Every value is bit-identical to deciding step by step.
 
     Raises:
         AlignmentError: the three sources cover different timesteps.
@@ -253,11 +265,18 @@ def schedule_link(
         prices_a, prices_b, link, capacity, bias, duration_h
     )
     r = link.loss_fraction
-    to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
-    to_b = [p_b - p_a - r * p_b for p_a, p_b in zip(col_a, col_b)]
-    lambdas = tuple(
-        [max(m_a - r_b, m_b - r_b, 0.0) for m_a, m_b in zip(to_a, to_b)]
-    )
+    # The total sums the dispatched steps' profits left to right (an idle
+    # step's is +0.0, which changes no sum). Margins are never -0.0, so the
+    # zero floor of max(a, b, 0.0) only decides dispatch. ``spread`` is for
+    # the test below.
+    total = spread = 0.0
+    for p_a, p_b, x in zip(col_a, col_b, col_x):
+        m_a = p_a - p_b - r * p_a
+        m_b = p_b - p_a - r * p_b
+        spread += m_a + m_b
+        lam = b if (b := m_b - r_b) > (a := m_a - r_b) else a
+        if lam > 0.0 and x > 0.0:
+            total += x * duration_h * lam
     # Whole-column tests keep valid input cheap. When one fails, replaying
     # the per-step rule raises its error at the first failing step; it may
     # also pass, since an infinite cap is valid and finite columns can
@@ -266,10 +285,34 @@ def schedule_link(
         0 <= r < 1
         and r_b >= 0
         and min(col_x, default=0.0) >= 0
-        and math.isfinite(sum(col_x) + sum(to_a) + sum(to_b))
+        and math.isfinite(sum(col_x) + spread)
     ):
         for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
             optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+    schedule = Schedule.__new__(Schedule)
+    schedule.__dict__.update(
+        interconnector_id=link.id,
+        timesteps=horizon,
+        total_profit=total,
+        _inputs=(col_a, col_b, col_x, r, r_b, duration_h),
+    )
+    return schedule
+
+
+def _schedule_columns(
+    col_a: _Column, col_b: _Column, col_x: _Column, r: float, r_b: float, duration_h: float
+) -> tuple[tuple[Direction, ...], _Column, _Column, _Column]:
+    """Directions, quantities, lambdas and profits of a checked horizon."""
+    # max(a, b, 0.0) spelt out, as in schedule_link
+    lambdas = tuple(
+        [
+            lam if lam > 0.0 else 0.0
+            for p_a, p_b in zip(col_a, col_b)
+            for a in [p_a - p_b - r * p_a - r_b]
+            for b in [p_b - p_a - r * p_b - r_b]
+            for lam in [b if b > a else a]
+        ]
+    )
     quantities = tuple(
         [x if lam > 0 and x > 0 else 0.0 for lam, x in zip(lambdas, col_x)]
     )
@@ -277,13 +320,14 @@ def schedule_link(
     into_a, into_b, idle = Direction.B_TO_A, Direction.A_TO_B, Direction.IDLE
     directions = tuple(
         [
-            (into_a if m_a >= m_b else into_b) if q > 0 else idle
-            for q, m_a, m_b in zip(quantities, to_a, to_b)
+            (into_a if p_a - p_b - r * p_a >= p_b - p_a - r * p_b else into_b)
+            if q > 0
+            else idle
+            for q, p_a, p_b in zip(quantities, col_a, col_b)
         ]
     )
     profits = tuple([q * duration_h * lam for q, lam in zip(quantities, lambdas)])
-    total = _sum_left_to_right(profits)
-    return Schedule(link.id, horizon, directions, quantities, lambdas, profits, total)
+    return directions, quantities, lambdas, profits
 
 
 def schedule_portfolio(
@@ -296,34 +340,29 @@ def schedule_portfolio(
 
     Links are processed in id order so results are reproducible however
     the per-link work is executed. ``capacities`` may supply a dynamic
-    profile per link id; links without one run at rated capacity.
+    profile per link id; links without one run at rated capacity. Every
+    link's inputs are looked up, checked and aligned before any link is
+    scheduled, so their errors come before those of a step.
 
     Raises:
-        AlignmentError: propagated from a link, annotated with its id.
+        AlignmentError: a link's sources do not align; names the link.
         KeyError: a link endpoint has no price series.
     """
     capacities = capacities or {}
-    schedules = []
+    calls = []
     for link in sorted(network.interconnectors, key=lambda ln: ln.id):
         try:
-            prices_a = network.prices_for(link.endpoint_a)
-            prices_b = network.prices_for(link.endpoint_b)
-            schedules.append(
-                schedule_link(
-                    prices_a,
-                    prices_b,
-                    link,
-                    capacities.get(link.id),
-                    bias,
-                    duration_h,
-                )
-            )
+            prices = tuple(map(network.prices_for, link.endpoints()))
+            call = (*prices, link, capacities.get(link.id), bias, duration_h)
+            _prepare(*call)
         except AlignmentError as exc:
             raise AlignmentError(f"link '{link.id}': {exc}", exc.missing) from exc
         except KeyError as exc:
             raise KeyError(
                 f"link '{link.id}': no price series for region {exc}"
             ) from exc
+        calls.append(call)
+    schedules = [schedule_link(*call) for call in calls]
     grand_total = _sum_left_to_right(s.total_profit for s in schedules)
     horizon_hours = 0.0
     if schedules:
@@ -352,11 +391,11 @@ def lp_oracle(
 ) -> Schedule:
     """Reference solver: per-step enumeration over x_t in {0, X_max^t}.
 
-    The objective is linear in x_t, so only the box corners can be
-    optimal; this solver checks both corners explicitly instead of
-    trusting the bang-bang rule, and must agree with
-    :func:`schedule_link` decision for decision. Intended as a test
-    oracle for small horizons, not the production path.
+    Despite its name it solves no LP. The objective is linear in x_t, so
+    only the two box corners of each step can be optimal; this solver
+    evaluates both explicitly instead of trusting the bang-bang rule, and
+    must agree with :func:`schedule_link` decision for decision. Intended
+    as a test oracle for small horizons, not the production path.
     """
     horizon, r_b, col_a, col_b, col_x = _prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
@@ -383,14 +422,7 @@ def lp_oracle(
             direction = Direction.B_TO_A if raw_to_a >= raw_to_b else Direction.A_TO_B
         else:
             direction = Direction.IDLE
-        decisions.append(
-            FlowDecision(
-                timestep=t,
-                direction=direction,
-                quantity_mw=best_x,
-                marginal_value=lam,
-                profit=best_x * duration_h * lam,
-            )
-        )
+        profit = best_x * duration_h * lam
+        decisions.append(FlowDecision(t, direction, best_x, lam, profit))
     total = _sum_left_to_right(d.profit for d in decisions)
     return Schedule.from_decisions(link.id, decisions, total)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hvdcarb import Interconnector, Network, PriceSeries, Region, save_network
+from hvdcarb import scheduler
 from hvdcarb.cli import main
 from hvdcarb.dataio import PRICE_CSV_HEADER
 from conftest import tiny_network
@@ -60,6 +61,25 @@ class TestEvaluate:
         )
         assert code == 0
         assert "timestep: 5\n" in out
+
+    def test_default_timestep_ignores_regions_the_link_does_not_use(self, capsys, tmp_path):
+        # an unlinked region, declared first, is priced before the linked ones
+        network = Network(
+            (Region("c"), Region("a"), Region("b")),
+            (Interconnector("ab", "a", "b", 100.0, 0.0),),
+            (
+                PriceSeries("c", ((2, 1.0), (3, 1.0))),
+                PriceSeries("a", ((5, 10.0), (6, 10.0))),
+                PriceSeries("b", ((5, 30.0), (6, 10.0))),
+            ),
+        )
+        save_network(network, tmp_path / "network.yaml")
+        code, out, err = run(
+            capsys, "evaluate", "ab", "--network", str(tmp_path / "network.yaml")
+        )
+        assert (code, err) == (0, "")
+        assert "timestep: 5\n" in out
+        assert "profit_eur: 2000.0\n" in out
 
     def test_bias_above_margin_idles(self, capsys):
         code, out, _ = run(capsys, "evaluate", "celtic", "-t", "1", "--bias", "100")
@@ -193,6 +213,37 @@ class TestSchedule:
         assert "grand_total_eur: 0.0\n" in out
 
 
+class TestColumnsBuiltOnRead:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = scheduler._schedule_columns
+
+        def counting(*inputs):
+            calls.append(inputs)
+            return build(*inputs)
+
+        monkeypatch.setattr(scheduler, "_schedule_columns", counting)
+        return calls
+
+    def test_totals_only_build_no_column(self, capsys, builds):
+        code, out, _ = run(capsys, "schedule")
+        assert code == 0
+        assert "grand_total_eur: 63289.0\n" in out
+        assert builds == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_a_report_builds_each_link_once(self, capsys, tmp_path, builds, fmt):
+        code, _, _ = run(capsys, "schedule", "--format", fmt, "--out", str(tmp_path / "r"))
+        assert code == 0
+        assert len(builds) == 4
+
+    def test_plot_data_builds_each_link_once(self, capsys, builds):
+        code, _, _ = run(capsys, "plot-data")
+        assert code == 0
+        assert len(builds) == 4
+
+
 class TestWheel:
     WHEEL = (
         "wheel", "france", "ireland", "scotland",
@@ -233,6 +284,31 @@ class TestWheel:
         fwd, bwd = profits(forward), profits(backward)
         assert fwd["S123"].split()[-1] == bwd["S321"].split()[-1]
         assert fwd["S321"].split()[-1] == bwd["S123"].split()[-1]
+
+    def test_default_timestep_ignores_regions_the_chain_does_not_use(self, capsys, tmp_path):
+        # an unlinked region, declared first, is priced before the three areas
+        network = Network(
+            tuple(map(Region, "dxyz")),
+            (
+                Interconnector("xy", "x", "y", 100.0, 0.0),
+                Interconnector("yz", "y", "z", 100.0, 0.0),
+            ),
+            (
+                PriceSeries("d", ((2, 1.0), (3, 1.0))),
+                PriceSeries("x", ((5, 10.0), (6, 10.0))),
+                PriceSeries("y", ((5, 20.0), (6, 20.0))),
+                PriceSeries("z", ((5, 40.0), (6, 40.0))),
+            ),
+        )
+        save_network(network, tmp_path / "network.yaml")
+        code, out, err = run(
+            capsys,
+            "wheel", "x", "y", "z", "--via", "xy", "yz", "--quantity", "10",
+            "--network", str(tmp_path / "network.yaml"),
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("timestep: 5\n")
+        assert "profit_eur: 300.0\n" in out
 
     def test_equal_prices_both_infeasible(self, capsys, tmp_path, bundle):
         prices = tmp_path / "prices.csv"

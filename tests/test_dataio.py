@@ -31,6 +31,7 @@ from hvdcarb import (
     schedule_portfolio,
     write_report,
 )
+from hvdcarb import dataio
 from hvdcarb.dataio import (
     PRICE_CSV_HEADER,
     default_data_dir,
@@ -212,6 +213,8 @@ class TestBulkIngestMatchesRowByRow:
     @example(_csv("0,a,1.0", "1,a,3.0", "0,b,2.0", "1,b,4.0"))  # region-blocked
     @example(_csv("0,a,1.0", "1,a,3.0", "2,b,2.0", "3,b,4.0"))
     @example(_csv("0,a,1.0", "0,b,2.0", "1,b,4.0", "1,a,3.0"))  # neither
+    @example(_csv("5,a,1.0", "05,b,2.0", "6,a,3.0", "6,b,4.0"))  # same steps, spelt apart
+    @example(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "2,b,4.0"))  # interleaved, apart
     @example(_csv('0,"a",1.0', "1,a,2.0"))
     @example(_csv(' 0 , a , 1.0 ', "1,\ta,2.0"))
     @example(_csv("0,a,1.0", "", "1,a,2.0"))
@@ -264,6 +267,79 @@ class TestBulkIngestMatchesRowByRow:
             "a": PriceSeries("a", ((0, 1.0), (1, 3.0))),
             "b": PriceSeries("b", ((0, 2.0), (1, 4.0))),
         }
+
+
+class TestSharedTimesteps:
+    def test_regions_of_a_regular_file_share_one_timesteps_tuple(self):
+        text = _csv(*(f"{t},{r},{t}.5" for t in range(4) for r in "abc"))
+        series = load_prices(io.StringIO(text))
+        a, b, c = series.values()
+        assert a.timesteps == (0, 1, 2, 3)
+        assert a.timesteps is b.timesteps is c.timesteps
+        assert [s.violations() for s in series.values()] == [[], [], []]
+
+    def test_timesteps_spelt_differently_load_like_the_row_reader(self):
+        text = _csv("5,a,1.0", "05,b,2.0", "6,a,3.0", " 6,b,4.0", "7,a,5.0", "7,b,6.0")
+        series = load_prices(io.StringIO(text))
+        expected = row_by_row_prices(text)
+        assert {rid: (s.timesteps, s.prices) for rid, s in series.items()} == expected
+        assert series["a"].timesteps == series["b"].timesteps == (5, 6, 7)
+        assert series["a"] == PriceSeries("a", ((5, 1.0), (6, 3.0), (7, 5.0)))
+
+
+def yaml_corpus() -> dict[str, str]:
+    """The bundled YAML files, each config mutation, and hostile documents."""
+    directory = default_data_dir()
+    base = yaml.safe_load((directory / "network.yaml").read_text())
+    texts = {
+        name: (directory / name).read_text() for name in ("network.yaml", "expected.yaml")
+    }
+    for name, mutate, _ in CONFIG_MUTATIONS:
+        texts[name] = yaml.safe_dump(mutated_config(base, mutate), sort_keys=False)
+    texts.update(
+        {
+            "unclosed_flow": "regions: [a, b",
+            "nested_mapping_value": "a: b: c",
+            "tab_indent": "\tregions: []",
+            "unterminated_quote": "key: 'open",
+            "list_then_mapping": "- a\nb: c",
+            "python_tag": "!!python/object:os.system x",
+            "undefined_alias": "a: &x 1\nb: *y",
+            "control_character": "x: \x07",
+            "yaml_2": "%YAML 2.0\n---\na: 1",
+            "two_documents": "a: 1\n---\nb: 2",
+            "duplicate_keys": "{a: 1, a: 2}",
+            "aliases": "a: &x [1, 2]\nb: *x",
+            "scalars": "a: [yes, off, ~, 1_000, 0o17, 0x1f, .inf, -.NaN, 2001-12-14, 1e3]",
+            "unicode": "name: \"\\u00e9ire\\U0001F600\"\nother: ñ",
+            "block_scalars": "a: |\n  one\n  two\nb: >-\n  three\n  four\n",
+            "empty": "",
+            "null": "~",
+        }
+    )
+    return texts
+
+
+_YAML_CORPUS = yaml_corpus()
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestYamlLoaders:
+    def test_the_libyaml_loader_is_used(self):
+        assert dataio._YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("text", _YAML_CORPUS.values(), ids=_YAML_CORPUS.keys())
+    def test_both_loaders_give_the_same_document_or_a_parse_error(self, text, monkeypatch):
+        outcomes = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            try:
+                outcomes.append(repr(yaml.load(text, Loader=loader)))
+            except yaml.YAMLError:
+                monkeypatch.setattr(dataio, "_YAML_LOADER", loader)
+                with pytest.raises(ParseError, match="invalid YAML"):
+                    load_network(io.StringIO(text))
+                outcomes.append(ParseError)
+        assert outcomes[0] == outcomes[1]
 
 
 def write_two_region_config(tmp_path, link_lines: str):

@@ -1,8 +1,11 @@
 """Horizon scheduling, portfolio aggregation, and the enumeration oracle."""
 
+import copy
+import dataclasses
 import functools
 import math
 import operator
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -26,6 +29,7 @@ from hvdcarb import (
     schedule_link,
     schedule_portfolio,
 )
+from hvdcarb import scheduler
 from conftest import random_link_instance
 
 
@@ -309,6 +313,170 @@ class TestColumnCoreMatchesPerStepRule:
         assert repr(got.decisions) == repr(expected.decisions)
 
 
+def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
+    """Reference: the column kernel that computed every column up front."""
+    horizon, r_b, col_a, col_b, col_x = scheduler._prepare(
+        prices_a, prices_b, link, capacity, bias, duration_h
+    )
+    r = link.loss_fraction
+    to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
+    to_b = [p_b - p_a - r * p_b for p_a, p_b in zip(col_a, col_b)]
+    lambdas = tuple([max(m_a - r_b, m_b - r_b, 0.0) for m_a, m_b in zip(to_a, to_b)])
+    if not (
+        0 <= r < 1
+        and r_b >= 0
+        and min(col_x, default=0.0) >= 0
+        and math.isfinite(sum(col_x) + sum(to_a) + sum(to_b))
+    ):
+        for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
+            optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+    quantities = tuple([x if lam > 0 and x > 0 else 0.0 for lam, x in zip(lambdas, col_x)])
+    into_a, into_b, idle = Direction.B_TO_A, Direction.A_TO_B, Direction.IDLE
+    directions = tuple(
+        [
+            (into_a if m_a >= m_b else into_b) if q > 0 else idle
+            for q, m_a, m_b in zip(quantities, to_a, to_b)
+        ]
+    )
+    profits = tuple([q * duration_h * lam for q, lam in zip(quantities, lambdas)])
+    total = functools.reduce(operator.add, profits, 0.0)
+    return Schedule(link.id, horizon, directions, quantities, lambdas, profits, total)
+
+
+# Ties and signed zeros, spreads near and past overflow (8.98e307 - -8.98e307
+# is finite, 1.7e308 - -1.7e308 is not), and any finite price.
+_edge_prices = st.one_of(
+    st.sampled_from([-20.0, -0.0, 0.0, 50.0, 100.0]),
+    st.floats(-500, 500),
+    st.sampled_from([8.98e307, -8.98e307, 1.7e308, -1.7e308, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_valid_capacities = st.one_of(
+    st.sampled_from([0.0, -0.0, 700.0, math.inf]), st.floats(0, 2000)
+)
+_edge_biases = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 5.0]).map(BiasPolicy),
+    st.floats(0, 100).map(BiasPolicy),
+)
+
+
+@st.composite
+def edge_link_problems(draw):
+    n = draw(st.integers(0, 24))
+    p_a = [draw(_edge_prices) for _ in range(n)]
+    p_b = [draw(_edge_prices) if draw(st.booleans()) else p for p in p_a]  # ties
+    caps = [draw(_valid_capacities) for _ in range(n)] if draw(st.booleans()) else None
+    a, b, link, capacity, bias, duration_h = link_problem(
+        p_a,
+        p_b,
+        draw(st.sampled_from([0.0, 0.0575, 0.5]) | st.floats(0, 0.999)),
+        caps,
+        draw(_edge_biases),
+        draw(st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 1e3)),
+        draw(_valid_capacities),
+    )
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, link, capacity, bias, duration_h
+
+
+class TestDeferredColumnsMatchEagerKernel:
+    @settings(max_examples=400)
+    @given(edge_link_problems())
+    @example(link_problem([-20.0], [-20.0], r=0.5))  # tie: delivers into a
+    @example(link_problem([-0.0, 0.0], [0.0, -0.0]))
+    @example(link_problem([100.0], [50.0], caps=[math.inf]))
+    @example(link_problem([100.0], [50.0], rated=0.0, bias=BiasPolicy(5.0)))
+    @example(link_problem([8.98e307], [-8.98e307], r=0.5))  # spread just finite
+    @example(link_problem([1.7e308], [-1.7e308], caps=[0.0]))  # spread overflows
+    def test_every_column_and_total_by_repr(self, problem):
+        try:
+            expected = eager_schedule(*problem)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as err:
+                schedule_link(*problem)
+            assert str(err.value) == str(exc)
+            return
+        got = schedule_link(*problem)
+        assert "_inputs" in vars(got)  # the columns are not built yet
+        for field in dataclasses.fields(Schedule):
+            assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name))
+        assert "_inputs" not in vars(got)
+
+
+def _deferred_problem():
+    return link_problem(
+        [100.0, -20.0, 50.0, 0.0, 60.0],
+        [50.0, -20.0, 80.0, -0.0, 60.0],
+        r=0.0575,
+        caps=[700.0, 700.0, 0.0, 700.0, 500.0],
+        bias=BiasPolicy(1.0),
+    )
+
+
+class TestDeferredSchedule:
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy, lambda s: s],
+        ids=["pickle", "copy", "deepcopy", "itself"],
+    )
+    def test_copies_equal_the_eager_schedule(self, duplicate):
+        eager = eager_schedule(*_deferred_problem())
+        copied = duplicate(schedule_link(*_deferred_problem()))
+        assert copied == eager and eager == copied
+        assert repr(copied) == repr(eager)
+        assert hash(copied) == hash(eager)
+        assert repr(copied.decisions) == repr(eager.decisions)
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            repr,
+            hash,
+            lambda s: s == eager_schedule(*_deferred_problem()),
+            lambda s: repr(dataclasses.asdict(s)),
+            lambda s: repr(dataclasses.replace(s, total_profit=1.0)),
+            lambda s: repr(dataclasses.replace(s, interconnector_id="other")),
+            lambda s: repr(dataclasses.astuple(s)),
+            lambda s: repr(list(s.rows())),
+            lambda s: repr(s.decisions),
+        ],
+        ids=[
+            "repr", "hash", "eq", "asdict", "replace", "replace-id", "astuple", "rows",
+            "decisions",
+        ],
+    )
+    def test_first_read_sees_what_an_eager_schedule_shows(self, view):
+        eager = eager_schedule(*_deferred_problem())
+        deferred = schedule_link(*_deferred_problem())
+        assert "_inputs" in vars(deferred)
+        assert view(deferred) == view(eager)
+
+    def test_columns_are_built_once(self, monkeypatch):
+        builds = []
+        build = scheduler._schedule_columns
+
+        def counting(*inputs):
+            builds.append(inputs)
+            return build(*inputs)
+
+        monkeypatch.setattr(scheduler, "_schedule_columns", counting)
+        schedule = schedule_link(*_deferred_problem())
+        assert builds == []
+        assert schedule.total_profit > 0 and len(schedule.timesteps) == 5
+        assert builds == []
+        schedule.profits, schedule.directions, schedule.decisions, list(schedule.rows())
+        assert len(builds) == 1
+
+    def test_other_missing_attributes_still_raise(self):
+        schedule = schedule_link(*_deferred_problem())
+        with pytest.raises(AttributeError, match="no attribute 'quantity'"):
+            schedule.quantity
+        assert not hasattr(schedule, "__deepcopy__")
+        assert "_inputs" in vars(schedule)
+
+
 class TestScheduleProperties:
     def test_bang_bang_certificate(self):
         rng = random.Random(17)
@@ -444,6 +612,33 @@ class TestPortfolio:
         )
         with pytest.raises(AlignmentError, match="link 'ab'"):
             schedule_portfolio(net)
+
+    def test_every_link_is_aligned_before_any_is_scheduled(self, monkeypatch):
+        # "a1", first in id order, has a spread that overflows; "b2" is shifted
+        net = Network(
+            tuple(map(Region, "abcd")),
+            (
+                Interconnector("a1", "a", "b", 10.0, 0.0),
+                Interconnector("b2", "c", "d", 10.0, 0.0),
+            ),
+            (
+                PriceSeries("a", ((1, 1.7e308),)),
+                PriceSeries("b", ((1, -1.7e308),)),
+                PriceSeries("c", ((1, 1.0),)),
+                PriceSeries("d", ((2, 1.0),)),
+            ),
+        )
+        prices = {s.region_id: s for s in net.price_series}
+        with pytest.raises(ValueError, match="spread at t=1 is not finite"):
+            schedule_link(prices["a"], prices["b"], net.link("a1"))
+        calls = []
+        monkeypatch.setattr(scheduler, "schedule_link", lambda *a: calls.append(a))
+        with pytest.raises(AlignmentError, match="link 'b2'") as err:
+            schedule_portfolio(net)
+        assert err.value.missing == {
+            "prices 'c'": (2,), "prices 'd'": (1,), "capacity 'b2'": (2,)
+        }
+        assert calls == []
 
     def test_grand_total_is_summed_left_to_right(self):
         # link totals 1e16, 1.0, 1.0 in id order; a compensated sum adds 2
