@@ -194,7 +194,9 @@ def _load_run_network(args) -> Network:
         network = network.with_prices(
             s.restricted(args.t_from, args.t_to) for s in network.price_series
         )
-    if args.prices is not None or args.t_from is not None or args.t_to is not None:
+    # load_network validated the config's series, and restricting them keeps
+    # them valid; series from --prices are validated, after the restriction.
+    if args.prices is not None:
         report = validate_network(network)
         if report:
             raise ValidationError(

@@ -43,7 +43,6 @@ from .model import (
     Network,
     PriceSeries,
     Region,
-    _strictly_increasing,
     loss_from_length,
     validate_network,
 )
@@ -98,7 +97,7 @@ def load_prices(source: Source) -> dict[str, PriceSeries]:
     The body is split, converted and checked as whole columns. Anything
     unusual (a quote, a blank line, a line without exactly three fields, a
     value that does not convert, regions not listed in the same order at
-    every timestep, a column that fails its test) sends the file through
+    every timestep, a series with violations) sends the file through
     the row-by-row reader instead, which accepts it or raises the error of
     its first bad row.
 
@@ -149,17 +148,15 @@ def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
     except ValueError:
         return None
     del fields, steps
-    # Each column is tested once, as PriceSeries.violations would (a sum
-    # that overflows leaves the file to the row reader).
-    distinct = {id(ts): ts for ts in timesteps}.values()
-    if not all(_strictly_increasing(ts) and ts[0] >= 0 for ts in distinct):
-        return None
-    if not all(math.isfinite(sum(column)) for column in prices):
-        return None
-    return {
+    series = {
         rid: PriceSeries._checked(rid, ts, column)
         for rid, ts, column in zip(order, timesteps, prices)
     }
+    # A series with violations (found once, and kept for every later
+    # reader) leaves the file to the row reader, which names the bad line.
+    if any(map(PriceSeries.violations, series.values())):
+        return None
+    return series
 
 
 def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
@@ -240,7 +237,10 @@ _LINK_KEYS = {
 _TOP_KEYS = {"regions", "links", "prices_csv"}
 
 
-def _number(mapping: dict, key: str, context: str) -> float:
+def _number(mapping: dict, key: str, context: str) -> float | None:
+    """``mapping[key]`` as a float, or None when the key is absent."""
+    if key not in mapping:
+        return None
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}: '{key}' must be a number, got {value!r}")
@@ -292,7 +292,9 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
                 raise ParseError(f"link entry {entry!r}: '{key}' must be a string")
         context = f"link '{entry['id']}'"
         capacity = _number(entry, "capacity_mw", context)
-        length = _number(entry, "length_km", context) if "length_km" in entry else None
+        if capacity is None:
+            raise ParseError(f"{context}: 'capacity_mw' is missing")
+        length = _number(entry, "length_km", context)
         links.append(
             Interconnector(
                 id=entry["id"],
@@ -334,14 +336,8 @@ def _mapping_list(value, name: str) -> list[dict]:
 
 def _resolve_loss(entry: dict, length: float | None, context: str) -> float:
     """Loss fraction from a link entry, cross-checking redundant declarations."""
-    declared = (
-        _number(entry, "loss_fraction", context) if "loss_fraction" in entry else None
-    )
-    rate = (
-        _number(entry, "loss_rate_per_100km", context)
-        if "loss_rate_per_100km" in entry
-        else None
-    )
+    declared = _number(entry, "loss_fraction", context)
+    rate = _number(entry, "loss_rate_per_100km", context)
     derived = None
     if rate is not None:
         if length is None:
@@ -568,9 +564,27 @@ def load_case_study(data_dir: str | Path | None = None) -> CaseStudyBundle:
     """Load the bundled Irish case study through the regular file loaders."""
     directory = Path(data_dir) if data_dir is not None else default_data_dir()
     network = load_network(directory / "network.yaml")
-    expected_path = directory / "expected.yaml"
-    expected = {}
-    if expected_path.exists():
-        text = expected_path.read_text(encoding="utf-8")
-        expected = yaml.load(text, Loader=_YAML_LOADER) or {}
-    return CaseStudyBundle(network, expected)
+    ledger = directory / "expected.yaml"
+    return CaseStudyBundle(network, _load_ledger(ledger) if ledger.exists() else {})
+
+
+def _load_ledger(path: Path) -> dict:
+    """The reference ledger; a ParseError names the file if it is malformed."""
+    try:
+        ledger = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"{path}: invalid YAML: {exc}") from exc
+
+    def mapping(value, what: str) -> dict:
+        if not isinstance(value, dict):
+            raise ParseError(f"{path}: {what} must be a mapping, got {value!r}")
+        return value
+
+    ledger = mapping({} if ledger is None else ledger, "the root")
+    links = mapping(ledger.get("links", {}), "'links'")
+    entries = {f"'{key}'": ledger.get(key, {}) for key in ("totals", "annual")}
+    entries.update((f"link '{k}'", v) for k, v in links.items())
+    for context, entry in entries.items():
+        for key in ("reported_eur", "claim_exceeds_eur"):
+            _number(mapping(entry, context), key, f"{path}: {context}")
+    return ledger

@@ -30,10 +30,20 @@ __all__ = [
 ]
 
 
-_Columns = tuple[tuple[int, ...], tuple[float, ...]]
+def _step_columns(
+    steps: Iterable[tuple[int, float]],
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The timestep and value columns of ``(timestep, value)`` pairs.
 
-
-def _per_step(steps: Iterable[tuple[int, float]]) -> _Columns:
+    Pairs that are all 2-tuples of an int and a float are split as they
+    are; anything else goes step by step, making timesteps ints and values
+    floats, and raises at the first timestep that is not an integer.
+    """
+    steps = tuple(steps)
+    if set(map(type, steps)) <= {tuple} and set(map(len, steps)) <= {2}:
+        timesteps, values = tuple(zip(*steps)) or ((), ())
+        if set(map(type, timesteps)) <= {int} and set(map(type, values)) <= {float}:
+            return timesteps, values
     timesteps, values = [], []
     for t, v in steps:
         if int(t) != t:
@@ -43,34 +53,16 @@ def _per_step(steps: Iterable[tuple[int, float]]) -> _Columns:
     return tuple(timesteps), tuple(values)
 
 
-def _columns(timesteps: Iterable[int], values: Iterable[float]) -> _Columns:
-    """The timestep and value columns as tuples of ints and floats.
-
-    Columns that already hold only ints and floats are taken as they are;
-    anything else goes through the per-step conversion, which raises at the
-    first timestep that is not an integer.
-    """
-    timesteps, values = tuple(timesteps), tuple(values)
-    if len(timesteps) != len(values):
-        raise ValueError(
-            f"{len(timesteps)} timesteps but {len(values)} values: columns "
-            f"differ in length"
-        )
-    if set(map(type, timesteps)) <= {int} and set(map(type, values)) <= {float}:
-        return timesteps, values
-    return _per_step(zip(timesteps, values))
-
-
-def _step_columns(steps: Iterable[tuple[int, float]]) -> _Columns:
-    """The columns of ``(timestep, value)`` pairs, normalised by :func:`_columns`."""
-    steps = tuple(steps)
-    if set(map(type, steps)) <= {tuple} and set(map(len, steps)) <= {2}:
-        return _columns(*zip(*steps)) if steps else ((), ())
-    return _per_step(steps)
-
-
 def _strictly_increasing(timesteps: tuple[int, ...]) -> bool:
     return all(map(operator.lt, timesteps, timesteps[1:]))
+
+
+def _order_violations(owner: str, ts: tuple[int, ...]) -> list[str]:
+    return [
+        f"{owner}: timesteps not strictly increasing at t={t1}"
+        for t0, t1 in zip(ts, ts[1:])
+        if t1 <= t0
+    ]
 
 
 @dataclass(frozen=True)
@@ -89,9 +81,11 @@ class PriceSeries:
     admitted: European day-ahead markets produce them and the
     difference-form profit expressions stay valid.
 
-    The series is stored as two parallel columns, ``timesteps`` and
-    ``prices``; ``steps``, the ``(timestep, price)`` pairs the constructor
-    takes, is built on first use, and :meth:`violations` is found once.
+    The one constructor takes ``(timestep, price)`` pairs; from columns,
+    pass ``zip(timesteps, prices, strict=True)``. Timesteps become ints and
+    prices floats. The series is stored as two parallel columns,
+    ``timesteps`` and ``prices``; ``steps``, the pairs, is built on first
+    use, and :meth:`violations` is found once, for every reader.
     """
 
     region_id: str
@@ -99,29 +93,15 @@ class PriceSeries:
     prices: tuple[float, ...]
 
     def __init__(self, region_id: str, steps: Iterable[tuple[int, float]]):
-        self._init(region_id, *_step_columns(steps))
-
-    @classmethod
-    def from_columns(
-        cls, region_id: str, timesteps: Iterable[int], prices: Iterable[float]
-    ) -> "PriceSeries":
-        """Series from its timestep and price columns, normalised like steps."""
-        series = cls.__new__(cls)
-        series._init(region_id, *_columns(timesteps, prices))
-        return series
+        timesteps, prices = _step_columns(steps)
+        self.__dict__.update(region_id=region_id, timesteps=timesteps, prices=prices)
 
     @classmethod
     def _checked(cls, region_id: str, timesteps, prices) -> "PriceSeries":
-        """Series from exact int and float columns known to have no violations."""
+        """Series from columns already of exact ints and floats, not normalised."""
         series = cls.__new__(cls)
-        series._init(region_id, timesteps, prices)
-        series.__dict__["_violations"] = ()
+        series.__dict__.update(region_id=region_id, timesteps=timesteps, prices=prices)
         return series
-
-    def _init(self, region_id: str, timesteps: tuple[int, ...], prices: tuple[float, ...]):
-        object.__setattr__(self, "region_id", region_id)
-        object.__setattr__(self, "timesteps", timesteps)
-        object.__setattr__(self, "prices", prices)
 
     @cached_property
     def steps(self) -> tuple[tuple[int, float], ...]:
@@ -156,13 +136,7 @@ class PriceSeries:
             and math.isfinite(sum(prices))
         ):
             return ()
-        out = []
-        for t0, t1 in zip(ts, ts[1:]):
-            if t1 <= t0:
-                out.append(
-                    f"price series '{self.region_id}': timesteps not strictly "
-                    f"increasing at t={t1}"
-                )
+        out = _order_violations(f"price series '{self.region_id}'", ts)
         for t, p in zip(ts, prices):
             if not math.isfinite(p):
                 out.append(f"price series '{self.region_id}': non-finite price at t={t}")
@@ -223,9 +197,10 @@ class CapacityProfile:
     """Per-timestep cap on transferable power (MW) for one link.
 
     Network capability to import/export varies over time; the horizon
-    scheduler bounds each step's dispatch by the profile's value. Stored,
-    like :class:`PriceSeries`, as ``timesteps`` and ``values`` columns,
-    with the ``steps`` the constructor takes built on first use.
+    scheduler bounds each step's dispatch by the profile's value. Built and
+    stored like :class:`PriceSeries`, as ``timesteps`` and ``values``
+    columns. A link at rated capacity needs no profile: leave it out of
+    ``capacities``.
     """
 
     interconnector_id: str
@@ -234,18 +209,13 @@ class CapacityProfile:
 
     def __init__(self, interconnector_id: str, steps: Iterable[tuple[int, float]]):
         timesteps, values = _step_columns(steps)
-        object.__setattr__(self, "interconnector_id", interconnector_id)
-        object.__setattr__(self, "timesteps", timesteps)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(
+            interconnector_id=interconnector_id, timesteps=timesteps, values=values
+        )
 
     @cached_property
     def steps(self) -> tuple[tuple[int, float], ...]:
         return tuple(zip(self.timesteps, self.values))
-
-    @classmethod
-    def constant(cls, link: Interconnector, timesteps: Iterable[int]) -> "CapacityProfile":
-        """Flat profile at the link's rated capacity over the given horizon."""
-        return cls(link.id, tuple((t, link.capacity_mw) for t in timesteps))
 
     def violations(self) -> list[str]:
         ts, values = self.timesteps, self.values
@@ -255,13 +225,7 @@ class CapacityProfile:
             and math.isfinite(sum(values))
         ):
             return []
-        out = []
-        for t0, t1 in zip(ts, ts[1:]):
-            if t1 <= t0:
-                out.append(
-                    f"capacity profile '{self.interconnector_id}': timesteps not "
-                    f"strictly increasing at t={t1}"
-                )
+        out = _order_violations(f"capacity profile '{self.interconnector_id}'", ts)
         for t, x in zip(ts, values):
             if not (x >= 0) or not math.isfinite(x):
                 out.append(

@@ -2,13 +2,14 @@
 
 import json
 import math
+import shutil
 
 import pytest
 
 from hvdcarb import Interconnector, Network, PriceSeries, Region, save_network
-from hvdcarb import scheduler
+from hvdcarb import cli, scheduler
 from hvdcarb.cli import main
-from hvdcarb.dataio import PRICE_CSV_HEADER
+from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir
 from conftest import tiny_network
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -123,6 +124,21 @@ class TestSchedule:
         assert run(capsys, "schedule", "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0].startswith("timestep,link_id")
+
+    def test_only_replaced_prices_are_validated_again(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        validate = cli.validate_network
+        monkeypatch.setattr(
+            cli, "validate_network", lambda network: calls.append(network) or validate(network)
+        )
+        code, out, _ = run(capsys, "schedule", "--from", "1", "--to", "1")
+        assert (code, calls) == (0, [])
+        assert "grand_total_eur: 63289.0\n" in out
+        prices = tmp_path / "prices.csv"
+        shutil.copy(default_data_dir() / "prices.csv", prices)
+        code, out, _ = run(capsys, "schedule", "--prices", str(prices), "--from", "1")
+        assert (code, len(calls)) == (0, 1)
+        assert "grand_total_eur: 63289.0\n" in out
 
     def test_single_link_network(self, capsys, tmp_path, bundle):
         net = bundle.network
@@ -378,6 +394,33 @@ class TestCaseIreland:
         first = run(capsys, "case-ireland")
         second = run(capsys, "case-ireland")
         assert first == second
+
+    @pytest.mark.parametrize(
+        "ledger, message",
+        [
+            ("links: [a", "invalid YAML"),
+            ("- 1\n- 2", "the root must be a mapping, got [1, 2]"),
+            ("links: {celtic: 5}", "link 'celtic' must be a mapping, got 5"),
+            ("links: [celtic]", "'links' must be a mapping"),
+            ("links:", "'links' must be a mapping, got None"),
+            ("totals: 61414.0", "'totals' must be a mapping"),
+            ("annual: [8760]", "'annual' must be a mapping"),
+            ("links: {celtic: {reported_eur: lots}}", "link 'celtic': 'reported_eur' must be"),
+            ("totals: {reported_eur: true}", "'totals': 'reported_eur' must be a number"),
+            ("annual: {claim_exceeds_eur: '5e8'}", "'annual': 'claim_exceeds_eur' must be"),
+        ],
+    )
+    def test_malformed_ledger_is_a_parse_error(
+        self, capsys, tmp_path, monkeypatch, ledger, message
+    ):
+        for name in ("network.yaml", "prices.csv"):
+            shutil.copy(default_data_dir() / name, tmp_path / name)
+        (tmp_path / "expected.yaml").write_text(ledger)
+        monkeypatch.setenv("HVDCARB_DATA_DIR", str(tmp_path))
+        code, out, err = run(capsys, "case-ireland")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tmp_path / 'expected.yaml'}: ")
+        assert message in err
 
     def test_structured_report_carries_expected(self, capsys, tmp_path):
         out_path = tmp_path / "case.json"

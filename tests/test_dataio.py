@@ -15,10 +15,12 @@ from hvdcarb import (
     Direction,
     DuplicateRowError,
     FlowDecision,
+    Interconnector,
     PriceSeries,
     Network,
     ParseError,
     PortfolioResult,
+    Region,
     Schedule,
     ValidationError,
     WheelingResult,
@@ -31,7 +33,7 @@ from hvdcarb import (
     schedule_portfolio,
     write_report,
 )
-from hvdcarb import dataio
+from hvdcarb import dataio, model
 from hvdcarb.dataio import (
     PRICE_CSV_HEADER,
     default_data_dir,
@@ -285,6 +287,26 @@ class TestSharedTimesteps:
         assert {rid: (s.timesteps, s.prices) for rid, s in series.items()} == expected
         assert series["a"].timesteps == series["b"].timesteps == (5, 6, 7)
         assert series["a"] == PriceSeries("a", ((5, 1.0), (6, 3.0), (7, 5.0)))
+
+    def test_each_series_is_checked_once_from_load_to_schedule(self, monkeypatch, tmp_path):
+        network = Network(
+            tuple(map(Region, "abc")),
+            (Interconnector("ab", "a", "b", 10.0, 0.0), Interconnector("bc", "b", "c", 5.0, 0.1)),
+        )
+        (tmp_path / "network.yaml").write_text(network_to_yaml(network, "prices.csv"))
+        (tmp_path / "prices.csv").write_text(
+            _csv(*(f"{t},{r},{(t * 7 + ord(r)) % 11}.5" for t in range(20) for r in "abc"))
+        )
+        calls = []
+        check = model._strictly_increasing
+        monkeypatch.setattr(
+            model, "_strictly_increasing", lambda ts: calls.append(ts) or check(ts)
+        )
+        loaded = load_network(tmp_path / "network.yaml")
+        schedule_portfolio(loaded)
+        a, b, c = loaded.price_series
+        assert a.timesteps is b.timesteps is c.timesteps  # read as whole columns
+        assert calls == [a.timesteps] * 3
 
 
 def yaml_corpus() -> dict[str, str]:

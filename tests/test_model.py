@@ -160,21 +160,27 @@ class TestColumnStorage:
     @example([("3", 1.0)])
     @example([(1, "2.5")])
     @example([(None, 1.0)])
+    @example([])
+    @example([[1, 1.0], [2, 2.0]])
+    @example([(1, 1.0, 0.0), (2, 2.0, 0.0)])
+    @example([(True, False), (2, True)])
+    @example([(1, 10), (2, 20)])
     def test_steps_normalise_as_before(self, steps):
         expected = outcome(steps_by_loop, steps)
         for cls in (PriceSeries, CapacityProfile):
             assert outcome(lambda: cls("x", steps).steps) == expected
             assert outcome(lambda: cls("x", iter(steps)).steps) == expected
+            assert outcome(lambda: cls("x", (step for step in steps)).steps) == expected
 
-    def test_from_columns_matches_steps(self):
-        series = PriceSeries.from_columns("x", [1, 2.0], [10, 20.5])
+    def test_columns_build_through_a_strict_zip(self):
+        series = PriceSeries("x", zip([1, 2.0], [10, 20.5], strict=True))
         assert series == PriceSeries("x", ((1, 10.0), (2, 20.5)))
         assert hash(series) == hash(PriceSeries("x", ((1, 10.0), (2, 20.5))))
         assert repr(series.timesteps) == "(1, 2)" and repr(series.prices) == "(10.0, 20.5)"
         with pytest.raises(ValueError, match="is not an integer"):
-            PriceSeries.from_columns("x", [1.5], [1.0])
-        with pytest.raises(ValueError, match="columns differ in length"):
-            PriceSeries.from_columns("x", (1, 2), (1.0,))
+            PriceSeries("x", zip([1.5], [1.0], strict=True))
+        with pytest.raises(ValueError):
+            PriceSeries("x", zip((1, 2), (1.0,), strict=True))
 
     @settings(max_examples=300)
     @given(
@@ -212,11 +218,6 @@ class TestColumnStorage:
 
 
 class TestCapacityProfile:
-    def test_constant(self, celtic):
-        profile = CapacityProfile.constant(celtic, (1, 2, 3))
-        assert profile.interconnector_id == "celtic"
-        assert profile.steps == ((1, 700.0), (2, 700.0), (3, 700.0))
-
     def test_negative_cap_is_violation(self):
         p = CapacityProfile("x", ((1, -5.0),))
         assert len(p.violations()) == 1

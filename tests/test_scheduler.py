@@ -28,6 +28,7 @@ from hvdcarb import (
     optimal_flow,
     schedule_link,
     schedule_portfolio,
+    write_report,
 )
 from hvdcarb import scheduler
 from conftest import random_link_instance
@@ -213,7 +214,7 @@ def per_step_schedule(prices_a, prices_b, link, capacity=None, bias=None, durati
     if prices_a.region_id != link.endpoint_a:
         prices_a, prices_b = prices_b, prices_a
     if capacity is None:
-        capacity = CapacityProfile.constant(link, prices_a.timesteps)
+        capacity = CapacityProfile(link.id, ((t, link.capacity_mw) for t in prices_a.timesteps))
     r_b = (bias or BiasPolicy()).r_b
     decisions = [
         optimal_flow(p_a, p_b, link.loss_fraction, x_max, r_b, duration_h, t)
@@ -639,6 +640,37 @@ class TestPortfolio:
             "prices 'c'": (2,), "prices 'd'": (1,), "capacity 'b2'": (2,)
         }
         assert calls == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rated_profiles_schedule_like_no_profile(self, bundle, seed):
+        rng = random.Random(seed)
+        network = bundle.network
+        if seed:
+            horizon = tuple(range(rng.randint(1, 60)))
+            network = Network(
+                tuple(map(Region, "abcd")),
+                tuple(
+                    Interconnector(
+                        a + b, a, b, rng.choice([0.0, 1.0, 700.0, 1e6]), rng.uniform(0, 0.2)
+                    )
+                    for a, b in ("ab", "bc", "cd", "ad")
+                ),
+                tuple(
+                    PriceSeries(r, ((t, rng.uniform(-50, 200)) for t in horizon))
+                    for r in "abcd"
+                ),
+            )
+        horizon = network.price_series[0].timesteps
+        rated = {
+            link.id: CapacityProfile(link.id, ((t, link.capacity_mw) for t in horizon))
+            for link in network.interconnectors
+        }
+        bias, duration_h = BiasPolicy(rng.choice([0.0, 2.5])), rng.choice([1.0, 0.25])
+        profiled = schedule_portfolio(network, rated, bias, duration_h)
+        rated_by_default = schedule_portfolio(network, None, bias, duration_h)
+        assert profiled == rated_by_default
+        for fmt in ("csv", "structured"):
+            assert write_report(profiled, fmt) == write_report(rated_by_default, fmt)
 
     def test_grand_total_is_summed_left_to_right(self):
         # link totals 1e16, 1.0, 1.0 in id order; a compensated sum adds 2
