@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .arbitrage import BiasPolicy, Direction, optimal_flow
 from .dataio import (
+    _read_network,
     default_data_dir,
     load_case_study,
     load_network,
@@ -57,30 +58,85 @@ def _build_parser() -> argparse.ArgumentParser:
             "inter-area price spreads."
         ),
     )
-    sub = parser.add_subparsers(required=True, metavar="command")
-
-    p = sub.add_parser(
-        "evaluate", help="optimal flow for one link at one timestep"
+    # Each option is declared once; a command takes the groups it reads, and no other.
+    groups = [argparse.ArgumentParser(add_help=False) for _ in range(5)]
+    inputs, bias, timestep, out, fmt = groups
+    inputs.add_argument(
+        "--network",
+        type=Path,
+        default=None,
+        help="network config YAML (default: $HVDCARB_DATA_DIR/network.yaml "
+        "or the bundled Irish study)",
     )
-    p.add_argument("link", help="interconnector id")
-    p.add_argument(
+    inputs.add_argument(
+        "--prices",
+        type=Path,
+        default=None,
+        help="price CSV replacing the series referenced by the config",
+    )
+    inputs.add_argument(
+        "--duration-hours",
+        type=float,
+        default=1.0,
+        help="length of one timestep in hours (default 1)",
+    )
+    inputs.add_argument(
+        "--from",
+        dest="t_from",
+        type=int,
+        default=None,
+        help="first timestep of the analysis horizon",
+    )
+    inputs.add_argument(
+        "--to",
+        dest="t_to",
+        type=int,
+        default=None,
+        help="last timestep of the analysis horizon",
+    )
+    bias.add_argument(
+        "--bias",
+        type=float,
+        default=0.0,
+        help="minimum margin (EUR/MWh) required to dispatch; zero dispatches on "
+        "any positive margin, which flips the link at full power for even "
+        "negligible spreads, so set a bias to suppress low-return trades",
+    )
+    timestep.add_argument(
         "-t",
         "--timestep",
         type=int,
         default=None,
-        help="timestep to evaluate (default: the first priced for the link's regions)",
+        help="timestep to evaluate (default: the first priced for the regions used)",
     )
-    _add_common(p)
+    out.add_argument("--out", type=Path, default=None, help="write the report here")
+    fmt.add_argument(
+        "--format",
+        choices=("csv", "structured"),
+        default="csv",
+        help="report format (default csv)",
+    )
+    sub = parser.add_subparsers(required=True, metavar="command")
+
+    p = sub.add_parser(
+        "evaluate",
+        parents=[inputs, bias, timestep],
+        help="optimal flow for one link at one timestep",
+    )
+    p.add_argument("link", help="interconnector id")
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser(
-        "schedule", help="optimal dispatch of every link over the horizon"
+        "schedule",
+        parents=[inputs, bias, out, fmt],
+        help="optimal dispatch of every link over the horizon",
     )
-    _add_common(p)
     p.set_defaults(handler=_cmd_schedule)
 
     p = sub.add_parser(
-        "wheel", help="3-area wheeling feasibility and profit at one timestep"
+        "wheel",
+        parents=[inputs, timestep, out, fmt],
+        help="3-area wheeling feasibility and profit at one timestep",
     )
     p.add_argument("area1", help="origin area id")
     p.add_argument("area2", help="transit area id")
@@ -101,21 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quantity", type=float, required=True, help="MW injected at the origin"
     )
-    p.add_argument(
-        "-t",
-        "--timestep",
-        type=int,
-        default=None,
-        help="timestep to evaluate (default: the first priced for the three areas)",
-    )
-    _add_common(p)
     p.set_defaults(handler=_cmd_wheel)
 
     p = sub.add_parser(
         "case-ireland",
+        parents=[out],
         help="reproduce the bundled Irish four-link study, reported vs computed",
     )
-    p.add_argument("--out", type=Path, default=None, help="write a report here")
     p.add_argument(
         "--format",
         choices=("csv", "structured"),
@@ -126,76 +174,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plot-data",
+        parents=[inputs, bias, out],
         help="long-format CSV of per-step marginal value, dispatch, cumulative profit",
     )
-    _add_common(p)
     p.set_defaults(handler=_cmd_plotdata)
 
     return parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--network",
-        type=Path,
-        default=None,
-        help="network config YAML (default: $HVDCARB_DATA_DIR/network.yaml "
-        "or the bundled Irish study)",
-    )
-    p.add_argument(
-        "--prices",
-        type=Path,
-        default=None,
-        help="price CSV replacing the series referenced by the config",
-    )
-    p.add_argument(
-        "--bias",
-        type=float,
-        default=0.0,
-        help="minimum margin (EUR/MWh) required to dispatch; zero dispatches on "
-        "any positive margin, which flips the link at full power for even "
-        "negligible spreads, so set a bias to suppress low-return trades",
-    )
-    p.add_argument(
-        "--duration-hours",
-        type=float,
-        default=1.0,
-        help="length of one timestep in hours (default 1)",
-    )
-    p.add_argument(
-        "--from",
-        dest="t_from",
-        type=int,
-        default=None,
-        help="first timestep of the analysis horizon",
-    )
-    p.add_argument(
-        "--to",
-        dest="t_to",
-        type=int,
-        default=None,
-        help="last timestep of the analysis horizon",
-    )
-    p.add_argument("--out", type=Path, default=None, help="write the report here")
-    p.add_argument(
-        "--format",
-        choices=("csv", "structured"),
-        default="csv",
-        help="report format (default csv)",
-    )
-
-
 def _load_run_network(args) -> Network:
     path = args.network if args.network is not None else default_data_dir() / "network.yaml"
-    network = load_network(path)
-    if args.prices is not None:
-        network = network.with_prices(load_prices(args.prices).values())
+    if args.prices is None:
+        network = load_network(path)
+    else:  # the prices file the config names is not read
+        network = _read_network(path, None)[0].with_prices(load_prices(args.prices).values())
     if args.t_from is not None or args.t_to is not None:
         network = network.with_prices(
             s.restricted(args.t_from, args.t_to) for s in network.price_series
         )
-    # load_network validated the config's series, and restricting them keeps
-    # them valid; series from --prices are validated, after the restriction.
+    # load_network validated the config and its series, and restricting them
+    # keeps them valid; a config read with --prices is validated here, once.
     if args.prices is not None:
         report = validate_network(network)
         if report:
@@ -209,22 +207,22 @@ def _load_run_network(args) -> Network:
     return network
 
 
-def _pick_timestep(network: Network, requested: int | None, regions) -> int:
-    if requested is not None:
-        return requested
-    # Validated series are strictly increasing: each one starts at its minimum.
-    used = [s for s in network.price_series if s.region_id in regions and s.timesteps]
-    first = min((s.timesteps[0] for s in used), default=None)
-    if first is None:
-        raise ResolutionError(f"no priced timesteps for {', '.join(regions)}")
-    return first
-
-
-def _price_at(network: Network, region_id: str, t: int) -> float:
-    try:
-        return network.prices_for(region_id).price_at(t)
-    except KeyError:
-        raise ResolutionError(f"no price for region '{region_id}' at timestep {t}")
+def _prices_at(network: Network, requested: int | None, regions) -> tuple[int, list[float]]:
+    """The timestep (default: the first priced for ``regions``) and its prices."""
+    t = requested
+    if t is None:
+        # Validated series are strictly increasing: each one starts at its minimum.
+        used = [s for s in network.price_series if s.region_id in regions and s.timesteps]
+        t = min((s.timesteps[0] for s in used), default=None)
+        if t is None:
+            raise ResolutionError(f"no priced timesteps for {', '.join(regions)}")
+    prices = []
+    for region_id in regions:
+        try:
+            prices.append(network.prices_for(region_id).price_at(t))
+        except KeyError:
+            raise ResolutionError(f"no price for region '{region_id}' at timestep {t}")
+    return t, prices
 
 
 def _emit(args, document: str) -> None:
@@ -241,12 +239,9 @@ def _cmd_evaluate(args) -> int:
         link = network.link(args.link)
     except KeyError:
         raise ResolutionError(f"unknown link '{args.link}'")
-    t = _pick_timestep(network, args.timestep, link.endpoints())
-    p_a = _price_at(network, link.endpoint_a, t)
-    p_b = _price_at(network, link.endpoint_b, t)
+    t, prices = _prices_at(network, args.timestep, link.endpoints())
     decision = optimal_flow(
-        p_a,
-        p_b,
+        *prices,
         link.loss_fraction,
         link.capacity_mw,
         BiasPolicy(args.bias).r_b,
@@ -305,11 +300,8 @@ def _cmd_wheel(args) -> int:
         )
     except ValueError as exc:
         raise ResolutionError(f"chain does not resolve: {exc}")
-    t = _pick_timestep(network, args.timestep, (args.area1, args.area2, args.area3))
-    p1 = _price_at(network, args.area1, t)
-    p2 = _price_at(network, args.area2, t)
-    p3 = _price_at(network, args.area3, t)
-    results = evaluate_wheel(chain, p1, p2, p3, args.quantity, args.duration_hours)
+    t, prices = _prices_at(network, args.timestep, (args.area1, args.area2, args.area3))
+    results = evaluate_wheel(chain, *prices, args.quantity, args.duration_hours)
     routes = {
         WheelScenario.S123: f"{args.area1} -> {args.area2} -> {args.area3}",
         WheelScenario.S321: f"{args.area3} -> {args.area2} -> {args.area1}",

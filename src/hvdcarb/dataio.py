@@ -261,6 +261,19 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
         ValidationError: the loaded network violates a model invariant;
             the message lists every violation.
     """
+    network, prices_csv = _read_network(source, base_dir)
+    if prices_csv is not None:
+        network = network.with_prices(load_prices(prices_csv).values())
+    report = validate_network(network)
+    if report:
+        raise ValidationError(
+            "network config is invalid:\n" + "\n".join(f"- {v}" for v in report)
+        )
+    return network
+
+
+def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network, Path | None]:
+    """The config's regions and links, unvalidated, and its resolved ``prices_csv``."""
     if base_dir is None and not hasattr(source, "read"):
         base_dir = Path(source).parent
     try:
@@ -306,7 +319,6 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
             )
         )
 
-    price_series: Iterable[PriceSeries] = ()
     ref = doc.get("prices_csv")
     if ref is not None:
         if not isinstance(ref, str):
@@ -315,15 +327,8 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
             raise ParseError(
                 "config references a prices_csv but no base_dir was given"
             )
-        price_series = load_prices(Path(base_dir) / ref).values()
-
-    network = Network(tuple(regions), tuple(links)).with_prices(price_series)
-    report = validate_network(network)
-    if report:
-        raise ValidationError(
-            "network config is invalid:\n" + "\n".join(f"- {v}" for v in report)
-        )
-    return network
+        ref = Path(base_dir) / ref
+    return Network(tuple(regions), tuple(links)), ref
 
 
 def _mapping_list(value, name: str) -> list[dict]:
@@ -586,5 +591,7 @@ def _load_ledger(path: Path) -> dict:
     entries.update((f"link '{k}'", v) for k, v in links.items())
     for context, entry in entries.items():
         for key in ("reported_eur", "claim_exceeds_eur"):
-            _number(mapping(entry, context), key, f"{path}: {context}")
+            value = _number(mapping(entry, context), key, f"{path}: {context}")
+            if value is not None and not 0 <= value < math.inf:
+                raise ParseError(f"{path}: {context}: '{key}' must be finite and >= 0")
     return ledger

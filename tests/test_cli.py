@@ -8,8 +8,11 @@ import pytest
 
 from hvdcarb import Interconnector, Network, PriceSeries, Region, save_network
 from hvdcarb import cli, scheduler
+from hvdcarb.arbitrage import BiasPolicy
 from hvdcarb.cli import main
-from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir
+from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir, write_report
+from hvdcarb.scheduler import schedule_portfolio
+from hvdcarb.wheeling import WheelingChain, evaluate_wheel
 from conftest import tiny_network
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -139,6 +142,17 @@ class TestSchedule:
         code, out, _ = run(capsys, "schedule", "--prices", str(prices), "--from", "1")
         assert (code, len(calls)) == (0, 1)
         assert "grand_total_eur: 63289.0\n" in out
+
+    def test_prices_replace_a_missing_referenced_file(self, capsys, tmp_path):
+        shutil.copy(default_data_dir() / "network.yaml", tmp_path / "network.yaml")
+        prices = str(default_data_dir() / "prices.csv")
+        code, out, _ = run(capsys, "schedule", "--network", str(tmp_path / "network.yaml"),
+                           "--prices", prices)
+        assert (code, out) == run(capsys, "schedule", "--prices", prices)[:2]
+        assert code == 0
+        code, out, err = run(capsys, "schedule", "--network", str(tmp_path / "network.yaml"))
+        assert (code, out) == (2, "")
+        assert "prices.csv" in err
 
     def test_single_link_network(self, capsys, tmp_path, bundle):
         net = bundle.network
@@ -408,6 +422,13 @@ class TestCaseIreland:
             ("links: {celtic: {reported_eur: lots}}", "link 'celtic': 'reported_eur' must be"),
             ("totals: {reported_eur: true}", "'totals': 'reported_eur' must be a number"),
             ("annual: {claim_exceeds_eur: '5e8'}", "'annual': 'claim_exceeds_eur' must be"),
+            ("totals: {reported_eur: .nan}", "'totals': 'reported_eur' must be finite and >= 0"),
+            ("totals: {reported_eur: -5.0}", "'totals': 'reported_eur' must be finite and >= 0"),
+            ("totals: {reported_eur: .inf}", "'totals': 'reported_eur' must be finite and >= 0"),
+            ("links: {moyle: {reported_eur: .nan}}", "link 'moyle': 'reported_eur' must be finite"),
+            ("links: {moyle: {reported_eur: -5.0}}", "link 'moyle': 'reported_eur' must be finite"),
+            ("links: {moyle: {reported_eur: .inf}}", "link 'moyle': 'reported_eur' must be finite"),
+            ("annual: {claim_exceeds_eur: -1}", "'annual': 'claim_exceeds_eur' must be finite"),
         ],
     )
     def test_malformed_ledger_is_a_parse_error(
@@ -429,6 +450,15 @@ class TestCaseIreland:
         doc = json.loads(out_path.read_text())
         assert doc["expected"]["links"]["greenlink"]["computed_eur"] == 11500.0
         assert doc["grand_total_eur"] == 63289.0
+
+
+    def test_csv_report(self, capsys, tmp_path, bundle):
+        table = run(capsys, "case-ireland")[1]
+        out_path = tmp_path / "case.csv"
+        code, out, _ = run(capsys, "case-ireland", "--out", str(out_path), "--format", "csv")
+        assert (code, out) == (0, table + f"report written to {out_path}\n")
+        result = schedule_portfolio(bundle.network, None, BiasPolicy(0.0), 1.0)
+        assert out_path.read_text() == write_report(result, "csv")
 
 
 class TestPlotData:
@@ -464,6 +494,89 @@ class TestPlotData:
             _, link_id, _, _, running = line.split(",")
             assert float(running) >= cumulative.get(link_id, 0.0)
             cumulative[link_id] = float(running)
+
+
+WHEEL = ["wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle", "--quantity", "500"]
+
+
+def _wheel_report(network):
+    link = network.link
+    chain = WheelingChain("france", "ireland", "scotland", link("celtic"), link("moyle"), 0.01)
+    prices = (network.prices_for(a).price_at(1) for a in ("france", "ireland", "scotland"))
+    return write_report(evaluate_wheel(chain, *prices, 500.0, 2.0), "structured")
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "celtic", "-t", "1", "--out", "x"],
+            ["evaluate", "celtic", "-t", "1", "--format", "csv"],
+            [*WHEEL, "-t", "1", "--bias", "1"],
+            ["plot-data", "--format", "structured", "--out", "x"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_rejected(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments" in captured.err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, stdout, report",
+        [
+            (
+                ["evaluate", "moyle", "-t", "1", "--bias", "1"],
+                "link: moyle\ntimestep: 1\ndirection: A_to_B (ireland -> scotland)\n"
+                "quantity_mw: 500.0\nlambda_eur_mwh: 18.238\nprofit_eur: 18238.0\n",
+                None,
+            ),
+            (
+                ["schedule", "--bias", "1", "--out", "r", "--format", "structured"],
+                "links_scheduled: 4\ngrand_total_eur: 122178.0\n"
+                "annualized_eur: 535139640.0\nreport written to r\n",
+                lambda network: write_report(
+                    schedule_portfolio(network, None, BiasPolicy(1.0), 2.0), "structured"
+                ),
+            ),
+            (
+                [*WHEEL, "--transit-loss", "0.01", "-t", "1", "--out", "r", "--format",
+                 "structured"],
+                "timestep: 1\n"
+                "scenario: S123 (france -> ireland -> scotland)\n"
+                "  gate_a_eur_mwh: 18.04562\n  gate_b_eur_mwh: 44.25\n  feasible: true\n"
+                "  dispatched_mw: 500.0\n  profit_eur: 61257.996849999996\n"
+                "scenario: S321 (scotland -> ireland -> france)\n"
+                "  gate_a_eur_mwh: -53.34625\n  gate_b_eur_mwh: -20.63499999999999\n"
+                "  feasible: false\n  dispatched_mw: 0.0\n  profit_eur: 0.0\n"
+                "report written to r\n",
+                _wheel_report,
+            ),
+            (
+                ["plot-data", "--bias", "1", "--out", "r"],
+                "report written to r\n",
+                lambda network: "timestep,link_id,lambda_eur_mwh,quantity_mw,"
+                "cumulative_profit_eur\n1,celtic,43.25,700.0,60550.0\n"
+                "1,ewi,21.39,500.0,21390.0\n1,greenlink,22.0,500.0,22000.0\n"
+                "1,moyle,18.238,500.0,18238.0\n",
+            ),
+        ],
+    )
+    def test_every_flag_the_command_keeps(
+        self, capsys, tmp_path, monkeypatch, bundle, argv, stdout, report
+    ):
+        monkeypatch.chdir(tmp_path)
+        data = default_data_dir()
+        inputs = ["--network", str(data / "network.yaml"), "--prices", str(data / "prices.csv"),
+                  "--duration-hours", "2", "--from", "1", "--to", "1"]
+        assert run(capsys, *argv, *inputs) == (0, stdout, "")
+        if report is not None:
+            assert (tmp_path / "r").read_text() == report(bundle.network)
 
 
 class TestDataDirOverride:
