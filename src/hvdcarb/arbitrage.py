@@ -114,17 +114,6 @@ def _check_duration(duration_h: float) -> None:
         raise ValueError(f"duration_h must be finite, got {duration_h}")
 
 
-def _check_margins(
-    m_to_a: float, m_to_b: float, p_a: float, p_b: float, timestep: int
-) -> None:
-    # Finite prices can still overflow the spread, and an infinite margin
-    # would make an idle step's profit 0 * inf = nan.
-    if not (math.isfinite(m_to_a) and math.isfinite(m_to_b)):
-        raise ValueError(
-            f"price spread at t={timestep} is not finite: p_a={p_a}, p_b={p_b}"
-        )
-
-
 def _margins(p_a: float, p_b: float, r: float) -> tuple[float, float]:
     """Per-MWh margins (deliver-into-a, deliver-into-b), before bias."""
     return (p_a - p_b - r * p_a, p_b - p_a - r * p_b)
@@ -210,7 +199,12 @@ def optimal_flow(
         raise ValueError(f"bias must be >= 0, got {r_b}")
     _check_duration(duration_h)
     m_to_a, m_to_b = _margins(p_a, p_b, r)
-    _check_margins(m_to_a, m_to_b, p_a, p_b, timestep)
+    # Finite prices can still overflow the spread, and an infinite margin
+    # would make an idle step's profit 0 * inf = nan.
+    if not (math.isfinite(m_to_a) and math.isfinite(m_to_b)):
+        raise ValueError(
+            f"price spread at t={timestep} is not finite: p_a={p_a}, p_b={p_b}"
+        )
     lam = max(m_to_a - r_b, m_to_b - r_b, 0.0)
     if lam > 0 and x_max > 0:
         direction = Direction.B_TO_A if m_to_a >= m_to_b else Direction.A_TO_B

@@ -53,6 +53,7 @@ def _fail(exc: Exception, code: int) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hvdcarb",
+        allow_abbrev=False,
         description=(
             "Profit-optimal dispatch of lossy HVDC interconnectors from "
             "inter-area price spreads."
@@ -120,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "evaluate",
+        allow_abbrev=False,
         parents=[inputs, bias, timestep],
         help="optimal flow for one link at one timestep",
     )
@@ -128,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "schedule",
+        allow_abbrev=False,
         parents=[inputs, bias, out, fmt],
         help="optimal dispatch of every link over the horizon",
     )
@@ -135,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "wheel",
+        allow_abbrev=False,
         parents=[inputs, timestep, out, fmt],
         help="3-area wheeling feasibility and profit at one timestep",
     )
@@ -161,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "case-ireland",
+        allow_abbrev=False,
         parents=[out],
         help="reproduce the bundled Irish four-link study, reported vs computed",
     )
@@ -174,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plot-data",
+        allow_abbrev=False,
         parents=[inputs, bias, out],
         help="long-format CSV of per-step marginal value, dispatch, cumulative profit",
     )

@@ -16,7 +16,8 @@ Formats (all stable):
   byte-identical to ``json.dumps(doc, indent=2)`` of the nested dicts.
 
 Writers are deterministic: identical inputs yield byte-identical output,
-and writing what was loaded reproduces the file.
+and write -> load -> write is byte-identical. A loaded file is not always
+written back as it was: the price writer lists each region's rows in turn.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _read_text(source: Source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    stream = hasattr(source, "read")
+    try:
+        return source.read() if stream else Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "stream") if stream else source
+        raise ParseError(f"{name}: not UTF-8 text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +106,9 @@ def load_prices(source: Source) -> dict[str, PriceSeries]:
     its first bad row.
 
     Raises:
-        ParseError: bad header, malformed row, non-finite price,
-            out-of-order timesteps (with the offending line number).
+        ParseError: bad header, malformed row, over-long field, non-finite
+            price, out-of-order timesteps (with the offending line number),
+            or text that is not UTF-8 (naming the source).
         DuplicateRowError: a (timestep, region) pair repeats.
     """
     text = _read_text(source)
@@ -168,8 +173,7 @@ def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
             line=1,
         )
     steps: dict[str, list[tuple[int, float]]] = {}
-    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
-    for offset, row in enumerate(reader):
+    for offset, row in enumerate(_csv_rows(lines[1:])):
         lineno = offset + 2
         if not row:
             continue
@@ -205,6 +209,16 @@ def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
                 )
         series.append((t, price))
     return {rid: PriceSeries(rid, tuple(s)) for rid, s in steps.items()}
+
+
+def _csv_rows(body: list[str]) -> Iterable[list[str]]:
+    """The csv module's rows of the lines after the header; its errors
+    become a ParseError with the file's line number."""
+    reader = csv.reader(io.StringIO("\n".join(body)))
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(str(exc), line=reader.line_num + 1) from exc
 
 
 def prices_to_csv(series: Iterable[PriceSeries]) -> str:
@@ -576,7 +590,7 @@ def load_case_study(data_dir: str | Path | None = None) -> CaseStudyBundle:
 def _load_ledger(path: Path) -> dict:
     """The reference ledger; a ParseError names the file if it is malformed."""
     try:
-        ledger = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        ledger = yaml.load(_read_text(path), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: invalid YAML: {exc}") from exc
 

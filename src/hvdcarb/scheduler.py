@@ -12,15 +12,17 @@ each x_t over a box, so the per-step bang-bang rule of
 :func:`hvdcarb.arbitrage.optimal_flow` attains the horizon optimum.
 
 A :class:`Schedule` holds the horizon as parallel columns: timesteps,
-directions, quantities, lambdas and profits. :func:`schedule_link` checks
-its inputs and computes the link's total in one pass over the price
-columns, with the expressions of ``optimal_flow`` in the same order; the
-other four columns are built on first read, with the same values, so every
-value is bit-identical to deciding step by step. ``Schedule.decisions``
+directions, quantities, lambdas and profits. :func:`schedule_link` aligns
+and checks its inputs, then computes the link's total in one pass over the
+price columns, with the expressions of ``optimal_flow`` in the same order;
+the other four columns are built on first read, with the same values, so
+every value is bit-identical to deciding step by step. ``Schedule.decisions``
 builds the per-step :class:`~hvdcarb.arbitrage.FlowDecision` view only when
 asked. Totals are summed left to right. :func:`lp_oracle` re-solves the
 same problem by explicit per-step enumeration and exists as an independent
-check on the production path.
+check on the production path. Both reject the same inputs with the same error
+at the same step: a loss outside [0, 1), a negative or NaN capacity, a bad
+bias, a non-finite price or step length, and an overflowing spread.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
@@ -40,7 +42,6 @@ from .arbitrage import (
     Direction,
     FlowDecision,
     _check_duration,
-    _check_margins,
     optimal_flow,
 )
 from .errors import AlignmentError
@@ -236,6 +237,26 @@ def _prepare(
     return horizon, r_b, prices_a.prices, prices_b.prices, x_max
 
 
+def _check_steps(
+    horizon: tuple[int, ...], col_a: _Column, col_b: _Column, col_x: _Column,
+    r: float, r_b: float, duration_h: float,
+) -> None:
+    """Raise the error ``optimal_flow`` raises at the horizon's first invalid step."""
+    # Whole-column tests keep valid input cheap; with finite prices a step's
+    # margins are finite exactly when p_a - p_b is. When a test fails, the
+    # per-step rule is replayed: it raises at the first failing step, or
+    # passes, since an infinite cap is valid and finite columns can overflow.
+    if not (
+        0 <= r < 1
+        and r_b >= 0
+        and min(col_x, default=0.0) >= 0
+        and math.isfinite(sum(col_x))
+        and math.isfinite(sum(map(operator.sub, col_a, col_b)))
+    ):
+        for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
+            optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+
+
 def schedule_link(
     prices_a: PriceSeries,
     prices_b: PriceSeries,
@@ -249,8 +270,8 @@ def schedule_link(
     Both price series and the capacity profile must cover exactly the same
     timesteps. With no profile given, the link's rated capacity applies at
     every step. Separability makes the per-step optimum the horizon
-    optimum. Every input is checked and the total computed in one pass over
-    the horizon, with the expressions of
+    optimum. The inputs are checked as whole columns, then the total is
+    computed in one pass with the expressions of
     :func:`~hvdcarb.arbitrage.optimal_flow`; the per-step columns are built
     when first read. Every value is bit-identical to deciding step by step.
 
@@ -265,30 +286,16 @@ def schedule_link(
         prices_a, prices_b, link, capacity, bias, duration_h
     )
     r = link.loss_fraction
+    _check_steps(horizon, col_a, col_b, col_x, r, r_b, duration_h)
     # The total sums the dispatched steps' profits left to right (an idle
     # step's is +0.0, which changes no sum). Margins are never -0.0, so the
-    # zero floor of max(a, b, 0.0) only decides dispatch. ``spread`` is for
-    # the test below.
-    total = spread = 0.0
+    # zero floor of max(a, b, 0.0) only decides dispatch.
+    total = 0.0
     for p_a, p_b, x in zip(col_a, col_b, col_x):
-        m_a = p_a - p_b - r * p_a
-        m_b = p_b - p_a - r * p_b
-        spread += m_a + m_b
-        lam = b if (b := m_b - r_b) > (a := m_a - r_b) else a
+        a, b = p_a - p_b - r * p_a - r_b, p_b - p_a - r * p_b - r_b
+        lam = b if b > a else a
         if lam > 0.0 and x > 0.0:
             total += x * duration_h * lam
-    # Whole-column tests keep valid input cheap. When one fails, replaying
-    # the per-step rule raises its error at the first failing step; it may
-    # also pass, since an infinite cap is valid and finite columns can
-    # overflow their sums.
-    if not (
-        0 <= r < 1
-        and r_b >= 0
-        and min(col_x, default=0.0) >= 0
-        and math.isfinite(sum(col_x) + spread)
-    ):
-        for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
-            optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
     schedule = Schedule.__new__(Schedule)
     schedule.__dict__.update(
         interconnector_id=link.id,
@@ -394,8 +401,8 @@ def lp_oracle(
     Despite its name it solves no LP. The objective is linear in x_t, so
     only the two box corners of each step can be optimal; this solver
     evaluates both explicitly instead of trusting the bang-bang rule, and
-    must agree with :func:`schedule_link` decision for decision. Intended
-    as a test oracle for small horizons, not the production path.
+    must agree with :func:`schedule_link` step for step, errors included.
+    Intended as a test oracle for small horizons, not the production path.
     """
     horizon, r_b, col_a, col_b, col_x = _prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
@@ -404,13 +411,12 @@ def lp_oracle(
         raise ValueError(
             f"lp_oracle is limited to {_ORACLE_MAX_STEPS} steps, got {len(horizon)}"
         )
-
     r = link.loss_fraction
+    _check_steps(horizon, col_a, col_b, col_x, r, r_b, duration_h)
     decisions = []
     for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a
         raw_to_b = p_b - p_a - r * p_b
-        _check_margins(raw_to_a, raw_to_b, p_a, p_b, t)
         lam = max(raw_to_a - r_b, raw_to_b - r_b, 0.0)
         # Enumerate the two box corners; keep the strictly better one.
         best_x = 0.0

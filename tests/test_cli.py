@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import csv
 import json
 import math
 import shutil
@@ -528,6 +529,23 @@ class TestOptions:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--form", "structured", "--o", "x"],
+            ["plot-data", "--f", "1", "--t", "1", "--out", "x"],
+            ["evaluate", "celtic", "--time", "1"],
+            [*WHEEL[:-2], "--quant", "500", "-t", "1", "--out", "x"],
+        ],
+    )
+    def test_an_abbreviated_flag_is_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "argv, stdout, report",
         [
             (
@@ -577,6 +595,26 @@ class TestOptions:
         assert run(capsys, *argv, *inputs) == (0, stdout, "")
         if report is not None:
             assert (tmp_path / "r").read_text() == report(bundle.network)
+
+
+class TestUnreadableInput:
+    def test_over_long_csv_field_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"{PRICE_CSV_HEADER}\n1,a,10.0\n1,{'x' * 200_000},5.0\n")
+        code, out, err = run(capsys, "schedule", "--prices", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 3: field larger than field limit ({csv.field_size_limit()})\n"
+
+    @pytest.mark.parametrize("name", ["prices.csv", "network.yaml", "expected.yaml"])
+    def test_a_byte_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path, monkeypatch, name):
+        for each in ("network.yaml", "prices.csv", "expected.yaml"):
+            shutil.copy(default_data_dir() / each, tmp_path / each)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        monkeypatch.setenv("HVDCARB_DATA_DIR", str(tmp_path))
+        code, out, err = run(capsys, "case-ireland")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
 
 
 class TestDataDirOverride:

@@ -256,12 +256,16 @@ class TestBulkIngestMatchesRowByRow:
             assert repr(got[rid].timesteps) == repr(timesteps)
             assert repr(got[rid].prices) == repr(prices)
 
-    def test_over_long_field_is_left_to_the_csv_module(self):
-        text = _csv("0,a" + "a" * csv.field_size_limit() + ",1.0")
+    def test_over_long_field_is_a_parse_error_with_its_line(self):
+        text = _csv("0,a,1.0", "1,a" + "a" * csv.field_size_limit() + ",1.0")
         with pytest.raises(csv.Error):
-            row_by_row_prices(text)
-        with pytest.raises(csv.Error):
+            row_by_row_prices(text)  # the csv module refuses the field
+        with pytest.raises(ParseError) as err:
             load_prices(io.StringIO(text))
+        assert err.value.line == 3
+        assert str(err.value) == (
+            f"line 3: field larger than field limit ({csv.field_size_limit()})"
+        )
 
     def test_loaded_series_equal_series_built_from_steps(self):
         got = load_prices(io.StringIO(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "1,b,4.0")))
@@ -726,6 +730,39 @@ class TestStructuredReportMatchesJsonDumps:
         results = evaluate_wheel(make_chain(), 50, 75, 100, 100)
         want = reference_structured_report(results)
         assert write_report(results, "structured") == want
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a ParseError naming the file."""
+
+    def assert_names(self, err, path):
+        assert str(err.value).startswith(f"{path}: not UTF-8 text: ")
+
+    def test_price_csv(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(CASE_CSV.encode() + b"2,ireland\xff,1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_prices(path)
+        self.assert_names(err, path)
+        stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+        with pytest.raises(ParseError, match="^stream: not UTF-8 text: "):
+            load_prices(stream)
+
+    def test_network_yaml(self, tmp_path):
+        path = tmp_path / "network.yaml"
+        save_network(tiny_network(), path)
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        with pytest.raises(ParseError) as err:
+            load_network(path)
+        self.assert_names(err, path)
+
+    def test_expected_ledger(self, tmp_path, bundle):
+        save_network(bundle.network, tmp_path / "network.yaml")
+        path = tmp_path / "expected.yaml"
+        path.write_bytes(b"totals: {reported_eur: 1.0}\n# \xff\n")
+        with pytest.raises(ParseError) as err:
+            load_case_study(tmp_path)
+        self.assert_names(err, path)
 
 
 class TestCaseStudyBundle:

@@ -280,38 +280,56 @@ def link_problems(draw):
     return a, b, link, capacity, bias, duration_h
 
 
+def per_step_cases(test):
+    """Hypothesis setup shared by the per-step tests of both solvers."""
+    for problem in (
+        link_problem([-20.0], [-20.0], r=0.5),  # tie: delivers into a
+        link_problem([100.0], [50.0], caps=[-0.0]),
+        link_problem([98.0], [50.0], caps=[244.0], duration_h=0.3),
+        link_problem([1e308], [-1e308], caps=[0.0]),  # spread overflows
+        link_problem([1e308], [-1e308], bias=SimpleNamespace(r_b=math.inf)),
+        link_problem([100.0], [50.0], bias=SimpleNamespace(r_b=-1.0)),
+        link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[-1.0, 5.0]),
+        link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[5.0, -1.0]),
+        link_problem([], [], r=math.nan, bias=SimpleNamespace(r_b=-1.0)),
+        link_problem([100.0], [50.0], r=1.5),
+        link_problem([100.0], [50.0], caps=[-5.0]),
+    ):
+        test = example(problem)(test)
+    return settings(max_examples=300)(given(link_problems())(test))
+
+
+def assert_matches_per_step_rule(solve, problem):
+    """``solve`` raises what the per-step rule raises, or returns its columns."""
+    try:
+        expected = per_step_schedule(*problem)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            solve(*problem)
+        assert str(err.value) == str(exc)
+        return
+    got = solve(*problem)
+    for column in (
+        "interconnector_id",
+        "timesteps",
+        "directions",
+        "quantities",
+        "lambdas",
+        "profits",
+        "total_profit",
+    ):
+        assert repr(getattr(got, column)) == repr(getattr(expected, column))
+    assert repr(got.decisions) == repr(expected.decisions)
+
+
 class TestColumnCoreMatchesPerStepRule:
-    @settings(max_examples=300)
-    @given(link_problems())
-    @example(link_problem([-20.0], [-20.0], r=0.5))  # tie: delivers into a
-    @example(link_problem([100.0], [50.0], caps=[-0.0]))
-    @example(link_problem([98.0], [50.0], caps=[244.0], duration_h=0.3))
-    @example(link_problem([1e308], [-1e308], caps=[0.0]))  # spread overflows
-    @example(link_problem([1e308], [-1e308], bias=SimpleNamespace(r_b=math.inf)))
-    @example(link_problem([100.0], [50.0], bias=SimpleNamespace(r_b=-1.0)))
-    @example(link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[-1.0, 5.0]))
-    @example(link_problem([100.0, 50.0], [50.0, 50.0], r=1.0, caps=[5.0, -1.0]))
-    @example(link_problem([], [], r=math.nan, bias=SimpleNamespace(r_b=-1.0)))
+    @per_step_cases
     def test_columns_errors_and_decisions_bit_for_bit(self, problem):
-        try:
-            expected = per_step_schedule(*problem)
-        except ValueError as exc:
-            with pytest.raises(type(exc)) as err:
-                schedule_link(*problem)
-            assert str(err.value) == str(exc)
-            return
-        got = schedule_link(*problem)
-        for column in (
-            "interconnector_id",
-            "timesteps",
-            "directions",
-            "quantities",
-            "lambdas",
-            "profits",
-            "total_profit",
-        ):
-            assert repr(getattr(got, column)) == repr(getattr(expected, column))
-        assert repr(got.decisions) == repr(expected.decisions)
+        assert_matches_per_step_rule(schedule_link, problem)
+
+    @per_step_cases
+    def test_oracle_rejects_what_the_scheduler_rejects(self, problem):
+        assert_matches_per_step_rule(lp_oracle, problem)
 
 
 def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
