@@ -14,6 +14,11 @@ optimal dispatch is bang-bang: either nothing or the full capacity.
 
 A bias (minimum margin in EUR/MWh) filters out low-return transactions
 that would otherwise cause the link to chatter at full power for cents.
+
+:func:`optimal_flow` is the one implementation of this per-step rule:
+:func:`marginal_value`, :func:`pairwise_profit` and
+:func:`pairwise_profit_biased` return fields of its decision and raise the
+``ValueError`` it raises for the same arguments.
 """
 
 from __future__ import annotations
@@ -114,19 +119,12 @@ def _check_duration(duration_h: float) -> None:
         raise ValueError(f"duration_h must be finite, got {duration_h}")
 
 
-def _margins(p_a: float, p_b: float, r: float) -> tuple[float, float]:
-    """Per-MWh margins (deliver-into-a, deliver-into-b), before bias."""
-    return (p_a - p_b - r * p_a, p_b - p_a - r * p_b)
-
-
 def marginal_value(p_i: float, p_j: float, r: float) -> float:
     """Per-MWh value of the link: best direction's margin, floored at zero.
 
     max(p_i - p_j - r*p_i, p_j - p_i - r*p_j, 0)
     """
-    _check_loss(r)
-    m_to_i, m_to_j = _margins(p_i, p_j, r)
-    return max(m_to_i, m_to_j, 0.0)
+    return optimal_flow(p_i, p_j, r, 0.0).marginal_value
 
 
 def pairwise_profit(
@@ -135,11 +133,8 @@ def pairwise_profit(
     """Profit (EUR) of dispatching x MW for duration_h hours, best direction.
 
     Never negative: an unprofitable link is simply not operated.
-
-    Raises:
-        ValueError: x < 0 or r outside [0, 1).
     """
-    return pairwise_profit_biased(p_i, p_j, r, x, 0.0, duration_h)
+    return optimal_flow(p_i, p_j, r, x, 0.0, duration_h).profit
 
 
 def pairwise_profit_biased(
@@ -155,13 +150,7 @@ def pairwise_profit_biased(
     x * duration_h * max(p_i - p_j - r*p_i - r_b, p_j - p_i - r*p_j - r_b, 0).
     With r_b = 0 this is exactly :func:`pairwise_profit`.
     """
-    if not (x >= 0):
-        raise ValueError(f"dispatch quantity must be >= 0, got {x}")
-    _check_loss(r)
-    if not (r_b >= 0):
-        raise ValueError(f"bias must be >= 0, got {r_b}")
-    m_to_i, m_to_j = _margins(p_i, p_j, r)
-    return x * duration_h * max(m_to_i - r_b, m_to_j - r_b, 0.0)
+    return optimal_flow(p_i, p_j, r, x, r_b, duration_h).profit
 
 
 def optimal_flow(
@@ -198,7 +187,8 @@ def optimal_flow(
     if not (r_b >= 0):
         raise ValueError(f"bias must be >= 0, got {r_b}")
     _check_duration(duration_h)
-    m_to_a, m_to_b = _margins(p_a, p_b, r)
+    # per-MWh margins (deliver into a, deliver into b), before bias
+    m_to_a, m_to_b = p_a - p_b - r * p_a, p_b - p_a - r * p_b
     # Finite prices can still overflow the spread, and an infinite margin
     # would make an idle step's profit 0 * inf = nan.
     if not (math.isfinite(m_to_a) and math.isfinite(m_to_b)):

@@ -194,18 +194,17 @@ def _load_run_network(args) -> Network:
         network = load_network(path)
     else:  # the prices file the config names is not read
         network = _read_network(path, None)[0].with_prices(load_prices(args.prices).values())
-    if args.t_from is not None or args.t_to is not None:
-        network = network.with_prices(
-            s.restricted(args.t_from, args.t_to) for s in network.price_series
-        )
-    # load_network validated the config and its series, and restricting them
-    # keeps them valid; a config read with --prices is validated here, once.
-    if args.prices is not None:
+        # validated here, once, as load_network validates the config's own
+        # prices: before --from/--to, which keep valid series valid
         report = validate_network(network)
         if report:
             raise ValidationError(
                 "inputs are invalid:\n" + "\n".join(f"- {v}" for v in report)
             )
+    if args.t_from is not None or args.t_to is not None:
+        network = network.with_prices(
+            s.restricted(args.t_from, args.t_to) for s in network.price_series
+        )
     if not (args.duration_hours > 0):
         raise ValueError(f"--duration-hours must be > 0, got {args.duration_hours}")
     if args.duration_hours == math.inf:

@@ -411,6 +411,12 @@ def lp_oracle(
         raise ValueError(
             f"lp_oracle is limited to {_ORACLE_MAX_STEPS} steps, got {len(horizon)}"
         )
+    from fractions import Fraction  # here, so that importing hvdcarb never imports it
+
+    def exact_profit(x: float, lam: float) -> float | Fraction:
+        """x * duration_h * lam unrounded, so a tiny product is not 0."""
+        return x * lam if math.isinf(x) else Fraction(x) * Fraction(duration_h) * Fraction(lam)
+
     r = link.loss_fraction
     _check_steps(horizon, col_a, col_b, col_x, r, r_b, duration_h)
     decisions = []
@@ -421,7 +427,7 @@ def lp_oracle(
         # Enumerate the two box corners; keep the strictly better one.
         best_x = 0.0
         for x in (0.0, x_max):
-            if x * duration_h * lam > best_x * duration_h * lam:
+            if exact_profit(x, lam) > exact_profit(best_x, lam):
                 best_x = x
         if best_x > 0:
             # direction ties on the pre-bias margins resolve into endpoint a

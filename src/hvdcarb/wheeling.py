@@ -107,10 +107,15 @@ def wheel_profit_123(
     """End-to-end profit (EUR) of wheeling x MW from area 1 to area 3.
 
     Raw formula value: negative on an infeasible instance.
+
+    Raises:
+        ValueError: a loss outside [0, 1), x < 0, or duration_h not finite
+            and > 0.
     """
     _check_losses(r1, r2, c)
     if not (x >= 0):
         raise ValueError(f"dispatch quantity must be >= 0, got {x}")
+    _check_duration(duration_h)
     return (p3 * (1 - r1) * (1 - r2) * (1 - c) - p1) * x * duration_h
 
 

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvdcarb import (
@@ -276,3 +276,121 @@ class TestBruteForceOracle:
             got = optimal_flow(p_a, p_b, r, x_max).profit
             want = best_first_principles(p_a, p_b, r, x_max)
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def reference_margins(p_a, p_b, r):
+    """The per-step formulas as they were written before optimal_flow was
+    their one implementation, kept as the reference for valid input."""
+    return (p_a - p_b - r * p_a, p_b - p_a - r * p_b)
+
+
+def reference_marginal_value(p_i, p_j, r):
+    m_to_i, m_to_j = reference_margins(p_i, p_j, r)
+    return max(m_to_i, m_to_j, 0.0)
+
+
+def reference_pairwise_profit_biased(p_i, p_j, r, x, r_b, duration_h=1.0):
+    m_to_i, m_to_j = reference_margins(p_i, p_j, r)
+    return x * duration_h * max(m_to_i - r_b, m_to_j - r_b, 0.0)
+
+
+def reference_pairwise_profit(p_i, p_j, r, x, duration_h=1.0):
+    return reference_pairwise_profit_biased(p_i, p_j, r, x, 0.0, duration_h)
+
+
+# |p| <= 1e300 keeps every spread finite; ints and signed zeros come up too
+_finite_prices = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, -20.0, 50.0, 100.0]),
+    st.integers(-1000, 1000),
+    st.floats(-1e300, 1e300),
+)
+_valid_quantities = st.sampled_from([0.0, -0.0, 700.0]) | st.floats(0, 1e300)
+
+# Arguments the three scalar entry points share, and what each one takes.
+_VALID = {"p_i": 100.0, "p_j": 50.0, "r": 0.0575, "x": 700.0, "r_b": 0.0, "duration_h": 1.0}
+_SCALAR_RULES = (
+    (marginal_value, ("p_i", "p_j", "r")),
+    (pairwise_profit, ("p_i", "p_j", "r", "x", "duration_h")),
+    (pairwise_profit_biased, ("p_i", "p_j", "r", "x", "r_b", "duration_h")),
+)
+_INVALID = (
+    {"p_i": math.nan},
+    {"p_j": math.nan},
+    {"p_i": math.inf},
+    {"p_i": -math.inf},
+    {"p_j": math.inf},
+    {"p_i": 1e308, "p_j": -1e308},
+    {"duration_h": 0.0},
+    {"duration_h": -1.0},
+    {"duration_h": math.nan},
+    {"duration_h": math.inf},
+    {"x": -1.0},
+    {"r": 1.0},
+    {"r_b": -1.0},
+)
+
+
+class TestScalarRuleIsOptimalFlow:
+    @settings(max_examples=500)
+    @given(
+        p_i=_finite_prices,
+        p_j=_finite_prices,
+        r=st.floats(0, 1, exclude_max=True),
+        x=_valid_quantities,
+        r_b=st.floats(min_value=0),
+        duration_h=st.floats(0, 1e6, exclude_min=True),
+    )
+    @example(p_i=-10, p_j=-10, r=0.5, x=100.0, r_b=0.0, duration_h=1.0)  # tie
+    @example(p_i=-0.0, p_j=0.0, r=0.0, x=5.0, r_b=0.0, duration_h=0.25)
+    @example(p_i=100.0, p_j=50.0, r=0.0575, x=700.0, r_b=44.25, duration_h=1.0)
+    def test_valid_input_gives_the_reference_values(self, p_i, p_j, r, x, r_b, duration_h):
+        assert repr(marginal_value(p_i, p_j, r)) == repr(reference_marginal_value(p_i, p_j, r))
+        profits = (
+            (
+                pairwise_profit(p_i, p_j, r, x, duration_h),
+                reference_pairwise_profit(p_i, p_j, r, x, duration_h),
+            ),
+            (
+                pairwise_profit_biased(p_i, p_j, r, x, r_b, duration_h),
+                reference_pairwise_profit_biased(p_i, p_j, r, x, r_b, duration_h),
+            ),
+        )
+        for got, want in profits:
+            if math.copysign(1.0, x) < 0:  # x = -0.0 dispatches nothing: a zero
+                assert got == want == 0.0
+            else:
+                assert repr(got) == repr(want)
+
+    def test_infinite_quantity_on_an_idle_link_earns_zero(self):
+        # x * duration_h * 0.0 would be nan; an idle link dispatches 0.0 MW
+        assert repr(pairwise_profit(50.0, 50.0, 0.0, math.inf)) == "0.0"
+        assert pairwise_profit(100.0, 50.0, 0.0, math.inf) == math.inf
+
+    @pytest.mark.parametrize(
+        "function, params, invalid",
+        [
+            pytest.param(
+                function,
+                params,
+                invalid,
+                id=f"{function.__name__}-" + ",".join(f"{k}={v}" for k, v in invalid.items()),
+            )
+            for function, params in _SCALAR_RULES
+            for invalid in _INVALID
+            if invalid.keys() <= set(params)
+        ],
+    )
+    def test_rejects_what_optimal_flow_rejects(self, function, params, invalid):
+        args = {name: invalid.get(name, _VALID[name]) for name in params}
+        with pytest.raises(ValueError) as want:
+            optimal_flow(
+                args["p_i"],
+                args["p_j"],
+                args["r"],
+                args.get("x", 0.0),
+                args.get("r_b", 0.0),
+                args.get("duration_h", 1.0),
+            )
+        with pytest.raises(ValueError) as got:
+            function(**args)
+        assert str(got.value) == str(want.value)

@@ -144,6 +144,23 @@ class TestSchedule:
         assert (code, len(calls)) == (0, 1)
         assert "grand_total_eur: 63289.0\n" in out
 
+    def test_prices_are_validated_before_the_horizon_is_restricted(self, capsys, tmp_path):
+        # b is not priced at t=0, which --from 1 would cut from both series
+        network = Network(
+            (Region("a"), Region("b")),
+            (Interconnector("ab", "a", "b", 100.0, 0.0),),
+            (
+                PriceSeries("a", ((0, 10.0), (1, 30.0), (2, 50.0))),
+                PriceSeries("b", ((1, 20.0), (2, 1.0))),
+            ),
+        )
+        save_network(network, tmp_path / "n.yaml")
+        config = ("schedule", "--network", str(tmp_path / "n.yaml"), "--from", "1")
+        for argv in (config, (*config, "--prices", str(tmp_path / "prices.csv"))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "price series 'b' horizon (2 steps) differs from linked region 'a'" in err
+
     def test_prices_replace_a_missing_referenced_file(self, capsys, tmp_path):
         shutil.copy(default_data_dir() / "network.yaml", tmp_path / "network.yaml")
         prices = str(default_data_dir() / "prices.csv")

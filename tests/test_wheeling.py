@@ -21,6 +21,12 @@ from hvdcarb import (
 
 positive_prices = st.floats(min_value=0.1, max_value=200)
 losses = st.floats(min_value=0, max_value=0.2)
+BAD_DURATIONS = [
+    (math.nan, "duration_h must be > 0, got nan"),
+    (0.0, "duration_h must be > 0, got 0.0"),
+    (-1.0, "duration_h must be > 0, got -1.0"),
+    (math.inf, "duration_h must be finite, got inf"),
+]
 
 
 def make_chain(r1=0.02, r2=0.02, c=0.01, cap1=1000.0, cap2=1000.0):
@@ -84,6 +90,13 @@ class TestProfit123:
         with pytest.raises(ValueError):
             wheel_profit_123(50, 100, 0.02, 0.02, 0.01, -1)
 
+    @pytest.mark.parametrize("profit", [wheel_profit_123, wheel_profit_321])
+    @pytest.mark.parametrize("duration_h, message", BAD_DURATIONS)
+    def test_bad_duration_rejected(self, profit, duration_h, message):
+        # a negative duration used to flip the sign of a losing wheel
+        with pytest.raises(ValueError, match=message):
+            profit(100, 50, 0, 0, 0, 10, duration_h)
+
 
 class TestScenario321Mirrors:
     def test_mirrored_rising_chain(self):
@@ -140,15 +153,7 @@ class TestEvaluateWheel:
         with pytest.raises(ValueError):
             evaluate_wheel(make_chain(), 50, 75, 100, -1)
 
-    @pytest.mark.parametrize(
-        "duration_h, message",
-        [
-            (math.nan, "duration_h must be > 0, got nan"),
-            (0.0, "duration_h must be > 0, got 0.0"),
-            (-1.0, "duration_h must be > 0, got -1.0"),
-            (math.inf, "duration_h must be finite, got inf"),
-        ],
-    )
+    @pytest.mark.parametrize("duration_h, message", BAD_DURATIONS)
     def test_bad_duration_rejected(self, duration_h, message):
         with pytest.raises(ValueError, match=message):
             evaluate_wheel(make_chain(), 50, 75, 100, 100, duration_h)
