@@ -177,12 +177,12 @@ def optimal_flow(
     combined profit expression.
 
     Raises:
-        ValueError: x_max < 0, r outside [0, 1), r_b < 0, duration_h not
-            finite and > 0, or a margin that is not finite (the prices'
-            spread overflows, or a price is not finite).
+        ValueError: x_max not finite and >= 0, r outside [0, 1), r_b < 0,
+            duration_h not finite and > 0, or a margin that is not finite
+            (the prices' spread overflows, or a price is not finite).
     """
-    if not (x_max >= 0):
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    if not (0 <= x_max < math.inf):
+        raise ValueError(f"x_max must be finite and >= 0, got {x_max}")
     _check_loss(r)
     if not (r_b >= 0):
         raise ValueError(f"bias must be >= 0, got {r_b}")

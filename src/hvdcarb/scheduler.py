@@ -20,9 +20,10 @@ every value is bit-identical to deciding step by step. ``Schedule.decisions``
 builds the per-step :class:`~hvdcarb.arbitrage.FlowDecision` view only when
 asked. Totals are summed left to right. :func:`lp_oracle` re-solves the
 same problem by explicit per-step enumeration and exists as an independent
-check on the production path. Both reject the same inputs with the same error
-at the same step: a loss outside [0, 1), a negative or NaN capacity, a bad
-bias, a non-finite price or step length, and an overflowing spread.
+check on the production path. Neither states a step rule of its own: both
+raise the error ``optimal_flow`` raises at the first step it rejects, for a
+loss outside [0, 1), a negative or non-finite capacity, a bad bias, a
+non-finite price or step length, or an overflowing spread.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
@@ -74,7 +75,6 @@ class Schedule:
 
     Entry i of ``directions``, ``quantities`` (MW), ``lambdas`` (EUR/MWh
     after any bias) and ``profits`` (EUR) belongs to ``timesteps[i]``.
-    :meth:`from_decisions` builds a schedule from per-step decisions and
     :attr:`decisions` is the per-step view.
 
     A schedule from :func:`schedule_link` builds those four columns on first
@@ -106,25 +106,6 @@ class Schedule:
         self.__dict__.update(zip(_STEP_COLUMNS, _schedule_columns(*inputs)))
         self.__dict__.pop("_inputs", None)
         return self.__dict__[name]
-
-    @classmethod
-    def from_decisions(
-        cls,
-        interconnector_id: str,
-        decisions: Iterable[FlowDecision],
-        total_profit: float,
-    ) -> "Schedule":
-        """Schedule whose columns are the fields of ``decisions``, in order."""
-        decisions = tuple(decisions)
-        return cls(
-            interconnector_id,
-            tuple(d.timestep for d in decisions),
-            tuple(d.direction for d in decisions),
-            tuple(d.quantity_mw for d in decisions),
-            tuple(d.marginal_value for d in decisions),
-            tuple(d.profit for d in decisions),
-            total_profit,
-        )
 
     def rows(self) -> Iterator[tuple[int, Direction, float, float, float]]:
         """``(timestep, direction, quantity_mw, lambda, profit)`` per step."""
@@ -219,17 +200,11 @@ def _prepare(
             f"capacity '{capacity_name}'": capacity_timesteps,
         }
     )
-    # A series without (memoised) violations has increasing timesteps and
-    # finite prices.
+    # A series without (memoised) violations has increasing timesteps; its
+    # prices are checked step by step, with the other step values.
     if prices_a.violations() or prices_b.violations():
         if any(t1 <= t0 for t0, t1 in zip(horizon, horizon[1:])):
             raise AlignmentError("horizon timesteps must be strictly increasing")
-        for s in (prices_a, prices_b):
-            for t, p in zip(s.timesteps, s.prices):
-                if not math.isfinite(p):
-                    raise ValueError(
-                        f"price series '{s.region_id}': non-finite price {p} at t={t}"
-                    )
     if capacity is None:
         x_max = (float(link.capacity_mw),) * len(horizon)
     else:
@@ -242,10 +217,10 @@ def _check_steps(
     r: float, r_b: float, duration_h: float,
 ) -> None:
     """Raise the error ``optimal_flow`` raises at the horizon's first invalid step."""
-    # Whole-column tests keep valid input cheap; with finite prices a step's
-    # margins are finite exactly when p_a - p_b is. When a test fails, the
-    # per-step rule is replayed: it raises at the first failing step, or
-    # passes, since an infinite cap is valid and finite columns can overflow.
+    # Whole-column tests keep valid input cheap: p_a - p_b is finite only for
+    # finite prices, and then a step's margins are finite exactly when it is.
+    # When a test fails, the per-step rule is replayed: it raises at the first
+    # failing step, or passes, since finite columns can overflow their sum.
     if not (
         0 <= r < 1
         and r_b >= 0
@@ -277,10 +252,10 @@ def schedule_link(
 
     Raises:
         AlignmentError: the three sources cover different timesteps.
-        ValueError: the series do not belong to the link's endpoints, a
-            price or the step duration is not finite, or a step is invalid
-            (the error :func:`~hvdcarb.arbitrage.optimal_flow` raises at
-            the first such step).
+        ValueError: the series do not belong to the link's endpoints, the
+            step duration is not finite and > 0, or a step is invalid (the
+            error :func:`~hvdcarb.arbitrage.optimal_flow` raises at the
+            first such step).
     """
     horizon, r_b, col_a, col_b, col_x = _prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
@@ -354,6 +329,8 @@ def schedule_portfolio(
     Raises:
         AlignmentError: a link's sources do not align; names the link.
         KeyError: a link endpoint has no price series.
+        ValueError: a link's inputs are invalid (see :func:`schedule_link`),
+            or the network has links and an empty horizon to annualise.
     """
     capacities = capacities or {}
     calls = []
@@ -371,13 +348,12 @@ def schedule_portfolio(
         calls.append(call)
     schedules = [schedule_link(*call) for call in calls]
     grand_total = _sum_left_to_right(s.total_profit for s in schedules)
-    horizon_hours = 0.0
+    annualized = 0.0
     if schedules:
-        horizon_hours = len(schedules[0].timesteps) * duration_h
-    if horizon_hours > 0:
-        annualized = extrapolate_annual(grand_total / horizon_hours)
-    else:
-        annualized = 0.0
+        hours = len(schedules[0].timesteps) * duration_h
+        if not hours:
+            raise ValueError("the horizon is empty: there is no hour to annualise")
+        annualized = extrapolate_annual(grand_total / hours)
     return PortfolioResult(tuple(schedules), grand_total, annualized)
 
 
@@ -413,14 +389,14 @@ def lp_oracle(
         )
     from fractions import Fraction  # here, so that importing hvdcarb never imports it
 
-    def exact_profit(x: float, lam: float) -> float | Fraction:
+    def exact_profit(x: float, lam: float) -> Fraction:
         """x * duration_h * lam unrounded, so a tiny product is not 0."""
-        return x * lam if math.isinf(x) else Fraction(x) * Fraction(duration_h) * Fraction(lam)
+        return Fraction(x) * Fraction(duration_h) * Fraction(lam)
 
     r = link.loss_fraction
     _check_steps(horizon, col_a, col_b, col_x, r, r_b, duration_h)
-    decisions = []
-    for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
+    steps = []  # (direction, quantity, lambda, profit) per step
+    for p_a, p_b, x_max in zip(col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a
         raw_to_b = p_b - p_a - r * p_b
         lam = max(raw_to_a - r_b, raw_to_b - r_b, 0.0)
@@ -429,12 +405,10 @@ def lp_oracle(
         for x in (0.0, x_max):
             if exact_profit(x, lam) > exact_profit(best_x, lam):
                 best_x = x
+        direction = Direction.IDLE
         if best_x > 0:
             # direction ties on the pre-bias margins resolve into endpoint a
             direction = Direction.B_TO_A if raw_to_a >= raw_to_b else Direction.A_TO_B
-        else:
-            direction = Direction.IDLE
-        profit = best_x * duration_h * lam
-        decisions.append(FlowDecision(t, direction, best_x, lam, profit))
-    total = _sum_left_to_right(d.profit for d in decisions)
-    return Schedule.from_decisions(link.id, decisions, total)
+        steps.append((direction, best_x, lam, best_x * duration_h * lam))
+    columns = tuple(zip(*steps)) or ((),) * 4
+    return Schedule(link.id, horizon, *columns, _sum_left_to_right(columns[-1]))

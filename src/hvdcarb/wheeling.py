@@ -50,7 +50,12 @@ class WheelScenario(str, Enum):
 
 @dataclass(frozen=True)
 class WheelingChain:
-    """An ordered 3-area path: two HVDC links plus the transit area's loss."""
+    """An ordered 3-area path: two HVDC links plus the transit area's loss.
+
+    Each link must be valid: the first of its
+    :meth:`~hvdcarb.model.Interconnector.violations` is raised as a
+    ``ValueError``.
+    """
 
     area1: str
     area2: str
@@ -64,6 +69,10 @@ class WheelingChain:
             raise ValueError(
                 f"transit_loss_c must be in [0, 1), got {self.transit_loss_c}"
             )
+        for link in (self.link12, self.link23):
+            violations = link.violations()
+            if violations:
+                raise ValueError(violations[0])
         if not self.link12.connects(self.area1, self.area2):
             raise ValueError(
                 f"link '{self.link12.id}' does not connect "

@@ -325,6 +325,7 @@ _INVALID = (
     {"duration_h": math.nan},
     {"duration_h": math.inf},
     {"x": -1.0},
+    {"x": math.inf},
     {"r": 1.0},
     {"r_b": -1.0},
 )
@@ -361,10 +362,11 @@ class TestScalarRuleIsOptimalFlow:
             else:
                 assert repr(got) == repr(want)
 
-    def test_infinite_quantity_on_an_idle_link_earns_zero(self):
-        # x * duration_h * 0.0 would be nan; an idle link dispatches 0.0 MW
-        assert repr(pairwise_profit(50.0, 50.0, 0.0, math.inf)) == "0.0"
-        assert pairwise_profit(100.0, 50.0, 0.0, math.inf) == math.inf
+    @pytest.mark.parametrize("p_j", [50.0, 100.0])  # idle, and dispatching
+    def test_infinite_quantity_is_rejected(self, p_j):
+        # x * duration_h * lambda would be nan on an idle step, inf otherwise
+        with pytest.raises(ValueError, match=r"^x_max must be finite and >= 0, got inf$"):
+            pairwise_profit(50.0, p_j, 0.0, math.inf)
 
     @pytest.mark.parametrize(
         "function, params, invalid",

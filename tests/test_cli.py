@@ -255,10 +255,13 @@ class TestSchedule:
         assert out == ""
         assert "price spread at t=" in err and "is not finite" in err
 
-    def test_empty_horizon_total_is_a_float(self, capsys):
-        code, out, _ = run(capsys, "schedule", "--from", "7", "--to", "3")
-        assert code == 0
-        assert "grand_total_eur: 0.0\n" in out
+    def test_empty_horizon_is_a_validation_error(self, capsys, tmp_path):
+        report = tmp_path / "e.csv"
+        code, out, err = run(capsys, "schedule", "--from", "7", "--to", "3", "--out", str(report))
+        assert code == 3
+        assert out == ""
+        assert "horizon is empty" in err
+        assert not report.exists()
 
 
 class TestColumnsBuiltOnRead:
@@ -488,10 +491,11 @@ class TestPlotData:
         assert len(lines) == 5
         assert "1,celtic,44.25,700.0,30975.0" in lines
 
-    def test_empty_horizon_is_header_only(self, capsys):
-        code, out, _ = run(capsys, "plot-data", "--from", "7", "--to", "3")
-        assert code == 0
-        assert out == "timestep,link_id,lambda_eur_mwh,quantity_mw,cumulative_profit_eur\n"
+    def test_empty_horizon_is_a_validation_error(self, capsys):
+        code, out, err = run(capsys, "plot-data", "--from", "7", "--to", "3")
+        assert code == 3
+        assert out == ""
+        assert "horizon is empty" in err
 
     def test_sinusoidal_day(self, capsys, tmp_path):
         rows = []

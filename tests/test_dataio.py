@@ -14,7 +14,6 @@ from hvdcarb import (
     ConfigConflictError,
     Direction,
     DuplicateRowError,
-    FlowDecision,
     Interconnector,
     PriceSeries,
     Network,
@@ -489,12 +488,12 @@ class TestWriteReport:
         assert len(lines) == 5
 
     def test_empty_schedule_is_header_only(self):
-        doc = write_report(Schedule.from_decisions("x", (), 0.0), "csv")
+        doc = write_report(Schedule("x", (), (), (), (), (), 0.0), "csv")
         assert doc == "timestep,link_id,direction,quantity_mw,lambda_eur_mwh,profit_eur\n"
 
     def test_single_schedule_csv(self):
-        decision = FlowDecision(3, Direction.A_TO_B, 10.0, 2.5, 25.0)
-        doc = write_report(Schedule.from_decisions("ab", (decision,), 25.0), "csv")
+        schedule = Schedule("ab", (3,), (Direction.A_TO_B,), (10.0,), (2.5,), (25.0,), 25.0)
+        doc = write_report(schedule, "csv")
         assert "3,ab,A_to_B,10.0,2.5,25.0" in doc
 
     def test_wheeling_csv_schema(self):
@@ -644,15 +643,16 @@ def report_results(draw):
 
 
 def special_schedules():
-    """Every special number in every column and total, built both ways."""
-    decisions = [
-        FlowDecision(0, Direction.IDLE, -0.0, 5e-324, -0.0),
-        FlowDecision(1, Direction.A_TO_B, 1e16, math.inf, math.nan),
-        FlowDecision(2, Direction.B_TO_A, math.inf, 1e16, -math.inf),
-        FlowDecision(3, Direction.IDLE, 0.0, 0.0, 5e-324),
-    ]
+    """Every special number in every column and total."""
+    columns = (
+        (0, 1, 2, 3),
+        (Direction.IDLE, Direction.A_TO_B, Direction.B_TO_A, Direction.IDLE),
+        (-0.0, 1e16, math.inf, 0.0),  # quantities
+        (5e-324, math.inf, 1e16, 0.0),  # lambdas
+        (-0.0, math.nan, -math.inf, 5e-324),  # profits
+    )
     built = [
-        Schedule.from_decisions(link_id, decisions, total)
+        Schedule(link_id, *columns, total)
         for link_id, total in zip(HOSTILE_IDS, SPECIAL_NUMBERS)
     ]
     timesteps = (0, 1, 2)
@@ -702,8 +702,8 @@ class TestStructuredReportMatchesJsonDumps:
         [
             PortfolioResult((), 0.0, 0.0),
             PortfolioResult((), -0.0, math.inf),
-            Schedule.from_decisions("x", (), 0.0),
-            PortfolioResult((Schedule.from_decisions("x", (), 0),), 0.0, 0.0),
+            Schedule("x", (), (), (), (), (), 0.0),
+            PortfolioResult((Schedule("x", (), (), (), (), (), 0),), 0.0, 0.0),
         ],
         ids=["no-schedules", "special-totals", "empty-horizon", "empty-link"],
     )
@@ -717,9 +717,7 @@ class TestStructuredReportMatchesJsonDumps:
             "unicode": "Éire “quoted” ✓",
             "special": [math.nan, -0.0, 5e-324, 1e16],
         }
-        schedule = Schedule.from_decisions(
-            'id "q"', [FlowDecision(1, Direction.A_TO_B, 2.0, 3.0, 6.0)], 6.0
-        )
+        schedule = Schedule('id "q"', (1,), (Direction.A_TO_B,), (2.0,), (3.0,), (6.0,), 6.0)
         for result in (schedule, PortfolioResult((schedule,), 6.0, 1.0), ()):
             for expected in (ledger, {}, [], "text", None):
                 assert write_report(result, "structured", expected) == (

@@ -154,11 +154,16 @@ class TestScheduleLink:
         steps[region] = steps[region][:1] + ((2, bad),) + steps[region][2:]
         a = PriceSeries("ireland", steps["ireland"])
         b = PriceSeries("france", steps["france"])
-        with pytest.raises(
-            ValueError,
-            match=rf"price series '{region}': non-finite price {bad} at t=2",
-        ):
+        # the per-step rule's error at the same step, and no other
+        with pytest.raises(ValueError) as want:
+            optimal_flow(
+                a.price_at(2), b.price_at(2), celtic.loss_fraction, celtic.capacity_mw,
+                timestep=2,
+            )
+        assert str(want.value).startswith("price spread at t=2 is not finite")
+        with pytest.raises(ValueError) as got:
             solver(a, b, celtic)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
     @pytest.mark.parametrize("capacity", [None, (700.0, 0.0, 700.0)])
@@ -201,12 +206,14 @@ class TestScheduleLink:
 
 
 class TestScheduleColumns:
-    def test_from_decisions_round_trips(self):
+    def test_constructor_round_trips(self):
         rng = random.Random(41)
         a, b, link, caps, bias = random_link_instance(rng, max_steps=30)
         schedule = schedule_link(a, b, link, caps, bias)
-        rebuilt = Schedule.from_decisions(
-            schedule.interconnector_id, schedule.decisions, schedule.total_profit
+        rebuilt = Schedule(
+            schedule.interconnector_id,
+            *zip(*(dataclasses.astuple(d) for d in schedule.decisions)),
+            schedule.total_profit,
         )
         assert rebuilt == schedule
         assert schedule.timesteps == a.timesteps
@@ -230,8 +237,9 @@ def per_step_schedule(prices_a, prices_b, link, capacity=None, bias=None, durati
             prices_a.steps, prices_b.steps, capacity.steps
         )
     ]
-    total = functools.reduce(operator.add, (d.profit for d in decisions), 0.0)
-    return Schedule.from_decisions(link.id, decisions, total)
+    columns = tuple(zip(*map(dataclasses.astuple, decisions))) or ((),) * 5
+    total = functools.reduce(operator.add, columns[-1], 0.0)
+    return Schedule(link.id, *columns, total)
 
 
 def link_problem(p_a, p_b, r=0.0, caps=None, bias=None, duration_h=1.0, rated=100.0):
@@ -244,11 +252,13 @@ def link_problem(p_a, p_b, r=0.0, caps=None, bias=None, duration_h=1.0, rated=10
 
 
 # Few distinct prices, so that equal prices (ties, lambda == 0) and margins
-# equal to the bias come up often; +-1e308 overflow the spread.
+# equal to the bias come up often; +-1e308 overflow the spread, and a price
+# that is not finite is the per-step rule's to reject.
 _step_prices = st.one_of(
     st.sampled_from([-20.0, -0.0, 0.0, 50.0, 100.0]),
     st.floats(-500, 500),
     st.sampled_from([1e308, -1e308]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 _capacities = st.one_of(
     st.sampled_from([0.0, -0.0, 700.0, -1.0, math.nan, math.inf]),
@@ -302,6 +312,9 @@ def per_step_cases(test):
         link_problem([], [], r=math.nan, bias=SimpleNamespace(r_b=-1.0)),
         link_problem([100.0], [50.0], r=1.5),
         link_problem([100.0], [50.0], caps=[-5.0]),
+        link_problem([100.0, math.nan], [50.0, 60.0]),  # a price that is not finite
+        link_problem([100.0], [50.0], caps=[math.inf]),  # an infinite profile
+        link_problem([100.0], [-math.inf], rated=math.inf),  # the cap is checked first
         # the profit x * duration_h * lambda underflows to 0.0, yet dispatches
         link_problem([-20.0], [-20.0], r=0.0575, duration_h=0.25, rated=5e-324),
     ):
@@ -384,7 +397,8 @@ _edge_prices = st.one_of(
     st.sampled_from([8.98e307, -8.98e307, 1.7e308, -1.7e308, 5e-324, -5e-324]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_valid_capacities = st.one_of(
+# an infinite cap is rejected by both, with the per-step rule's error
+_edge_capacities = st.one_of(
     st.sampled_from([0.0, -0.0, 700.0, math.inf]), st.floats(0, 2000)
 )
 _edge_biases = st.one_of(
@@ -399,7 +413,7 @@ def edge_link_problems(draw):
     n = draw(st.integers(0, 24))
     p_a = [draw(_edge_prices) for _ in range(n)]
     p_b = [draw(_edge_prices) if draw(st.booleans()) else p for p in p_a]  # ties
-    caps = [draw(_valid_capacities) for _ in range(n)] if draw(st.booleans()) else None
+    caps = [draw(_edge_capacities) for _ in range(n)] if draw(st.booleans()) else None
     a, b, link, capacity, bias, duration_h = link_problem(
         p_a,
         p_b,
@@ -407,7 +421,7 @@ def edge_link_problems(draw):
         caps,
         draw(_edge_biases),
         draw(st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 1e3)),
-        draw(_valid_capacities),
+        draw(_edge_capacities),
     )
     if draw(st.booleans()):
         a, b = b, a
@@ -623,6 +637,15 @@ class TestPortfolio:
         assert result.annualized == 0.0
         assert result.schedules == ()
 
+    def test_empty_horizon_rejected(self, bundle):
+        # there is no hour to take the mean hourly profit of
+        network = bundle.network.with_prices(
+            s.restricted(7, 3) for s in bundle.network.price_series
+        )
+        assert all(s.timesteps == () for s in network.price_series)
+        with pytest.raises(ValueError, match="horizon is empty"):
+            schedule_portfolio(network)
+
     def test_duplicating_a_link_doubles_its_contribution(self, bundle):
         net = bundle.network
         celtic = net.link("celtic")
@@ -648,8 +671,9 @@ class TestPortfolio:
         with pytest.raises(AlignmentError, match="link 'ab'"):
             schedule_portfolio(net)
 
-    def test_every_link_is_aligned_before_any_is_scheduled(self, monkeypatch):
-        # "a1", first in id order, has a spread that overflows; "b2" is shifted
+    @pytest.mark.parametrize("p_a, p_b", [(1.7e308, -1.7e308), (math.nan, 1.0)])
+    def test_every_link_is_aligned_before_any_is_scheduled(self, monkeypatch, p_a, p_b):
+        # "a1", first in id order, has a spread that is not finite; "b2" is shifted
         net = Network(
             tuple(map(Region, "abcd")),
             (
@@ -657,8 +681,8 @@ class TestPortfolio:
                 Interconnector("b2", "c", "d", 10.0, 0.0),
             ),
             (
-                PriceSeries("a", ((1, 1.7e308),)),
-                PriceSeries("b", ((1, -1.7e308),)),
+                PriceSeries("a", ((1, p_a),)),
+                PriceSeries("b", ((1, p_b),)),
                 PriceSeries("c", ((1, 1.0),)),
                 PriceSeries("d", ((2, 1.0),)),
             ),

@@ -163,6 +163,26 @@ class TestEvaluateWheel:
         with pytest.raises(ValueError, match="does not connect"):
             WheelingChain("one", "two", "three", far, far, 0.0)
 
+    @pytest.mark.parametrize(
+        "cap1, cap2, r2, leg",
+        [
+            (math.nan, 1000.0, 0.02, "l12"),
+            (1000.0, math.inf, 0.02, "l23"),
+            (-1.0, 1000.0, 0.02, "l12"),
+            (1000.0, 1000.0, 1.0, "l23"),
+            (math.nan, math.nan, 0.02, "l12"),  # the first link's, first
+        ],
+    )
+    def test_link_with_violations_rejected(self, cap1, cap2, r2, leg):
+        # a NaN cap binds nothing (flow > nan is False): the chain must refuse it
+        link12 = Interconnector("l12", "one", "two", cap1, 0.02)
+        link23 = Interconnector("l23", "two", "three", cap2, r2)
+        first = (link12.violations() or link23.violations())[0]
+        assert f"'{leg}'" in first
+        with pytest.raises(ValueError) as err:
+            WheelingChain("one", "two", "three", link12, link23, 0.01)
+        assert str(err.value) == first
+
     def test_transit_loss_range(self):
         link12 = Interconnector("l12", "one", "two", 100.0, 0.0)
         link23 = Interconnector("l23", "two", "three", 100.0, 0.0)
