@@ -47,13 +47,14 @@ class Direction(str, Enum):
     IDLE = "Idle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowDecision:
     """Dispatch for one link at one timestep.
 
     ``marginal_value`` is the per-MWh value of the chosen direction after
     any bias, floored at zero; ``profit`` equals
-    quantity_mw * marginal_value * step duration.
+    quantity_mw * marginal_value * step duration. Instances are slotted:
+    they have no ``__dict__``.
     """
 
     timestep: int

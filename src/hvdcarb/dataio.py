@@ -25,10 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import yaml
@@ -100,10 +101,10 @@ def load_prices(source: Source) -> dict[str, PriceSeries]:
 
     The body is split, converted and checked as whole columns. Anything
     unusual (a quote, a blank line, a line without exactly three fields, a
-    value that does not convert, regions not listed in the same order at
-    every timestep, a series with violations) sends the file through
-    the row-by-row reader instead, which accepts it or raises the error of
-    its first bad row.
+    value that does not convert, regions neither listed in the same order
+    at every timestep nor each in one contiguous run, a series with
+    violations) sends the file through the row-by-row reader instead,
+    which accepts it or raises the error of its first bad row.
 
     Raises:
         ParseError: bad header, malformed row, over-long field, non-finite
@@ -137,17 +138,31 @@ def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
     fields = joined.split(",")
     del joined
     regions = list(map(str.strip, fields[1::3]))
-    # Rows that list the regions in the same order at every timestep split
-    # into per-region columns by slicing; any other order is read row by row.
+    # Each region's rows are one (start, stop, stride) slice of the rows when
+    # the regions are listed in the same order at every timestep (interleaved)
+    # or each occupy one contiguous run (blocked, as prices_to_csv writes
+    # them). Any other order is read row by row.
     order = list(dict.fromkeys(regions))
-    k = len(order)
-    if "" in order or regions != order * (len(regions) // k):
+    n, k = len(regions), len(order)
+    if "" in order:
+        return None
+    if regions == order * (n // k):
+        slices = [(i, n, k) for i in range(k)]
+    elif sum(map(operator.ne, regions, islice(regions, 1, None))) == k - 1:
+        starts = [0]
+        for rid in order[1:]:
+            starts.append(regions.index(rid, starts[-1]))
+        slices = list(zip(starts, [*starts[1:], n], repeat(1)))
+    else:
         return None
     del regions
     # Regions that list the first region's timestep strings share its column.
-    steps = [fields[3 * i :: 3 * k] for i in range(k)]
+    steps = [fields[3 * start : 3 * stop : 3 * step] for start, stop, step in slices]
     try:
-        prices = [tuple(map(float, fields[3 * i + 2 :: 3 * k])) for i in range(k)]
+        prices = [
+            tuple(map(float, fields[3 * start + 2 : 3 * stop : 3 * step]))
+            for start, stop, step in slices
+        ]
         first = tuple(map(int, steps[0]))
         timesteps = [first if s == steps[0] else tuple(map(int, s)) for s in steps]
     except ValueError:

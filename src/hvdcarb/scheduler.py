@@ -18,7 +18,9 @@ price columns, with the expressions of ``optimal_flow`` in the same order;
 the other four columns are built on first read, with the same values, so
 every value is bit-identical to deciding step by step. ``Schedule.decisions``
 builds the per-step :class:`~hvdcarb.arbitrage.FlowDecision` view only when
-asked. Totals are summed left to right. :func:`lp_oracle` re-solves the
+asked, from those columns: FlowDecision's two rules are tested once over
+whole columns, and the slotted decisions are filled from them without
+``__init__``. Totals are summed left to right. :func:`lp_oracle` re-solves the
 same problem by explicit per-step enumeration and exists as an independent
 check on the production path. Neither states a step rule of its own: both
 raise the error ``optimal_flow`` raises at the first step it rejects, for a
@@ -27,16 +29,19 @@ non-finite price or step length, or an overflowing spread.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
-link independently and sums.
+link independently and sums; its links share one horizon, which annualises
+the sum.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 
 from .arbitrage import (
     BiasPolicy,
@@ -67,6 +72,9 @@ _ORACLE_MAX_STEPS = 10_000
 _Column = tuple[float, ...]
 
 _STEP_COLUMNS = ("directions", "quantities", "lambdas", "profits")
+
+# The slot descriptors of FlowDecision's fields, in field order.
+_DECISION_SLOTS = tuple(getattr(FlowDecision, name) for name in FlowDecision.__slots__)
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,29 @@ class Schedule:
 
     @property
     def decisions(self) -> tuple[FlowDecision, ...]:
-        """One :class:`FlowDecision` per step, built anew on each access."""
-        return tuple(FlowDecision(*row) for row in self.rows())
+        """One :class:`FlowDecision` per step, built anew on each access.
+
+        FlowDecision's two rules are tested once, over whole columns, and
+        the decisions are filled slot by slot from the columns, without
+        ``__init__``. When a step breaks a rule, the decisions are
+        constructed one by one instead, which raises FlowDecision's
+        ``ValueError`` at the first such step.
+        """
+        # (quantity_mw == 0) == (direction is IDLE), and marginal_value >= 0
+        zero = map(operator.eq, self.quantities, repeat(0))
+        idle = map(operator.is_, self.directions, repeat(Direction.IDLE))
+        if not (
+            all(map(operator.eq, zero, idle))
+            and all(map(operator.ge, self.lambdas, repeat(0)))
+        ):
+            return tuple(FlowDecision(*row) for row in self.rows())
+        decisions = list(map(object.__new__, repeat(FlowDecision, len(self.timesteps))))
+        columns = (
+            self.timesteps, self.directions, self.quantities, self.lambdas, self.profits
+        )
+        for slot, column in zip(_DECISION_SLOTS, columns):
+            deque(map(slot.__set__, decisions, column), 0)  # runs the map, keeps nothing
+        return tuple(decisions)
 
 
 @dataclass(frozen=True)
@@ -285,31 +314,24 @@ def _schedule_columns(
     col_a: _Column, col_b: _Column, col_x: _Column, r: float, r_b: float, duration_h: float
 ) -> tuple[tuple[Direction, ...], _Column, _Column, _Column]:
     """Directions, quantities, lambdas and profits of a checked horizon."""
-    # max(a, b, 0.0) spelt out, as in schedule_link
-    lambdas = tuple(
-        [
-            lam if lam > 0.0 else 0.0
-            for p_a, p_b in zip(col_a, col_b)
-            for a in [p_a - p_b - r * p_a - r_b]
-            for b in [p_b - p_a - r * p_b - r_b]
-            for lam in [b if b > a else a]
-        ]
-    )
-    quantities = tuple(
-        [x if lam > 0 and x > 0 else 0.0 for lam, x in zip(lambdas, col_x)]
-    )
-    # Ties on the pre-bias margins resolve into endpoint a.
     into_a, into_b, idle = Direction.B_TO_A, Direction.A_TO_B, Direction.IDLE
-    directions = tuple(
-        [
-            (into_a if p_a - p_b - r * p_a >= p_b - p_a - r * p_b else into_b)
-            if q > 0
-            else idle
-            for q, p_a, p_b in zip(quantities, col_a, col_b)
-        ]
-    )
-    profits = tuple([q * duration_h * lam for q, lam in zip(quantities, lambdas)])
-    return directions, quantities, lambdas, profits
+    columns = directions, quantities, lambdas, profits = [], [], [], []
+    for p_a, p_b, x in zip(col_a, col_b, col_x):
+        m_a, m_b = p_a - p_b - r * p_a, p_b - p_a - r * p_b
+        a, b = m_a - r_b, m_b - r_b
+        lam = b if b > a else a
+        if lam > 0.0 and x > 0.0:
+            # Ties on the pre-bias margins resolve into endpoint a.
+            directions.append(into_a if m_a >= m_b else into_b)
+            quantities.append(x)
+            lambdas.append(lam)
+            profits.append(x * duration_h * lam)
+        else:
+            directions.append(idle)
+            quantities.append(0.0)
+            lambdas.append(lam if lam > 0.0 else 0.0)
+            profits.append(0.0)
+    return tuple(map(tuple, columns))
 
 
 def schedule_portfolio(
@@ -327,18 +349,24 @@ def schedule_portfolio(
     scheduled, so their errors come before those of a step.
 
     Raises:
-        AlignmentError: a link's sources do not align; names the link.
+        AlignmentError: a link's sources do not align, or its horizon is not
+            the first link's (the total is annualised over one horizon);
+            names the link.
         KeyError: a link endpoint has no price series.
         ValueError: a link's inputs are invalid (see :func:`schedule_link`),
             or the network has links and an empty horizon to annualise.
     """
     capacities = capacities or {}
     calls = []
+    first = {}  # the first link's horizon, by the link's name
     for link in sorted(network.interconnectors, key=lambda ln: ln.id):
         try:
             prices = tuple(map(network.prices_for, link.endpoints()))
             call = (*prices, link, capacities.get(link.id), bias, duration_h)
-            _prepare(*call)
+            name, horizon = f"link '{link.id}'", _prepare(*call)[0]
+            # The total is annualised over one horizon, so every link must share it.
+            first = first or {name: horizon}
+            _aligned_horizon({**first, name: horizon})
         except AlignmentError as exc:
             raise AlignmentError(f"link '{link.id}': {exc}", exc.missing) from exc
         except KeyError as exc:

@@ -12,6 +12,7 @@ from hvdcarb import (
     BiasPolicy,
     Direction,
     FlowDecision,
+    Schedule,
     flow_condition,
     marginal_value,
     optimal_flow,
@@ -183,6 +184,30 @@ class TestFlowDecisionInvariants:
     def test_negative_marginal_rejected(self):
         with pytest.raises(ValueError):
             FlowDecision(1, Direction.IDLE, 0.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (Direction.IDLE, 5.0, 0.0, 0.0),
+            (Direction.A_TO_B, 0.0, 1.0, 0.0),
+            (Direction.IDLE, 0.0, -1.0, 0.0),
+            (Direction.IDLE, 0.0, math.nan, 0.0),
+        ],
+        ids=["idle-with-quantity", "dispatch-without-quantity", "negative", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "later",
+        [(Direction.IDLE, 0.0, 0.0, 0.0), (Direction.IDLE, 1.0, -1.0, 0.0)],
+        ids=["then-valid", "then-breaking-both"],
+    )
+    def test_schedule_decisions_raise_at_the_first_bad_step(self, bad, later):
+        rows = [(1, Direction.B_TO_A, 700.0, 44.25, 30975.0), (2, *bad), (3, *later)]
+        with pytest.raises(ValueError) as expected:
+            FlowDecision(*rows[1])
+        schedule = Schedule("ab", *map(tuple, zip(*rows)), 30975.0)
+        with pytest.raises(ValueError) as err:
+            schedule.decisions
+        assert str(err.value) == str(expected.value)
 
     def test_bias_policy_rejects_negative(self):
         with pytest.raises(ValueError):

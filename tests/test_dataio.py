@@ -213,6 +213,9 @@ class TestBulkIngestMatchesRowByRow:
     @example(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "1,b,4.0"))  # interleaved
     @example(_csv("0,a,1.0", "1,a,3.0", "0,b,2.0", "1,b,4.0"))  # region-blocked
     @example(_csv("0,a,1.0", "1,a,3.0", "2,b,2.0", "3,b,4.0"))
+    @example(_csv("0,a,1.0", "1,a,3.0", "2,a,5.0", "0,b,2.0"))  # blocked, apart
+    @example(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0"))  # a returns after b
+    @example(_csv("1,a,1.0", "0,a,3.0", "0,b,2.0"))  # blocked, out of order
     @example(_csv("0,a,1.0", "0,b,2.0", "1,b,4.0", "1,a,3.0"))  # neither
     @example(_csv("5,a,1.0", "05,b,2.0", "6,a,3.0", "6,b,4.0"))  # same steps, spelt apart
     @example(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "2,b,4.0"))  # interleaved, apart
@@ -265,6 +268,22 @@ class TestBulkIngestMatchesRowByRow:
         assert str(err.value) == (
             f"line 3: field larger than field limit ({csv.field_size_limit()})"
         )
+
+    def test_written_file_is_read_as_columns_and_written_back_byte_identical(
+        self, monkeypatch
+    ):
+        series = [
+            PriceSeries(rid, tuple((t, t / 7 - 3.0) for t in range(start, stop)))
+            for rid, start, stop in (("a", 0, 5), ("b", 0, 5), ("c", 2, 4))
+        ]
+        text = prices_to_csv(series)
+        monkeypatch.setattr(
+            dataio, "_load_price_rows", lambda lines: pytest.fail("read row by row")
+        )
+        loaded = load_prices(io.StringIO(text))
+        assert list(loaded.values()) == series
+        assert prices_to_csv(loaded.values()) == text
+        assert loaded["a"].timesteps is loaded["b"].timesteps
 
     def test_loaded_series_equal_series_built_from_steps(self):
         got = load_prices(io.StringIO(_csv("0,a,1.0", "0,b,2.0", "1,a,3.0", "1,b,4.0")))

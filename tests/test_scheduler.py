@@ -18,6 +18,7 @@ from hvdcarb import (
     BiasPolicy,
     CapacityProfile,
     Direction,
+    FlowDecision,
     Interconnector,
     Network,
     PriceSeries,
@@ -516,6 +517,33 @@ class TestDeferredSchedule:
         schedule.profits, schedule.directions, schedule.decisions, list(schedule.rows())
         assert len(builds) == 1
 
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda d: d,
+            hash,
+            repr,
+            dataclasses.astuple,
+            lambda d: pickle.loads(pickle.dumps(d)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["eq", "hash", "repr", "astuple", "pickle", "copy", "deepcopy"],
+    )
+    def test_decisions_are_what_flow_decision_builds(self, view):
+        schedule = schedule_link(*_deferred_problem())
+        built = [FlowDecision(*row) for row in schedule.rows()]
+        got = list(map(view, schedule.decisions))
+        assert got == list(map(view, built))
+        assert repr(got) == repr(list(map(view, built)))  # signed zeros too
+
+    def test_decisions_are_slotted_and_frozen(self):
+        for decision in schedule_link(*_deferred_problem()).decisions:
+            assert type(decision) is FlowDecision
+            assert not hasattr(decision, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                decision.quantity_mw = 1.0
+
     def test_other_missing_attributes_still_raise(self):
         schedule = schedule_link(*_deferred_problem())
         with pytest.raises(AttributeError, match="no attribute 'quantity'"):
@@ -670,6 +698,37 @@ class TestPortfolio:
         )
         with pytest.raises(AlignmentError, match="link 'ab'"):
             schedule_portfolio(net)
+
+    @pytest.mark.parametrize(
+        "ab_steps, cd_steps, missing",
+        [((1,), (1, 2, 3, 4), (2, 3, 4)), ((), (1,), (1,))],
+        ids=["one-hour-and-four", "empty-and-one-hour"],
+    )
+    def test_links_with_different_horizons_are_rejected(self, ab_steps, cd_steps, missing):
+        # One horizon annualises the total. Unchecked, "ab" at t=1 and "cd" at
+        # t=1..4 earned 10 + 4 * 10 = 50.0 over one hour: 438000.0 a year.
+        net = Network(
+            tuple(map(Region, "abcd")),
+            (
+                Interconnector("ab", "a", "b", 10.0, 0.0),
+                Interconnector("cd", "c", "d", 10.0, 0.0),
+            ),
+            tuple(
+                PriceSeries(rid, tuple((t, price) for t in steps))
+                for rid, price, steps in (
+                    ("a", 11.0, ab_steps),
+                    ("b", 10.0, ab_steps),
+                    ("c", 11.0, cd_steps),
+                    ("d", 10.0, cd_steps),
+                )
+            ),
+        )
+        with pytest.raises(AlignmentError) as err:
+            schedule_portfolio(net)
+        assert str(err.value) == (
+            f"link 'cd': horizon mismatch: link 'ab' missing timesteps {list(missing)}"
+        )
+        assert err.value.missing == {"link 'ab'": missing}
 
     @pytest.mark.parametrize("p_a, p_b", [(1.7e308, -1.7e308), (math.nan, 1.0)])
     def test_every_link_is_aligned_before_any_is_scheduled(self, monkeypatch, p_a, p_b):
