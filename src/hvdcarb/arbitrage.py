@@ -18,7 +18,15 @@ that would otherwise cause the link to chatter at full power for cents.
 :func:`optimal_flow` is the one implementation of this per-step rule:
 :func:`marginal_value`, :func:`pairwise_profit` and
 :func:`pairwise_profit_biased` return fields of its decision and raise the
-``ValueError`` it raises for the same arguments.
+``ValueError`` it raises for the same arguments. A dispatch whose profit
+overflows is rejected, as is a spread that overflows.
+
+The package's scalar input rules are stated here, once each: a loss
+fraction lies in [0, 1) (``_check_loss``), a step length is finite and > 0
+(``_check_duration``), and a capacity, quantity, bias, length or profit is
+finite and >= 0 (``_check_nonnegative``). Every module and the command line
+call these checkers, each with its own name for the value, so messages
+differ only in that name.
 """
 
 from __future__ import annotations
@@ -83,8 +91,7 @@ class BiasPolicy:
     r_b: float = 0.0
 
     def __post_init__(self):
-        if not (self.r_b >= 0 and math.isfinite(self.r_b)):
-            raise ValueError(f"bias r_b must be finite and >= 0, got {self.r_b}")
+        _check_nonnegative(self.r_b, "bias r_b")
 
 
 def flow_condition(p_to: float, p_from: float, r: float) -> bool:
@@ -96,28 +103,36 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
     :func:`marginal_value` instead, which needs no ratio.
 
     Raises:
-        ValueError: either price is not strictly positive.
+        ValueError: either price is not finite and strictly positive.
     """
-    if not (p_to > 0 and p_from > 0):
+    if not (0 < p_to < math.inf and 0 < p_from < math.inf):
         raise ValueError(
-            "flow_condition is a ratio test and requires strictly positive "
-            f"prices (got p_to={p_to}, p_from={p_from}); use marginal_value "
-            "for general prices"
+            "flow_condition is a ratio test and requires finite, strictly "
+            f"positive prices (got p_to={p_to}, p_from={p_from}); use "
+            "marginal_value for general prices"
         )
-    _check_loss(r)
+    _check_loss(r, "loss fraction")
     return p_to * (1 - r) > p_from
 
 
-def _check_loss(r: float) -> None:
-    if not (0 <= r < 1):
-        raise ValueError(f"loss fraction must be in [0, 1), got {r}")
+def _check_loss(value: float, name: str) -> None:
+    """A loss fraction: in [0, 1)."""
+    if not (0 <= value < 1):
+        raise ValueError(f"{name} must be in [0, 1), got {value}")
 
 
-def _check_duration(duration_h: float) -> None:
-    if not (duration_h > 0):
-        raise ValueError(f"duration_h must be > 0, got {duration_h}")
-    if duration_h == math.inf:
-        raise ValueError(f"duration_h must be finite, got {duration_h}")
+def _check_duration(value: float, name: str) -> None:
+    """A step length in hours: finite and > 0."""
+    if not (value > 0):
+        raise ValueError(f"{name} must be > 0, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_nonnegative(value: float, name: str) -> None:
+    """A capacity, quantity, bias, length or profit: finite and >= 0."""
+    if not (0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def marginal_value(p_i: float, p_j: float, r: float) -> float:
@@ -178,16 +193,15 @@ def optimal_flow(
     combined profit expression.
 
     Raises:
-        ValueError: x_max not finite and >= 0, r outside [0, 1), r_b < 0,
-            duration_h not finite and > 0, or a margin that is not finite
-            (the prices' spread overflows, or a price is not finite).
+        ValueError: x_max or r_b not finite and >= 0, r outside [0, 1),
+            duration_h not finite and > 0, a margin that is not finite
+            (the prices' spread overflows, or a price is not finite), or a
+            dispatch whose profit overflows.
     """
-    if not (0 <= x_max < math.inf):
-        raise ValueError(f"x_max must be finite and >= 0, got {x_max}")
-    _check_loss(r)
-    if not (r_b >= 0):
-        raise ValueError(f"bias must be >= 0, got {r_b}")
-    _check_duration(duration_h)
+    _check_nonnegative(x_max, "x_max")
+    _check_loss(r, "loss fraction")
+    _check_nonnegative(r_b, "bias r_b")
+    _check_duration(duration_h, "duration_h")
     # per-MWh margins (deliver into a, deliver into b), before bias
     m_to_a, m_to_b = p_a - p_b - r * p_a, p_b - p_a - r * p_b
     # Finite prices can still overflow the spread, and an infinite margin
@@ -199,14 +213,20 @@ def optimal_flow(
     lam = max(m_to_a - r_b, m_to_b - r_b, 0.0)
     if lam > 0 and x_max > 0:
         direction = Direction.B_TO_A if m_to_a >= m_to_b else Direction.A_TO_B
-        quantity = x_max
+        quantity = float(x_max)
     else:
         direction = Direction.IDLE
         quantity = 0.0
+    profit = quantity * duration_h * lam
+    if not math.isfinite(profit):
+        raise ValueError(
+            f"profit at t={timestep} is not finite: p_a={p_a}, p_b={p_b}, "
+            f"x_max={x_max}, duration_h={duration_h}"
+        )
     return FlowDecision(
         timestep=timestep,
         direction=direction,
         quantity_mw=quantity,
         marginal_value=lam,
-        profit=quantity * duration_h * lam,
+        profit=profit,
     )

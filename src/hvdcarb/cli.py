@@ -8,12 +8,12 @@ deterministic report, and exits. Exit codes: 0 success, 2 parse failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from .arbitrage import BiasPolicy, Direction, optimal_flow
+from .arbitrage import BiasPolicy, Direction, _check_duration, _check_loss, optimal_flow
 from .dataio import (
+    _check_valid,
     _read_network,
     default_data_dir,
     load_case_study,
@@ -21,7 +21,7 @@ from .dataio import (
     load_prices,
     write_report,
 )
-from .errors import HvdcArbError, ParseError, ResolutionError, ValidationError
+from .errors import HvdcArbError, ParseError, ResolutionError
 from .model import Network, validate_network
 from .scheduler import extrapolate_annual, schedule_portfolio
 from .wheeling import WheelScenario, WheelingChain, evaluate_wheel
@@ -196,19 +196,12 @@ def _load_run_network(args) -> Network:
         network = _read_network(path, None)[0].with_prices(load_prices(args.prices).values())
         # validated here, once, as load_network validates the config's own
         # prices: before --from/--to, which keep valid series valid
-        report = validate_network(network)
-        if report:
-            raise ValidationError(
-                "inputs are invalid:\n" + "\n".join(f"- {v}" for v in report)
-            )
+        _check_valid(validate_network(network), "inputs are invalid")
     if args.t_from is not None or args.t_to is not None:
         network = network.with_prices(
             s.restricted(args.t_from, args.t_to) for s in network.price_series
         )
-    if not (args.duration_hours > 0):
-        raise ValueError(f"--duration-hours must be > 0, got {args.duration_hours}")
-    if args.duration_hours == math.inf:
-        raise ValueError(f"--duration-hours must be finite, got {args.duration_hours}")
+    _check_duration(args.duration_hours, "--duration-hours")
     return network
 
 
@@ -297,8 +290,7 @@ def _cmd_wheel(args) -> int:
         raise ResolutionError(f"unknown link {exc}")
     # WheelingChain raises ValueError for a bad loss and for a broken path;
     # checking the loss first leaves only the path to the resolution error.
-    if not (0 <= args.transit_loss < 1):
-        raise ValueError(f"--transit-loss must be in [0, 1), got {args.transit_loss}")
+    _check_loss(args.transit_loss, "--transit-loss")
     try:
         chain = WheelingChain(
             args.area1, args.area2, args.area3, link12, link23, args.transit_loss

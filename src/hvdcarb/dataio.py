@@ -37,6 +37,7 @@ import yaml
 from .errors import (
     ConfigConflictError,
     DuplicateRowError,
+    InvalidLossError,
     ParseError,
     ValidationError,
 )
@@ -293,12 +294,14 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
     network, prices_csv = _read_network(source, base_dir)
     if prices_csv is not None:
         network = network.with_prices(load_prices(prices_csv).values())
-    report = validate_network(network)
-    if report:
-        raise ValidationError(
-            "network config is invalid:\n" + "\n".join(f"- {v}" for v in report)
-        )
+    _check_valid(validate_network(network), "network config is invalid")
     return network
+
+
+def _check_valid(report: list[str], heading: str) -> None:
+    """Raise a ValidationError listing ``report``'s violations under ``heading``."""
+    if report:
+        raise ValidationError(f"{heading}:\n" + "\n".join(f"- {v}" for v in report))
 
 
 def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network, Path | None]:
@@ -380,6 +383,8 @@ def _resolve_loss(entry: dict, length: float | None, context: str) -> float:
             )
         try:
             derived = loss_from_length(length, rate)
+        except InvalidLossError as exc:
+            raise InvalidLossError(f"{context}: {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"{context}: {exc}") from exc
     if declared is not None and derived is not None:

@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .arbitrage import _check_loss, _check_nonnegative
 from .errors import InvalidLossError
 
 __all__ = [
@@ -291,16 +292,12 @@ def loss_from_length(length_km: float, loss_rate_per_100km: float) -> float:
     model is linear (rate * km / 100), not compounding per segment.
 
     Raises:
-        ValueError: negative length, or rate outside [0, 1).
+        ValueError: length not finite and >= 0, or rate outside [0, 1).
         InvalidLossError: the resulting fraction reaches 1; such a link
             would consume all power it carries.
     """
-    if not (length_km >= 0):
-        raise ValueError(f"length_km must be >= 0, got {length_km}")
-    if not (0 <= loss_rate_per_100km < 1):
-        raise ValueError(
-            f"loss_rate_per_100km must be in [0, 1), got {loss_rate_per_100km}"
-        )
+    _check_nonnegative(length_km, "length_km")
+    _check_loss(loss_rate_per_100km, "loss_rate_per_100km")
     loss = length_km * loss_rate_per_100km / 100
     if loss >= 1:
         raise InvalidLossError(

@@ -24,8 +24,12 @@ whole columns, and the slotted decisions are filled from them without
 same problem by explicit per-step enumeration and exists as an independent
 check on the production path. Neither states a step rule of its own: both
 raise the error ``optimal_flow`` raises at the first step it rejects, for a
-loss outside [0, 1), a negative or non-finite capacity, a bad bias, a
-non-finite price or step length, or an overflowing spread.
+loss outside [0, 1), a negative or non-finite capacity, a bias that is not
+finite and >= 0, a non-finite price or step length, an overflowing spread or
+an overflowing step profit. Both test the link's total once: a total that is
+not finite replays ``optimal_flow`` step by step, and when no step's profit
+overflows, the link's sum is rejected instead. A capacity profile must carry
+its link's id.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
@@ -48,10 +52,11 @@ from .arbitrage import (
     Direction,
     FlowDecision,
     _check_duration,
+    _check_nonnegative,
     optimal_flow,
 )
 from .errors import AlignmentError
-from .model import CapacityProfile, Interconnector, Network, PriceSeries
+from .model import CapacityProfile, Interconnector, Network, PriceSeries, _strictly_increasing
 
 __all__ = [
     "HOURS_PER_YEAR",
@@ -206,33 +211,33 @@ def _prepare(
     Returns the horizon, the bias r_b and the columns p_a, p_b and x_max,
     aligned with the horizon.
     """
-    _check_duration(duration_h)
+    _check_duration(duration_h, "duration_h")
     if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
         raise ValueError(
             f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
             f"match link '{link.id}' endpoints ({link.endpoint_a}, {link.endpoint_b})"
+        )
+    if capacity is not None and capacity.interconnector_id != link.id:
+        raise ValueError(
+            f"capacity profile '{capacity.interconnector_id}' does not belong to "
+            f"link '{link.id}'"
         )
     # Present prices endpoint-relative so A_to_B always means a -> b.
     if prices_a.region_id != link.endpoint_a:
         prices_a, prices_b = prices_b, prices_a
     r_b = (bias or BiasPolicy()).r_b
     # Without a profile the rated capacity applies over series a's horizon.
-    if capacity is None:
-        capacity_name, capacity_timesteps = link.id, prices_a.timesteps
-    else:
-        capacity_name = capacity.interconnector_id
-        capacity_timesteps = capacity.timesteps
     horizon = _aligned_horizon(
         {
             f"prices '{prices_a.region_id}'": prices_a.timesteps,
             f"prices '{prices_b.region_id}'": prices_b.timesteps,
-            f"capacity '{capacity_name}'": capacity_timesteps,
+            f"capacity '{link.id}'": (capacity or prices_a).timesteps,
         }
     )
     # A series without (memoised) violations has increasing timesteps; its
     # prices are checked step by step, with the other step values.
     if prices_a.violations() or prices_b.violations():
-        if any(t1 <= t0 for t0, t1 in zip(horizon, horizon[1:])):
+        if not _strictly_increasing(horizon):
             raise AlignmentError("horizon timesteps must be strictly increasing")
     if capacity is None:
         x_max = (float(link.capacity_mw),) * len(horizon)
@@ -252,13 +257,32 @@ def _check_steps(
     # failing step, or passes, since finite columns can overflow their sum.
     if not (
         0 <= r < 1
-        and r_b >= 0
+        and 0 <= r_b < math.inf
         and min(col_x, default=0.0) >= 0
         and math.isfinite(sum(col_x))
         and math.isfinite(sum(map(operator.sub, col_a, col_b)))
     ):
-        for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
-            optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+        _replay(horizon, col_a, col_b, col_x, r, r_b, duration_h)
+
+
+def _replay(
+    horizon: tuple[int, ...], col_a: _Column, col_b: _Column, col_x: _Column,
+    r: float, r_b: float, duration_h: float,
+) -> None:
+    """Decide every step with ``optimal_flow``, which raises at the first it rejects."""
+    for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
+        optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+
+
+def _checked_total(total: float, link_id: str, problem: tuple) -> float:
+    """``total`` when it is finite. Otherwise the error ``optimal_flow`` raises
+    at the first step whose profit overflows, or, when no step's does, an error
+    for the link. ``problem`` is the argument tuple of :func:`_check_steps`.
+    """
+    if not math.isfinite(total):
+        _replay(*problem)
+        raise ValueError(f"link '{link_id}': total profit is not finite")
+    return total
 
 
 def schedule_link(
@@ -282,15 +306,18 @@ def schedule_link(
     Raises:
         AlignmentError: the three sources cover different timesteps.
         ValueError: the series do not belong to the link's endpoints, the
-            step duration is not finite and > 0, or a step is invalid (the
-            error :func:`~hvdcarb.arbitrage.optimal_flow` raises at the
-            first such step).
+            capacity profile belongs to another link, the step duration is
+            not finite and > 0, a step is invalid (the error
+            :func:`~hvdcarb.arbitrage.optimal_flow` raises at the first such
+            step, a step whose profit overflows included), or the total
+            profit overflows.
     """
     horizon, r_b, col_a, col_b, col_x = _prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
     )
     r = link.loss_fraction
-    _check_steps(horizon, col_a, col_b, col_x, r, r_b, duration_h)
+    problem = (horizon, col_a, col_b, col_x, r, r_b, duration_h)
+    _check_steps(*problem)
     # The total sums the dispatched steps' profits left to right (an idle
     # step's is +0.0, which changes no sum). Margins are never -0.0, so the
     # zero floor of max(a, b, 0.0) only decides dispatch.
@@ -304,7 +331,7 @@ def schedule_link(
     schedule.__dict__.update(
         interconnector_id=link.id,
         timesteps=horizon,
-        total_profit=total,
+        total_profit=_checked_total(total, link.id, problem),
         _inputs=(col_a, col_b, col_x, r, r_b, duration_h),
     )
     return schedule
@@ -353,10 +380,15 @@ def schedule_portfolio(
             the first link's (the total is annualised over one horizon);
             names the link.
         KeyError: a link endpoint has no price series.
-        ValueError: a link's inputs are invalid (see :func:`schedule_link`),
-            or the network has links and an empty horizon to annualise.
+        ValueError: a ``capacities`` key names no link, a link's inputs are
+            invalid (see :func:`schedule_link`), the network has links and
+            an empty horizon to annualise, or the annualised profit is not
+            finite.
     """
     capacities = capacities or {}
+    unknown = set(capacities).difference(link.id for link in network.interconnectors)
+    if unknown:
+        raise ValueError(f"capacities name unknown links: {sorted(unknown)}")
     calls = []
     first = {}  # the first link's horizon, by the link's name
     for link in sorted(network.interconnectors, key=lambda ln: ln.id):
@@ -386,10 +418,16 @@ def schedule_portfolio(
 
 
 def extrapolate_annual(hourly_profit: float) -> float:
-    """Linear extrapolation of an hourly profit to a 8760-hour year."""
-    if not (hourly_profit >= 0):
-        raise ValueError(f"hourly_profit must be >= 0, got {hourly_profit}")
-    return hourly_profit * HOURS_PER_YEAR
+    """Linear extrapolation of an hourly profit to a 8760-hour year.
+
+    Raises:
+        ValueError: the hourly profit, or the annual one, is not finite
+            and >= 0.
+    """
+    _check_nonnegative(hourly_profit, "hourly_profit")
+    annual = hourly_profit * HOURS_PER_YEAR
+    _check_nonnegative(annual, "annual profit")
+    return annual
 
 
 def lp_oracle(
@@ -422,7 +460,8 @@ def lp_oracle(
         return Fraction(x) * Fraction(duration_h) * Fraction(lam)
 
     r = link.loss_fraction
-    _check_steps(horizon, col_a, col_b, col_x, r, r_b, duration_h)
+    problem = (horizon, col_a, col_b, col_x, r, r_b, duration_h)
+    _check_steps(*problem)
     steps = []  # (direction, quantity, lambda, profit) per step
     for p_a, p_b, x_max in zip(col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a
@@ -439,4 +478,5 @@ def lp_oracle(
             direction = Direction.B_TO_A if raw_to_a >= raw_to_b else Direction.A_TO_B
         steps.append((direction, best_x, lam, best_x * duration_h * lam))
     columns = tuple(zip(*steps)) or ((),) * 4
-    return Schedule(link.id, horizon, *columns, _sum_left_to_right(columns[-1]))
+    total = _checked_total(_sum_left_to_right(columns[-1]), link.id, problem)
+    return Schedule(link.id, horizon, *columns, total)

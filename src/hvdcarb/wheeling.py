@@ -20,14 +20,21 @@ infeasible instance; :func:`evaluate_wheel` dispatches zero instead):
 
     Profit(1->3) = (p3*(1-r1)*(1-r2)*(1-c) - p1) * x
     Profit(3->1) = (p1*(1-r1)*(1-r2)*(1-c) - p3) * x
+
+Losses, quantities and step lengths are checked by the rules of
+:mod:`hvdcarb.arbitrage`. A gate or profit that is not finite (a price that
+is not finite, or finite prices whose gate or profit overflows) raises a
+``ValueError`` naming the prices along the path; the 321 functions and
+:func:`evaluate_wheel` inherit these checks from the 123 ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arbitrage import _check_duration
+from .arbitrage import _check_duration, _check_loss, _check_nonnegative
 from .errors import CapacityError
 from .model import Interconnector
 
@@ -65,10 +72,7 @@ class WheelingChain:
     transit_loss_c: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.transit_loss_c < 1):
-            raise ValueError(
-                f"transit_loss_c must be in [0, 1), got {self.transit_loss_c}"
-            )
+        _check_loss(self.transit_loss_c, "transit_loss_c")
         for link in (self.link12, self.link23):
             violations = link.violations()
             if violations:
@@ -99,9 +103,20 @@ class WheelingResult:
 def wheel_gates_123(
     p1: float, p2: float, p3: float, r1: float, r2: float, c: float
 ) -> tuple[float, float]:
-    """Gate pair for wheeling area1 -> area2 -> area3; feasible iff both > 0."""
+    """Gate pair for wheeling area1 -> area2 -> area3; feasible iff both > 0.
+
+    Raises:
+        ValueError: a loss outside [0, 1), or a gate that is not finite (a
+            price is not finite, or the gate overflows).
+    """
     _check_losses(r1, r2, c)
-    return (p3 * (1 - r2) * (1 - c) - p2, p2 * (1 - r1) - p1)
+    gates = (p3 * (1 - r2) * (1 - c) - p2, p2 * (1 - r1) - p1)
+    if not (math.isfinite(gates[0]) and math.isfinite(gates[1])):
+        raise ValueError(
+            f"wheeling gates are not finite: origin price {p1}, transit price "
+            f"{p2}, destination price {p3}"
+        )
+    return gates
 
 
 def wheel_profit_123(
@@ -118,14 +133,20 @@ def wheel_profit_123(
     Raw formula value: negative on an infeasible instance.
 
     Raises:
-        ValueError: a loss outside [0, 1), x < 0, or duration_h not finite
-            and > 0.
+        ValueError: a loss outside [0, 1), x not finite and >= 0,
+            duration_h not finite and > 0, or a profit that is not finite (a
+            price is not finite, or the profit overflows).
     """
     _check_losses(r1, r2, c)
-    if not (x >= 0):
-        raise ValueError(f"dispatch quantity must be >= 0, got {x}")
-    _check_duration(duration_h)
-    return (p3 * (1 - r1) * (1 - r2) * (1 - c) - p1) * x * duration_h
+    _check_nonnegative(x, "dispatch quantity")
+    _check_duration(duration_h, "duration_h")
+    profit = (p3 * (1 - r1) * (1 - r2) * (1 - c) - p1) * x * duration_h
+    if not math.isfinite(profit):
+        raise ValueError(
+            f"wheeling profit is not finite: origin price {p1}, destination "
+            f"price {p3}"
+        )
+    return profit
 
 
 def wheel_gates_321(
@@ -152,8 +173,7 @@ def wheel_profit_321(
 
 def _check_losses(r1: float, r2: float, c: float):
     for name, value in (("r1", r1), ("r2", r2), ("c", c)):
-        if not (0 <= value < 1):
-            raise ValueError(f"loss {name} must be in [0, 1), got {value}")
+        _check_loss(value, f"loss {name}")
 
 
 def evaluate_wheel(
@@ -174,13 +194,13 @@ def evaluate_wheel(
     attenuated quantity.
 
     Raises:
-        ValueError: x_request < 0, or duration_h not finite and > 0.
+        ValueError: x_request not finite and >= 0, duration_h not finite
+            and > 0, or a gate or dispatched profit that is not finite.
         CapacityError: a dispatching scenario's leg cannot carry its flow;
             the error names the binding link.
     """
-    if not (x_request >= 0):
-        raise ValueError(f"x_request must be >= 0, got {x_request}")
-    _check_duration(duration_h)
+    _check_nonnegative(x_request, "x_request")
+    _check_duration(duration_h, "duration_h")
     r1 = chain.link12.loss_fraction
     r2 = chain.link23.loss_fraction
     c = chain.transit_loss_c

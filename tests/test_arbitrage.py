@@ -1,8 +1,11 @@
 """Single-link arbitrage: conditions, marginal value, profit, dispatch."""
 
+import contextlib
+import io
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,13 +15,24 @@ from hvdcarb import (
     BiasPolicy,
     Direction,
     FlowDecision,
+    Interconnector,
+    PriceSeries,
     Schedule,
+    WheelingChain,
+    evaluate_wheel,
+    extrapolate_annual,
     flow_condition,
+    loss_from_length,
     marginal_value,
     optimal_flow,
     pairwise_profit,
     pairwise_profit_biased,
+    schedule_link,
+    wheel_gates_123,
+    wheel_gates_321,
+    wheel_profit_123,
 )
+from hvdcarb.cli import main
 
 prices = st.floats(min_value=-50, max_value=200)
 positive_prices = st.floats(min_value=0.1, max_value=200)
@@ -48,6 +62,11 @@ class TestFlowCondition:
             flow_condition(100, 0, 0.05)
         with pytest.raises(ValueError):
             flow_condition(-10, 50, 0.05)
+
+    @pytest.mark.parametrize("p_to, p_from", [(math.inf, 1), (1, math.inf), (math.nan, 1)])
+    def test_price_that_is_not_finite_rejected(self, p_to, p_from):
+        with pytest.raises(ValueError, match="requires finite, strictly positive prices"):
+            flow_condition(p_to, p_from, 0.0)
 
     def test_bad_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -126,6 +145,11 @@ class TestOptimalFlow:
         assert d.quantity_mw == 0.0
         assert d.profit == 0.0
 
+    def test_an_int_capacity_dispatches_a_float(self):
+        d = optimal_flow(p_a=100, p_b=50, r=0.0575, x_max=700)
+        assert repr(d.quantity_mw) == "700.0"
+        assert d == optimal_flow(100.0, 50.0, 0.0575, 700.0)
+
     def test_zero_capacity_idles(self):
         d = optimal_flow(100, 50, 0.0575, 0.0, 0, 1, 1)
         assert d.direction is Direction.IDLE
@@ -159,6 +183,20 @@ class TestOptimalFlow:
         message = f"price spread at t=7 is not finite: p_a={p_a}, p_b={p_b}"
         with pytest.raises(ValueError, match=re.escape(message)):
             optimal_flow(p_a, p_b, 0.0, x_max, 0.0, 1.0, 7)
+
+    @pytest.mark.parametrize(
+        "x_max, duration_h", [(1e300, 1.0), (1.0, 1e300), (1e306, 1e3)]
+    )
+    def test_overflowing_profit_rejected(self, x_max, duration_h):
+        message = (
+            f"profit at t=7 is not finite: p_a=1e+300, p_b=-1e+300, x_max={x_max}, "
+            f"duration_h={duration_h}"
+        )
+        with pytest.raises(ValueError) as err:
+            optimal_flow(1e300, -1e300, 0.0, x_max, 0.0, duration_h, 7)
+        assert str(err.value) == message
+        # idle, the same step is valid
+        assert optimal_flow(1e300, -1e300, 0.0, x_max, 2e300, duration_h, 7).profit == 0.0
 
     @pytest.mark.parametrize(
         "duration_h, message",
@@ -353,6 +391,7 @@ _INVALID = (
     {"x": math.inf},
     {"r": 1.0},
     {"r_b": -1.0},
+    {"r_b": math.inf},
 )
 
 
@@ -369,23 +408,36 @@ class TestScalarRuleIsOptimalFlow:
     @example(p_i=-10, p_j=-10, r=0.5, x=100.0, r_b=0.0, duration_h=1.0)  # tie
     @example(p_i=-0.0, p_j=0.0, r=0.0, x=5.0, r_b=0.0, duration_h=0.25)
     @example(p_i=100.0, p_j=50.0, r=0.0575, x=700.0, r_b=44.25, duration_h=1.0)
+    @example(p_i=100.0, p_j=50.0, r=0.0575, x=700.0, r_b=math.inf, duration_h=1.0)
+    @example(p_i=1e300, p_j=-1e300, r=0.0, x=1e300, r_b=0.0, duration_h=1.0)  # overflows
     def test_valid_input_gives_the_reference_values(self, p_i, p_j, r, x, r_b, duration_h):
         assert repr(marginal_value(p_i, p_j, r)) == repr(reference_marginal_value(p_i, p_j, r))
-        profits = (
+        for function, args, reference in (
+            (pairwise_profit, (p_i, p_j, r, x, duration_h), reference_pairwise_profit),
             (
-                pairwise_profit(p_i, p_j, r, x, duration_h),
-                reference_pairwise_profit(p_i, p_j, r, x, duration_h),
+                pairwise_profit_biased,
+                (p_i, p_j, r, x, r_b, duration_h),
+                reference_pairwise_profit_biased,
             ),
-            (
-                pairwise_profit_biased(p_i, p_j, r, x, r_b, duration_h),
-                reference_pairwise_profit_biased(p_i, p_j, r, x, r_b, duration_h),
-            ),
-        )
-        for got, want in profits:
-            if math.copysign(1.0, x) < 0:  # x = -0.0 dispatches nothing: a zero
-                assert got == want == 0.0
+        ):
+            want = reference(*args)
+            if function is pairwise_profit_biased and r_b == math.inf:
+                message = "bias r_b must be finite and >= 0, got inf"
+            elif not math.isfinite(want):
+                message = (
+                    f"profit at t=0 is not finite: p_a={p_i}, p_b={p_j}, "
+                    f"x_max={x}, duration_h={duration_h}"
+                )
             else:
-                assert repr(got) == repr(want)
+                got = function(*args)
+                if math.copysign(1.0, x) < 0:  # x = -0.0 dispatches nothing: a zero
+                    assert got == want == 0.0
+                else:
+                    assert repr(got) == repr(want)
+                continue
+            with pytest.raises(ValueError) as err:
+                function(*args)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("p_j", [50.0, 100.0])  # idle, and dispatching
     def test_infinite_quantity_is_rejected(self, p_j):
@@ -421,3 +473,141 @@ class TestScalarRuleIsOptimalFlow:
         with pytest.raises(ValueError) as got:
             function(**args)
         assert str(got.value) == str(want.value)
+
+
+def _error(call, *args, **kwargs) -> str:
+    """The message of the ValueError that ``call(*args, **kwargs)`` raises."""
+    with pytest.raises(ValueError) as err:
+        call(*args, **kwargs)
+    return str(err.value)
+
+
+def _cli_error(*argv) -> str:
+    """The message of a command that exits 3, having printed nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, out.getvalue()) == (3, "")
+    return err.getvalue().removeprefix("error: ").removesuffix("\n")
+
+
+def _link(r=0.0):
+    return Interconnector("ab", "a", "b", 100.0, r)
+
+
+def _prices(region):
+    return PriceSeries(region, ((1, 50.0),))
+
+
+def _chain(c=0.0):
+    return WheelingChain(
+        "a", "b", "c", _link(), Interconnector("bc", "b", "c", 100.0, 0.0), c
+    )
+
+
+_WHEEL = ("wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle", "-t", "1")
+
+# Every entry point that applies a scalar rule, with the message it raises.
+_LOSS_CALLERS = [
+    ("optimal_flow", lambda: _error(optimal_flow, 100.0, 50.0, 1.0, 700.0),
+     "loss fraction must be in [0, 1), got 1.0"),
+    ("flow_condition", lambda: _error(flow_condition, 100.0, 50.0, math.nan),
+     "loss fraction must be in [0, 1), got nan"),
+    ("schedule_link", lambda: _error(schedule_link, _prices("a"), _prices("b"), _link(1.5)),
+     "loss fraction must be in [0, 1), got 1.5"),
+    ("wheel_gates_123", lambda: _error(wheel_gates_123, 1, 2, 3, 1.0, 0.0, 0.0),
+     "loss r1 must be in [0, 1), got 1.0"),
+    ("wheel_gates_321", lambda: _error(wheel_gates_321, 1, 2, 3, 0.0, -0.1, 0.0),
+     "loss r2 must be in [0, 1), got -0.1"),
+    ("wheel_profit_123", lambda: _error(wheel_profit_123, 1, 3, 0.0, 0.0, math.inf, 1.0),
+     "loss c must be in [0, 1), got inf"),
+    ("WheelingChain", lambda: _error(_chain, 1.0),
+     "transit_loss_c must be in [0, 1), got 1.0"),
+    ("loss_from_length", lambda: _error(loss_from_length, 10.0, 1.0),
+     "loss_rate_per_100km must be in [0, 1), got 1.0"),
+    ("cli --transit-loss",
+     lambda: _cli_error(*_WHEEL, "--quantity", "10", "--transit-loss", "1"),
+     "--transit-loss must be in [0, 1), got 1.0"),
+]
+_DURATION_CALLERS = [
+    ("optimal_flow", lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 700.0, 0.0, 0.0),
+     "duration_h must be > 0, got 0.0"),
+    ("optimal_flow inf",
+     lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 700.0, 0.0, math.inf),
+     "duration_h must be finite, got inf"),
+    ("wheel_profit_123", lambda: _error(wheel_profit_123, 1, 3, 0.0, 0.0, 0.0, 1.0, math.nan),
+     "duration_h must be > 0, got nan"),
+    ("evaluate_wheel", lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, 1.0, math.inf),
+     "duration_h must be finite, got inf"),
+    ("schedule_link",
+     lambda: _error(schedule_link, _prices("a"), _prices("b"), _link(), duration_h=-1.0),
+     "duration_h must be > 0, got -1.0"),
+    ("cli --duration-hours",
+     lambda: _cli_error("evaluate", "celtic", "--duration-hours", "0"),
+     "--duration-hours must be > 0, got 0.0"),
+    ("cli --duration-hours inf",
+     lambda: _cli_error("schedule", "--duration-hours", "inf"),
+     "--duration-hours must be finite, got inf"),
+]
+_NONNEGATIVE_CALLERS = [
+    ("BiasPolicy", lambda: _error(BiasPolicy, -0.5),
+     "bias r_b must be finite and >= 0, got -0.5"),
+    ("BiasPolicy inf", lambda: _error(BiasPolicy, math.inf),
+     "bias r_b must be finite and >= 0, got inf"),
+    ("optimal_flow bias", lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 700.0, math.inf),
+     "bias r_b must be finite and >= 0, got inf"),
+    ("pairwise_profit_biased",
+     lambda: _error(pairwise_profit_biased, 100.0, 50.0, 0.0, 700.0, -1.0),
+     "bias r_b must be finite and >= 0, got -1.0"),
+    ("schedule_link bias",
+     lambda: _error(schedule_link, _prices("a"), _prices("b"), _link(),
+                    bias=SimpleNamespace(r_b=math.inf)),
+     "bias r_b must be finite and >= 0, got inf"),
+    ("optimal_flow x_max", lambda: _error(optimal_flow, 100.0, 50.0, 0.0, -5),
+     "x_max must be finite and >= 0, got -5"),
+    ("wheel_profit_123", lambda: _error(wheel_profit_123, 1, 3, 0.0, 0.0, 0.0, math.inf),
+     "dispatch quantity must be finite and >= 0, got inf"),
+    ("evaluate_wheel", lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, math.inf),
+     "x_request must be finite and >= 0, got inf"),
+    ("evaluate_wheel negative", lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, -1.0),
+     "x_request must be finite and >= 0, got -1.0"),
+    ("extrapolate_annual", lambda: _error(extrapolate_annual, math.inf),
+     "hourly_profit must be finite and >= 0, got inf"),
+    ("extrapolate_annual result", lambda: _error(extrapolate_annual, 1e306),
+     "annual profit must be finite and >= 0, got inf"),
+    ("loss_from_length", lambda: _error(loss_from_length, math.inf, 0.0),
+     "length_km must be finite and >= 0, got inf"),
+    ("loss_from_length negative", lambda: _error(loss_from_length, -1, 0.01),
+     "length_km must be finite and >= 0, got -1"),
+    ("cli --bias", lambda: _cli_error("evaluate", "celtic", "--bias", "inf"),
+     "bias r_b must be finite and >= 0, got inf"),
+    ("cli --quantity", lambda: _cli_error(*_WHEEL, "--quantity", "inf"),
+     "x_request must be finite and >= 0, got inf"),
+]
+
+
+def _callers(cases):
+    return pytest.mark.parametrize(
+        "case, message",
+        [pytest.param(case, message, id=name) for name, case, message in cases],
+    )
+
+
+class TestEachRuleHasOneChecker:
+    """Each scalar rule is one checker in arbitrage; every caller names its value."""
+
+    @pytest.fixture(autouse=True)
+    def bundled_data(self, monkeypatch):
+        monkeypatch.delenv("HVDCARB_DATA_DIR", raising=False)
+
+    @_callers(_LOSS_CALLERS)
+    def test_loss_fraction(self, case, message):
+        assert case() == message
+
+    @_callers(_DURATION_CALLERS)
+    def test_step_length(self, case, message):
+        assert case() == message
+
+    @_callers(_NONNEGATIVE_CALLERS)
+    def test_finite_and_nonnegative(self, case, message):
+        assert case() == message

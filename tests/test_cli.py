@@ -264,6 +264,86 @@ class TestSchedule:
         assert not report.exists()
 
 
+@pytest.fixture
+def overflow_network(tmp_path):
+    """Finite prices, accepted by the loader, whose profits overflow."""
+    network = Network(
+        (Region("a"), Region("b"), Region("c")),
+        (
+            Interconnector("ab", "a", "b", 1000.0, 0.0),
+            Interconnector("bc", "b", "c", 1000.0, 0.0),
+        ),
+        (
+            PriceSeries("a", ((1, -1e308),)),
+            PriceSeries("b", ((1, 1e300),)),
+            PriceSeries("c", ((1, 1e308),)),
+        ),
+    )
+    save_network(network, tmp_path / "network.yaml")
+    return tmp_path / "network.yaml"
+
+
+class TestProfitThatIsNotFinite:
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["schedule"], "profit at t=1 is not finite: p_a=-1e+308, p_b=1e+300"),
+            (["evaluate", "ab"], "profit at t=1 is not finite: p_a=-1e+308, p_b=1e+300"),
+            (["evaluate", "bc"], "profit at t=1 is not finite: p_a=1e+300, p_b=1e+308"),
+            (["plot-data"], "profit at t=1 is not finite: p_a=-1e+308, p_b=1e+300"),
+            (
+                ["wheel", "a", "b", "c", "--via", "ab", "bc", "--quantity", "10"],
+                "wheeling profit is not finite: origin price -1e+308, destination price 1e+308",
+            ),
+        ],
+        ids=["schedule", "evaluate-ab", "evaluate-bc", "plot-data", "wheel"],
+    )
+    def test_is_a_validation_error_that_writes_nothing(
+        self, capsys, tmp_path, overflow_network, command, message
+    ):
+        report = tmp_path / "report.csv"
+        argv = [*command, "--network", str(overflow_network)]
+        if command[0] != "evaluate":
+            argv += ["--out", str(report)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message}")
+        assert "inf" not in err
+        assert not report.exists()
+
+
+class TestErrorsNameTheirInput:
+    def test_a_derived_loss_of_one_names_the_link(self, capsys, tmp_path):
+        config = tmp_path / "network.yaml"
+        config.write_text(
+            "regions:\n- id: a\n- id: b\n"
+            "links:\n- id: ab\n  from: a\n  to: b\n  capacity_mw: 10\n"
+            "  length_km: 20000\n  loss_rate_per_100km: 0.01\n"
+        )
+        code, _, err = run(capsys, "schedule", "--network", str(config))
+        assert code == 3
+        assert err == (
+            "error: link 'ab': derived loss fraction 2.0 >= 1 for length 20000.0 km "
+            "at rate 0.01 per 100 km\n"
+        )
+
+    @pytest.mark.parametrize("replace_prices", [False, True])
+    def test_a_violation_report_has_its_heading(self, capsys, tmp_path, replace_prices):
+        network = tiny_network()
+        lossy = Interconnector("ab", "a", "b", 100.0, 1.0)
+        network = Network(network.regions, (lossy,), network.price_series)
+        save_network(network, tmp_path / "network.yaml")
+        argv = ["schedule", "--network", str(tmp_path / "network.yaml")]
+        heading = "network config is invalid"
+        if replace_prices:
+            argv += ["--prices", str(tmp_path / "prices.csv")]
+            heading = "inputs are invalid"
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        violation = "interconnector 'ab': loss_fraction 1.0 outside [0, 1)"
+        assert err == f"error: {heading}:\n- {violation}\n"
+
+
 class TestColumnsBuiltOnRead:
     @pytest.fixture
     def builds(self, monkeypatch):

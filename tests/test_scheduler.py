@@ -133,6 +133,34 @@ class TestScheduleLink:
         with pytest.raises(ValueError, match="endpoints"):
             schedule_link(a, PriceSeries("wales", ((1, 75.0),)), link)
 
+    @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
+    def test_another_links_profile_rejected(self, celtic_hour, solver):
+        a, b, link = celtic_hour
+        moyle = CapacityProfile("moyle", ((1, 100.0),))
+        with pytest.raises(ValueError) as err:
+            solver(a, b, link, moyle)
+        assert str(err.value) == "capacity profile 'moyle' does not belong to link 'celtic'"
+
+    @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
+    @pytest.mark.parametrize(
+        "p_a, p_b, message",
+        [
+            # one step's profit overflows: the per-step rule's error
+            (
+                [100.0, 8.98e307], [50.0, -8.98e307],
+                "profit at t=2 is not finite: p_a=8.98e+307, p_b=-8.98e+307, "
+                "x_max=100.0, duration_h=1.0",
+            ),
+            # every step's profit is finite, their sum is not
+            ([5e305, 5e305], [-5e305, -5e305], "link 'ln': total profit is not finite"),
+        ],
+        ids=["a-step", "the-total"],
+    )
+    def test_overflowing_profit_rejected(self, solver, p_a, p_b, message):
+        with pytest.raises(ValueError) as err:
+            solver(*link_problem(p_a, p_b))
+        assert str(err.value) == message
+
     def test_non_positive_duration_rejected(self, celtic_hour):
         a, b, link = celtic_hour
         with pytest.raises(ValueError):
@@ -240,6 +268,8 @@ def per_step_schedule(prices_a, prices_b, link, capacity=None, bias=None, durati
     ]
     columns = tuple(zip(*map(dataclasses.astuple, decisions))) or ((),) * 5
     total = functools.reduce(operator.add, columns[-1], 0.0)
+    if not math.isfinite(total):  # no step overflows, yet their sum does
+        raise ValueError(f"link '{link.id}': total profit is not finite")
     return Schedule(link.id, *columns, total)
 
 
@@ -316,6 +346,8 @@ def per_step_cases(test):
         link_problem([100.0, math.nan], [50.0, 60.0]),  # a price that is not finite
         link_problem([100.0], [50.0], caps=[math.inf]),  # an infinite profile
         link_problem([100.0], [-math.inf], rated=math.inf),  # the cap is checked first
+        link_problem([8.98e307], [-8.98e307], r=0.5),  # the step's profit overflows
+        link_problem([5e305, 5e305], [-5e305, -5e305]),  # only the total overflows
         # the profit x * duration_h * lambda underflows to 0.0, yet dispatches
         link_problem([-20.0], [-20.0], r=0.0575, duration_h=0.25, rated=5e-324),
     ):
@@ -387,6 +419,12 @@ def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_
     )
     profits = tuple([q * duration_h * lam for q, lam in zip(quantities, lambdas)])
     total = functools.reduce(operator.add, profits, 0.0)
+    # A total that is not finite: the error of the first step whose profit
+    # overflows, or, when none does, the link's.
+    if not math.isfinite(total):
+        for t, p_a, p_b, x_max in zip(horizon, col_a, col_b, col_x):
+            optimal_flow(p_a, p_b, r, x_max, r_b, duration_h, t)
+        raise ValueError(f"link '{link.id}': total profit is not finite")
     return Schedule(link.id, horizon, directions, quantities, lambdas, profits, total)
 
 
@@ -436,7 +474,8 @@ class TestDeferredColumnsMatchEagerKernel:
     @example(link_problem([-0.0, 0.0], [0.0, -0.0]))
     @example(link_problem([100.0], [50.0], caps=[math.inf]))
     @example(link_problem([100.0], [50.0], rated=0.0, bias=BiasPolicy(5.0)))
-    @example(link_problem([8.98e307], [-8.98e307], r=0.5))  # spread just finite
+    @example(link_problem([8.98e307], [-8.98e307], r=0.5))  # spread finite, profit not
+    @example(link_problem([5e305, 5e305], [-5e305, -5e305]))  # steps finite, total not
     @example(link_problem([1.7e308], [-1.7e308], caps=[0.0]))  # spread overflows
     def test_every_column_and_total_by_repr(self, problem):
         try:
@@ -685,6 +724,19 @@ class TestPortfolio:
         result = schedule_portfolio(doubled)
         assert result.grand_total == 63289.0 + 30975.0
 
+    def test_a_profile_for_no_link_rejected(self, bundle):
+        horizon = bundle.network.price_series[0].timesteps
+        profile = CapacityProfile("atlantis", ((t, 1.0) for t in horizon))
+        with pytest.raises(ValueError) as err:
+            schedule_portfolio(bundle.network, {"atlantis": profile})
+        assert str(err.value) == "capacities name unknown links: ['atlantis']"
+
+    def test_a_profile_under_another_links_id_rejected(self, bundle):
+        horizon = bundle.network.price_series[0].timesteps
+        moyle = CapacityProfile("moyle", ((t, 1.0) for t in horizon))
+        with pytest.raises(ValueError, match="'moyle' does not belong to link 'celtic'"):
+            schedule_portfolio(bundle.network, {"celtic": moyle})
+
     def test_missing_prices_annotated_with_link(self, bundle):
         net = Network(bundle.network.regions, bundle.network.interconnectors, ())
         with pytest.raises(KeyError, match="celtic"):
@@ -829,3 +881,11 @@ class TestExtrapolateAnnual:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             extrapolate_annual(-1.0)
+
+    def test_overflowing_grand_total_rejected(self):
+        # each link's total is finite, their sum is not
+        regions = (Region("a"), Region("b"))
+        links = tuple(Interconnector(i, "a", "b", 1e300, 0.0) for i in ("l1", "l2"))
+        prices = (PriceSeries("a", ((1, 1e8),)), PriceSeries("b", ((1, 0.0),)))
+        with pytest.raises(ValueError, match="^hourly_profit must be finite and >= 0, got inf$"):
+            schedule_portfolio(Network(regions, links, prices))

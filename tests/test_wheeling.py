@@ -73,6 +73,24 @@ class TestGates123:
         with pytest.raises(ValueError):
             wheel_gates_123(1, 1, 1, 1.0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "gates, prices, message",
+        [
+            (wheel_gates_123, (math.nan, 1, 1), "origin price nan, transit price 1, "
+             "destination price 1"),
+            (wheel_gates_123, (1, 1e308, -1e308), "origin price 1, transit price 1e+308, "
+             "destination price -1e+308"),
+            # the mirror names the prices along its own path
+            (wheel_gates_321, (1, 2, math.inf), "origin price inf, transit price 2, "
+             "destination price 1"),
+        ],
+        ids=["nan-origin", "overflow", "mirrored"],
+    )
+    def test_gate_that_is_not_finite_rejected(self, gates, prices, message):
+        with pytest.raises(ValueError) as err:
+            gates(*prices, 0, 0, 0)
+        assert str(err.value) == f"wheeling gates are not finite: {message}"
+
 
 class TestProfit123:
     def test_rising_chain_profit(self):
@@ -89,6 +107,20 @@ class TestProfit123:
     def test_negative_quantity_rejected(self):
         with pytest.raises(ValueError):
             wheel_profit_123(50, 100, 0.02, 0.02, 0.01, -1)
+
+    @pytest.mark.parametrize(
+        "profit, p1, p3, message",
+        [
+            (wheel_profit_123, -1e308, 1e308, "origin price -1e+308, destination price 1e+308"),
+            (wheel_profit_321, 1e308, -1e308, "origin price -1e+308, destination price 1e+308"),
+            (wheel_profit_123, math.nan, 1.0, "origin price nan, destination price 1.0"),
+        ],
+        ids=["overflow", "mirrored-overflow", "nan-origin"],
+    )
+    def test_profit_that_is_not_finite_rejected(self, profit, p1, p3, message):
+        with pytest.raises(ValueError) as err:
+            profit(p1, p3, 0.0, 0.0, 0.0, 10.0)
+        assert str(err.value) == f"wheeling profit is not finite: {message}"
 
     @pytest.mark.parametrize("profit", [wheel_profit_123, wheel_profit_321])
     @pytest.mark.parametrize("duration_h, message", BAD_DURATIONS)
@@ -152,6 +184,18 @@ class TestEvaluateWheel:
     def test_negative_request_rejected(self):
         with pytest.raises(ValueError):
             evaluate_wheel(make_chain(), 50, 75, 100, -1)
+
+    @pytest.mark.parametrize(
+        "prices, message",
+        [
+            ((50, math.nan, 100), "wheeling gates are not finite"),
+            ((-1e308, 1e300, 1e308), "wheeling profit is not finite"),  # feasible, overflows
+        ],
+        ids=["nan-price", "overflow"],
+    )
+    def test_value_that_is_not_finite_rejected(self, prices, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_wheel(make_chain(0.0, 0.0, 0.0), *prices, 10.0)
 
     @pytest.mark.parametrize("duration_h, message", BAD_DURATIONS)
     def test_bad_duration_rejected(self, duration_h, message):
