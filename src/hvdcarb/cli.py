@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .arbitrage import BiasPolicy, Direction, _check_duration, _check_loss, optimal_flow
 from .dataio import (
     _check_valid,
+    _plot_csv,
     _read_network,
+    _report,
     default_data_dir,
     load_case_study,
     load_network,
     load_prices,
-    write_report,
+    write_report,  # not called here; perfbench/tracer.py wraps cli.write_report by name
 )
 from .errors import HvdcArbError, ParseError, ResolutionError
 from .model import Network, validate_network
@@ -223,12 +226,15 @@ def _prices_at(network: Network, requested: int | None, regions) -> tuple[int, l
     return t, prices
 
 
-def _emit(args, document: str) -> None:
+def _emit(args, fragments: Iterable[str]) -> None:
+    """Write a report's fragments as they are rendered: to ``--out``, opened only
+    now that the result is computed, or to the current ``sys.stdout``."""
     if args.out is not None:
-        args.out.write_text(document, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(fragments)
         print(f"report written to {args.out}")
     else:
-        print(document, end="")
+        sys.stdout.writelines(fragments)
 
 
 def _cmd_evaluate(args) -> int:
@@ -272,7 +278,7 @@ def _cmd_schedule(args) -> int:
     print(f"grand_total_eur: {result.grand_total!r}")
     print(f"annualized_eur: {result.annualized!r}")
     if args.out is not None:
-        _emit(args, write_report(result, args.format))
+        _emit(args, _report(result, args.format))
     return EXIT_OK
 
 
@@ -312,7 +318,7 @@ def _cmd_wheel(args) -> int:
         print(f"  dispatched_mw: {r.dispatched_mw!r}")
         print(f"  profit_eur: {r.profit!r}")
     if args.out is not None:
-        _emit(args, write_report(results, args.format))
+        _emit(args, _report(results, args.format))
     return EXIT_OK
 
 
@@ -351,7 +357,7 @@ def _cmd_case_ireland(args) -> int:
         )
         print(f"annual_income_exceeds_{threshold!r}_eur: {str(both).lower()}")
     if args.out is not None:
-        _emit(args, write_report(result, args.format, expected=bundle.expected))
+        _emit(args, _report(result, args.format, bundle.expected))
     return EXIT_OK
 
 
@@ -360,14 +366,7 @@ def _cmd_plotdata(args) -> int:
     result = schedule_portfolio(
         network, None, BiasPolicy(args.bias), args.duration_hours
     )
-    lines = ["timestep,link_id,lambda_eur_mwh,quantity_mw,cumulative_profit_eur"]
-    for schedule in result.schedules:
-        link_id = schedule.interconnector_id
-        running = 0.0
-        for t, _, quantity, lam, profit in schedule.rows():
-            running += profit
-            lines.append(f"{t},{link_id},{lam!r},{quantity!r},{running!r}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, _plot_csv(result))
     return EXIT_OK
 
 

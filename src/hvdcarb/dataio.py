@@ -10,10 +10,14 @@ Formats (all stable):
   optional ``prices_csv`` reference resolved relative to the config file.
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
-* Reports: CSV (schema per result kind, below) or a structured JSON
-  document carrying every per-timestep decision. The structured writer
-  renders the decision objects straight from the schedule columns and is
-  byte-identical to ``json.dumps(doc, indent=2)`` of the nested dicts.
+* Reports: CSV (schema per result kind, below), a structured JSON
+  document carrying every per-timestep decision, or the ``plot-data`` CSV.
+  The structured writer renders the decision objects straight from the
+  schedule columns and is byte-identical to ``json.dumps(doc, indent=2)``
+  of the nested dicts. Every writer is a generator of fragments, each of
+  at most a fixed block of rows, so the command line writes a report as it
+  is rendered and never holds the whole document; :func:`write_report`
+  joins the same fragments into one string.
 
 Writers are deterministic: identical inputs yield byte-identical output,
 and write -> load -> write is byte-identical. A loaded file is not always
@@ -27,9 +31,9 @@ import io
 import math
 import operator
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from pathlib import Path
 
 import yaml
@@ -443,6 +447,12 @@ def save_network(
 # ---------------------------------------------------------------------------
 # reports
 
+# Every writer yields its document in fragments of at most this many rows
+# (steps, plot points or wheeling scenarios), never a whole link or document.
+_BLOCK_ROWS = 256
+
+_PLOT_CSV_HEADER = "timestep,link_id,lambda_eur_mwh,quantity_mw,cumulative_profit_eur"
+
 
 def write_report(
     result: Schedule | PortfolioResult | Sequence[WheelingResult],
@@ -455,41 +465,67 @@ def write_report(
     (JSON carrying every decision). ``expected`` attaches a ledger of
     reference values to the structured form; the case-study command uses
     it to keep reported-vs-computed figures side by side.
+
+    The document is rendered in fragments of at most a fixed block of rows,
+    which the command line writes to its destination as they are made; this
+    function joins them, so it returns (and holds) the whole document.
     """
+    return "".join(_report(result, fmt, expected))
+
+
+def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
+    """The fragments of :func:`write_report`'s document; the format is checked
+    before any fragment is rendered."""
     if fmt == "csv":
-        return _report_csv(result)
+        if isinstance(result, Schedule):
+            return _schedule_csv([result])
+        if isinstance(result, PortfolioResult):
+            return _schedule_csv(result.schedules)
+        return _wheeling_csv(result)
     if fmt == "structured":
-        return _report_structured(result, expected)
+        return _structured(result, expected)
     raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'structured')")
 
 
-def _report_csv(result) -> str:
-    if isinstance(result, Schedule):
-        return _report_csv_schedules([result])
-    if isinstance(result, PortfolioResult):
-        return _report_csv_schedules(result.schedules)
-    return _report_csv_wheeling(result)
+def _blocks(rows: Iterable[str], sep: str = "") -> Iterator[str]:
+    """``sep.join(rows)`` in fragments of at most ``_BLOCK_ROWS`` rows each."""
+    rows, lead = iter(rows), ""
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield lead + sep.join(block)
+        lead = sep
 
 
-def _report_csv_schedules(schedules: Sequence[Schedule]) -> str:
-    out = [SCHEDULE_CSV_HEADER]
-    for schedule in schedules:
-        link_id = schedule.interconnector_id
-        for t, direction, quantity, lam, profit in schedule.rows():
-            out.append(
-                f"{t},{link_id},{direction.value},{quantity!r},{lam!r},{profit!r}"
-            )
-    return "\n".join(out) + "\n"
-
-
-def _report_csv_wheeling(results: Sequence[WheelingResult]) -> str:
-    out = [WHEELING_CSV_HEADER]
-    for r in results:
-        out.append(
-            f"{r.scenario.value},{str(r.feasible).lower()},{r.gate_values[0]!r},"
-            f"{r.gate_values[1]!r},{r.dispatched_mw!r},{r.profit!r}"
+def _schedule_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
+    yield SCHEDULE_CSV_HEADER + "\n"
+    for s in schedules:
+        link_id = s.interconnector_id
+        names = {d: d.value for d in set(s.directions)}
+        yield from _blocks(
+            f"{t},{link_id},{names[d]},{quantity!r},{lam!r},{profit!r}\n"
+            for t, d, quantity, lam, profit in s.rows()
         )
-    return "\n".join(out) + "\n"
+
+
+def _wheeling_csv(results: Sequence[WheelingResult]) -> Iterator[str]:
+    yield WHEELING_CSV_HEADER + "\n"
+    yield from _blocks(
+        f"{r.scenario.value},{str(r.feasible).lower()},{r.gate_values[0]!r},"
+        f"{r.gate_values[1]!r},{r.dispatched_mw!r},{r.profit!r}\n"
+        for r in results
+    )
+
+
+def _plot_csv(result: PortfolioResult) -> Iterator[str]:
+    """The ``plot-data`` CSV: each link's marginal value, dispatch and running
+    profit per step, the profit summed left to right from 0.0."""
+    yield _PLOT_CSV_HEADER + "\n"
+    for s in result.schedules:
+        link_id = s.interconnector_id
+        running = islice(accumulate(s.profits, initial=0.0), 1, None)
+        yield from _blocks(
+            f"{t},{link_id},{lam!r},{quantity!r},{total!r}\n"
+            for t, quantity, lam, total in zip(s.timesteps, s.quantities, s.lambdas, running)
+        )
 
 
 # The structured report, as json.dumps(doc, indent=2) would write it. ``pad``
@@ -504,21 +540,29 @@ def _json(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _json_array(items: str, pad: str) -> list[str]:
-    """Fragments of an array whose joined, indented items are ``items``."""
-    return ["[\n", items, "\n" + pad + "]"] if items else ["[]"]
+def _json_array(items: Iterable[str], pad: str) -> Iterator[str]:
+    """Fragments of an array whose indented, comma-separated items are the
+    fragments ``items``; no fragment means an empty array."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n" + first
+    yield from items
+    yield "\n" + pad + "]"
 
 
-def _json_column(column: Sequence, pad: str) -> Iterable[str]:
+def _json_column(column: Sequence, pad: str) -> Iterator[str]:
     # json.dumps writes an int, or a float other than NaN and ±inf, as its
     # repr; bools and subclasses take the per-value path
     types = set(map(type, column))
     if types == {int} or (types == {float} and math.isfinite(sum(column))):
         return map(repr, column)
-    return [_json(value, pad) for value in column]
+    return map(_json, column, repeat(pad))
 
 
-def _schedule_members(s: Schedule, pad: str) -> list[str]:
+def _schedule_members(s: Schedule, pad: str) -> Iterator[str]:
     """Fragments of a schedule object's members, on lines indented by ``pad``."""
     row, field = pad + "  ", pad + "    "
     members = ",\n".join(f'{field}"{key}": %s' for key in _DECISION_KEYS)
@@ -529,45 +573,56 @@ def _schedule_members(s: Schedule, pad: str) -> list[str]:
         map(directions.__getitem__, s.directions),
         *(_json_column(c, field) for c in (s.quantities, s.lambdas, s.profits)),
     )
-    return [
+    yield (
         f'{pad}"link_id": {_json(s.interconnector_id, pad)},\n'
         f'{pad}"total_profit_eur": {_json(s.total_profit, pad)},\n'
-        f'{pad}"decisions": ',
-        *_json_array(",\n".join(map(template.__mod__, zip(*columns))), pad),
-    ]
+        f'{pad}"decisions": '
+    )
+    yield from _json_array(_blocks(map(template.__mod__, zip(*columns)), ",\n"), pad)
 
 
-def _report_structured(result, expected: dict | None) -> str:
+def _portfolio_schedules(schedules: Sequence[Schedule]) -> Iterator[str]:
+    """Fragments of a portfolio's indented, comma-separated schedule objects."""
+    for i, s in enumerate(schedules):
+        yield ",\n    {\n" if i else "    {\n"
+        yield from _schedule_members(s, "      ")
+        yield "\n    }"
+
+
+def _structured(result, expected: dict | None) -> Iterator[str]:
+    yield "{\n"
     if isinstance(result, Schedule):
-        parts = ['  "type": "schedule",\n', *_schedule_members(result, "  ")]
+        yield '  "type": "schedule",\n'
+        yield from _schedule_members(result, "  ")
     elif isinstance(result, PortfolioResult):
-        schedules = ",\n".join(
-            "".join(["    {\n", *_schedule_members(s, "      "), "\n    }"])
-            for s in result.schedules
-        )
-        parts = [
+        yield (
             '  "type": "portfolio",\n'
             f'  "grand_total_eur": {_json(result.grand_total, "  ")},\n'
             f'  "annualized_eur": {_json(result.annualized, "  ")},\n'
-            '  "schedules": ',
-            *_json_array(schedules, "  "),
-        ]
+            '  "schedules": '
+        )
+        yield from _json_array(_portfolio_schedules(result.schedules), "  ")
     else:
-        scenarios = [
-            {
-                "scenario": r.scenario.value,
-                "feasible": r.feasible,
-                "gate_a_eur_mwh": r.gate_values[0],
-                "gate_b_eur_mwh": r.gate_values[1],
-                "dispatched_mw": r.dispatched_mw,
-                "profit_eur": r.profit,
-            }
+        scenarios = (
+            "    "
+            + _json(
+                {
+                    "scenario": r.scenario.value,
+                    "feasible": r.feasible,
+                    "gate_a_eur_mwh": r.gate_values[0],
+                    "gate_b_eur_mwh": r.gate_values[1],
+                    "dispatched_mw": r.dispatched_mw,
+                    "profit_eur": r.profit,
+                },
+                "    ",
+            )
             for r in result
-        ]
-        parts = ['  "type": "wheeling",\n  "scenarios": ', _json(scenarios, "  ")]
+        )
+        yield '  "type": "wheeling",\n  "scenarios": '
+        yield from _json_array(_blocks(scenarios, ",\n"), "  ")
     if expected is not None:
-        parts.append(',\n  "expected": ' + _json(expected, "  "))
-    return "".join(["{\n", *parts, "\n}\n"])
+        yield ',\n  "expected": ' + _json(expected, "  ")
+    yield "\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,13 @@ def schedule_portfolio(
             the first link's (the total is annualised over one horizon);
             names the link.
         KeyError: a link endpoint has no price series.
-        ValueError: a ``capacities`` key names no link, a link's inputs are
-            invalid (see :func:`schedule_link`), the network has links and
-            an empty horizon to annualise, or the annualised profit is not
-            finite.
+        ValueError: the step duration is not finite and > 0, a
+            ``capacities`` key names no link, a link's inputs are invalid
+            (see :func:`schedule_link`), the network has links and an empty
+            horizon to annualise, or the grand total (naming the links) or
+            the annualised profit is not finite.
     """
+    _check_duration(duration_h, "duration_h")
     capacities = capacities or {}
     unknown = set(capacities).difference(link.id for link in network.interconnectors)
     if unknown:
@@ -408,6 +410,9 @@ def schedule_portfolio(
         calls.append(call)
     schedules = [schedule_link(*call) for call in calls]
     grand_total = _sum_left_to_right(s.total_profit for s in schedules)
+    if not math.isfinite(grand_total):  # each link's total is finite
+        ids = ", ".join(f"'{s.interconnector_id}'" for s in schedules)
+        raise ValueError(f"portfolio of links {ids}: grand total profit is not finite")
     annualized = 0.0
     if schedules:
         hours = len(schedules[0].timesteps) * duration_h

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -57,4 +58,16 @@ def tiny_network(price_a: float = 100.0, price_b: float = 100.0) -> Network:
         (Region("a"), Region("b")),
         (Interconnector("ab", "a", "b", 100.0, 0.0),),
         (PriceSeries("a", ((1, price_a),)), PriceSeries("b", ((1, price_b),))),
+    )
+
+
+def over_steps(network: Network, steps: int) -> Network:
+    """``network``'s regions and links priced over ``steps`` hourly steps: a daily
+    sine per region, shifted by the region's position, so links dispatch both ways."""
+    return network.with_prices(
+        PriceSeries(
+            region.id,
+            tuple((t, 80.0 + 40.0 * math.sin(2 * math.pi * t / 24 + i)) for t in range(steps)),
+        )
+        for i, region in enumerate(network.regions)
     )

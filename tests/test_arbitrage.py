@@ -16,6 +16,7 @@ from hvdcarb import (
     Direction,
     FlowDecision,
     Interconnector,
+    Network,
     PriceSeries,
     Schedule,
     WheelingChain,
@@ -28,6 +29,7 @@ from hvdcarb import (
     pairwise_profit,
     pairwise_profit_biased,
     schedule_link,
+    schedule_portfolio,
     wheel_gates_123,
     wheel_gates_321,
     wheel_profit_123,
@@ -542,6 +544,8 @@ _DURATION_CALLERS = [
     ("schedule_link",
      lambda: _error(schedule_link, _prices("a"), _prices("b"), _link(), duration_h=-1.0),
      "duration_h must be > 0, got -1.0"),
+    ("schedule_portfolio", lambda: _error(schedule_portfolio, Network(), duration_h=math.nan),
+     "duration_h must be > 0, got nan"),
     ("cli --duration-hours",
      lambda: _cli_error("evaluate", "celtic", "--duration-hours", "0"),
      "--duration-hours must be > 0, got 0.0"),

@@ -4,17 +4,27 @@ import csv
 import json
 import math
 import shutil
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from hvdcarb import Interconnector, Network, PriceSeries, Region, save_network
-from hvdcarb import cli, scheduler
+from hvdcarb import (
+    Interconnector,
+    Network,
+    PortfolioResult,
+    PriceSeries,
+    Region,
+    Schedule,
+    save_network,
+)
+from hvdcarb import cli, dataio, scheduler
 from hvdcarb.arbitrage import BiasPolicy
 from hvdcarb.cli import main
 from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir, write_report
 from hvdcarb.scheduler import schedule_portfolio
 from hvdcarb.wheeling import WheelingChain, evaluate_wheel
-from conftest import tiny_network
+from conftest import over_steps, tiny_network
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -311,6 +321,19 @@ class TestProfitThatIsNotFinite:
         assert "inf" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["schedule", "plot-data"])
+    def test_a_grand_total_that_overflows_names_the_links(self, capsys, tmp_path, command):
+        # each link's total is finite, their sum is not
+        links = tuple(Interconnector(i, "a", "b", 1e300, 0.0) for i in ("l1", "l2"))
+        prices = (PriceSeries("a", ((1, 1e8),)), PriceSeries("b", ((1, 0.0),)))
+        save_network(Network((Region("a"), Region("b")), links, prices), tmp_path / "n.yaml")
+        report = tmp_path / "report.csv"
+        argv = [command, "--network", str(tmp_path / "n.yaml"), "--out", str(report)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: portfolio of links 'l1', 'l2': grand total profit is not finite\n"
+        assert not report.exists()
+
 
 class TestErrorsNameTheirInput:
     def test_a_derived_loss_of_one_names_the_link(self, capsys, tmp_path):
@@ -596,6 +619,126 @@ class TestPlotData:
             _, link_id, _, _, running = line.split(",")
             assert float(running) >= cumulative.get(link_id, 0.0)
             cumulative[link_id] = float(running)
+
+
+def reference_plot_csv(result) -> str:
+    """The plot-data CSV built row by row, each link's profit summed from 0.0."""
+    lines = ["timestep,link_id,lambda_eur_mwh,quantity_mw,cumulative_profit_eur"]
+    for schedule in result.schedules:
+        running = 0.0
+        for t, _, quantity, lam, profit in schedule.rows():
+            running += profit
+            lines.append(f"{t},{schedule.interconnector_id},{lam!r},{quantity!r},{running!r}")
+    return "\n".join(lines) + "\n"
+
+
+def streamed(capsys, tmp_path, fragments):
+    """What ``_emit`` writes of the fragments ``fragments()`` to stdout, and to a file."""
+    cli._emit(SimpleNamespace(out=None), fragments())
+    out = capsys.readouterr().out
+    path = tmp_path / "report"
+    cli._emit(SimpleNamespace(out=path), fragments())
+    assert capsys.readouterr().out == f"report written to {path}\n"
+    return out, path.read_bytes()
+
+
+def _empty_link():
+    return PortfolioResult((Schedule("x", (), (), (), (), (), 0.0),), 0.0, 0.0)
+
+
+def _many_rows(bundle):
+    # more than one block of rows in every link
+    return schedule_portfolio(over_steps(bundle.network, 2 * dataio._BLOCK_ROWS + 7))
+
+
+def _wheeling(bundle):
+    network = bundle.network
+    chain = WheelingChain(
+        "france", "ireland", "scotland", network.link("celtic"), network.link("moyle"), 0.01
+    )
+    return evaluate_wheel(chain, 50.0, 100.0, 120.0, 500.0)
+
+
+class TestStreamedReports:
+    """The bytes the command line streams are write_report's document."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bundle: schedule_portfolio(bundle.network).schedules[0],
+            lambda bundle: PortfolioResult((), 0.0, 0.0),
+            lambda bundle: _empty_link(),
+            _many_rows,
+            _wheeling,
+        ],
+        ids=["schedule", "no-links", "empty-horizon-link", "many-rows", "wheeling"],
+    )
+    def test_equal_write_report(self, capsys, tmp_path, bundle, make, fmt):
+        result = make(bundle)
+        want = write_report(result, fmt)
+        out, written = streamed(capsys, tmp_path, lambda: dataio._report(result, fmt))
+        assert out == want
+        assert written == want.encode("utf-8")
+
+    def test_case_study_with_expected(self, capsys, tmp_path, bundle):
+        result = schedule_portfolio(bundle.network)
+        want = write_report(result, "structured", bundle.expected)
+        out, written = streamed(
+            capsys, tmp_path, lambda: dataio._report(result, "structured", bundle.expected)
+        )
+        assert out == want
+        assert written == want.encode("utf-8")
+        code, _, _ = run(capsys, "case-ireland", "--out", str(tmp_path / "case.json"))
+        assert code == 0
+        assert (tmp_path / "case.json").read_text(encoding="utf-8") == want
+
+    @pytest.mark.parametrize(
+        "make", [_many_rows, lambda bundle: _empty_link()], ids=["many-rows", "empty-link"]
+    )
+    def test_plot_data(self, capsys, tmp_path, bundle, make):
+        result = make(bundle)
+        want = reference_plot_csv(result)
+        out, written = streamed(capsys, tmp_path, lambda: dataio._plot_csv(result))
+        assert out == want
+        assert written == want.encode("utf-8")
+
+    def test_plot_data_stdout_is_its_out_file(self, capsys, tmp_path, bundle):
+        network = over_steps(bundle.network, 2 * dataio._BLOCK_ROWS + 7)
+        save_network(network, tmp_path / "network.yaml")
+        inputs = ["--network", str(tmp_path / "network.yaml"), "--bias", "1"]
+        code, out, _ = run(capsys, "plot-data", *inputs)
+        assert code == 0
+        assert out == reference_plot_csv(schedule_portfolio(network, bias=BiasPolicy(1.0)))
+        code, _, _ = run(capsys, "plot-data", *inputs, "--out", str(tmp_path / "plot.csv"))
+        assert code == 0
+        assert (tmp_path / "plot.csv").read_text(encoding="utf-8") == out
+
+
+def _streaming_peak(bundle, tmp_path, steps: int) -> tuple[int, int]:
+    """tracemalloc's peak while a 4-link structured report over ``steps`` steps is
+    streamed to a file, with its columns built beforehand, and the file's size."""
+    result = schedule_portfolio(over_steps(bundle.network, steps))
+    for schedule in result.schedules:
+        schedule.directions  # builds the four step columns
+    path = tmp_path / f"plan-{steps}.json"
+    args = SimpleNamespace(out=path)
+    tracemalloc.start()
+    try:
+        cli._emit(args, dataio._report(result, "structured"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, path.stat().st_size
+
+
+class TestStreamingMemory:
+    def test_a_year_streams_in_a_tenth_of_its_length(self, capsys, tmp_path, bundle):
+        year, length = _streaming_peak(bundle, tmp_path, 8760)
+        assert year < length / 10
+        # a longer horizon streams in the same blocks
+        two_years, _ = _streaming_peak(bundle, tmp_path, 2 * 8760)
+        assert two_years <= 1.2 * year
 
 
 WHEEL = ["wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle", "--quantity", "500"]

@@ -39,7 +39,7 @@ from hvdcarb.dataio import (
     network_to_yaml,
     prices_to_csv,
 )
-from conftest import tiny_network
+from conftest import over_steps, tiny_network
 from fuzz_corpus import CONFIG_MUTATIONS, PRICE_MUTATIONS, mutated_config
 from test_wheeling import make_chain
 
@@ -551,6 +551,23 @@ class TestWriteReport:
     def test_unknown_format_rejected(self, bundle):
         with pytest.raises(ValueError, match="format"):
             write_report(schedule_portfolio(bundle.network), "xml")
+        # before any fragment is asked for
+        with pytest.raises(ValueError, match="format"):
+            dataio._report(schedule_portfolio(bundle.network), "xml")
+
+    def test_a_fragment_holds_at_most_a_block_of_rows(self, bundle):
+        block = dataio._BLOCK_ROWS
+        result = schedule_portfolio(over_steps(bundle.network, 3 * block + 1))
+        writers = {
+            "csv": (dataio._report(result, "csv"), "\n"),
+            "structured": (dataio._report(result, "structured"), '"timestep"'),
+            "plot": (dataio._plot_csv(result), "\n"),
+        }
+        for name, (fragments, row) in writers.items():
+            rows = [fragment.count(row) for fragment in fragments]
+            # four blocks per link, each of at most a block of rows
+            assert max(rows) <= block, name
+            assert sum(count > 0 for count in rows) >= 4 * len(result.schedules), name
 
 
 def reference_structured_report(result, expected=None) -> str:

@@ -704,6 +704,20 @@ class TestPortfolio:
         assert result.annualized == 0.0
         assert result.schedules == ()
 
+    @pytest.mark.parametrize(
+        "duration_h, message",
+        [
+            (math.nan, "^duration_h must be > 0, got nan$"),
+            (-1.0, "^duration_h must be > 0, got -1.0$"),
+            (0.0, "^duration_h must be > 0, got 0.0$"),
+            (math.inf, "^duration_h must be finite, got inf$"),
+        ],
+    )
+    def test_step_length_checked_without_links(self, duration_h, message):
+        # no link's own check runs, so the portfolio checks the step length itself
+        with pytest.raises(ValueError, match=message):
+            schedule_portfolio(Network(), duration_h=duration_h)
+
     def test_empty_horizon_rejected(self, bundle):
         # there is no hour to take the mean hourly profit of
         network = bundle.network.with_prices(
@@ -887,5 +901,8 @@ class TestExtrapolateAnnual:
         regions = (Region("a"), Region("b"))
         links = tuple(Interconnector(i, "a", "b", 1e300, 0.0) for i in ("l1", "l2"))
         prices = (PriceSeries("a", ((1, 1e8),)), PriceSeries("b", ((1, 0.0),)))
-        with pytest.raises(ValueError, match="^hourly_profit must be finite and >= 0, got inf$"):
+        assert math.isfinite(schedule_link(*prices, links[0]).total_profit)
+        with pytest.raises(
+            ValueError, match="^portfolio of links 'l1', 'l2': grand total profit is not finite$"
+        ):
             schedule_portfolio(Network(regions, links, prices))
