@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arbitrage import _check_loss, _check_nonnegative
-from .errors import InvalidLossError
+from .errors import AlignmentError, InvalidLossError
 
 __all__ = [
     "Region",
@@ -352,34 +352,45 @@ def validate_network(network: Network) -> list[str]:
     linked = sorted({e for link in network.interconnectors for e in link.endpoints()})
     horizons: dict[str, tuple[int, ...]] = {}
     for region_id in linked:
-        if region_id not in seen_series:
-            if region_id in seen_regions:
-                report.append(
-                    f"region '{region_id}' has an interconnector but no price series"
-                )
-            continue
-        horizons[region_id] = network.prices_for(region_id).timesteps
-    if horizons:
-        reference_id, reference = next(iter(horizons.items()))
-        for region_id, ts in horizons.items():
-            if ts != reference:
-                report.append(
-                    _horizon_mismatch(region_id, ts, reference_id, reference)
-                )
-
+        if region_id in seen_series:
+            horizons[f"prices '{region_id}'"] = network.prices_for(region_id).timesteps
+        elif region_id in seen_regions:
+            report.append(f"region '{region_id}' has an interconnector but no price series")
+    try:
+        _shared_horizon(horizons)
+    except AlignmentError as exc:
+        report.append(str(exc))
     return report
 
 
-def _horizon_mismatch(
-    region_id: str, ts: tuple[int, ...], reference_id: str, reference: tuple[int, ...]
-) -> str:
-    """One line naming where a linked region's horizon first leaves the reference."""
-    n = min(len(ts), len(reference))
-    i = next((i for i in range(n) if ts[i] != reference[i]), n)
-    here = f"t={ts[i]}" if i < len(ts) else "no step"
-    there = f"t={reference[i]}" if i < len(reference) else "no step"
-    return (
-        f"price series '{region_id}' horizon ({len(ts)} steps) differs from "
-        f"linked region '{reference_id}' ({len(reference)} steps) first at step "
-        f"{i}: {here} against {there}"
-    )
+def _shared_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """The horizon rule: all sources cover the same timesteps, in the same order.
+
+    ``sources`` maps each source's name to its timesteps. When they agree,
+    the first source's are returned (``()`` when there is none). Otherwise
+    the :class:`AlignmentError` raised maps, in ``missing``, each source that
+    lacks a timestep another covers to all such timesteps. Its message lists
+    at most five per source, then their count, so its length does not grow
+    with the horizon's: ``horizon mismatch: prices 'a' missing timesteps
+    [10000, 10001, 10002, 10003, 10004, ...] (8760 in all)``.
+    """
+    reference = next(iter(sources.values()), ())
+    if all(ts == reference for ts in sources.values()):
+        return reference
+    union = set().union(*sources.values())
+    missing = {}
+    for name, ts in sources.items():
+        gaps = union.difference(ts)
+        if gaps:
+            missing[name] = tuple(sorted(gaps))
+    if not missing:  # then a source breaks its own strictly-increasing invariant
+        raise AlignmentError(
+            "horizon mismatch: sources cover the same timesteps in different order"
+        )
+    detail = []
+    for name, gaps in missing.items():
+        listed = str(list(gaps[:5]))
+        if len(gaps) > 5:
+            listed = f"{listed[:-1]}, ...] ({len(gaps)} in all)"
+        detail.append(f"{name} missing timesteps {listed}")
+    raise AlignmentError(f"horizon mismatch: {'; '.join(detail)}", missing)

@@ -34,7 +34,8 @@ its link's id.
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each
 link independently and sums; its links share one horizon, which annualises
-the sum.
+the sum. Whether horizons agree is decided, and a mismatch worded, by the
+one horizon rule in :mod:`hvdcarb.model` (``_shared_horizon``).
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ from .arbitrage import (
     optimal_flow,
 )
 from .errors import AlignmentError
-from .model import CapacityProfile, Interconnector, Network, PriceSeries, _strictly_increasing
+from .model import (
+    CapacityProfile, Interconnector, Network, PriceSeries,
+    _shared_horizon, _strictly_increasing,
+)
 
 __all__ = [
     "HOURS_PER_YEAR",
@@ -171,33 +175,6 @@ def _sum_left_to_right(values: Iterable[float]) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def _aligned_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
-    """Common timestep tuple, or AlignmentError naming what is missing where.
-
-    ``sources`` maps a source's name to its timesteps; the first is the
-    reference.
-    """
-    reference = next(iter(sources.values()))
-    if all(ts == reference for ts in sources.values()):
-        return reference
-    union = set().union(*sources.values())
-    missing = {}
-    for name, ts in sources.items():
-        gaps = union.difference(ts)
-        if gaps:
-            missing[name] = tuple(sorted(gaps))
-    if missing:
-        detail = "; ".join(
-            f"{name} missing timesteps {list(gaps)}" for name, gaps in missing.items()
-        )
-        raise AlignmentError(f"horizon mismatch: {detail}", missing)
-    # Same sets but different sequences means a source violates its
-    # own strictly-increasing invariant.
-    raise AlignmentError(
-        "horizon mismatch: sources cover the same timesteps in different order"
-    )
-
-
 def _prepare(
     prices_a: PriceSeries,
     prices_b: PriceSeries,
@@ -227,7 +204,7 @@ def _prepare(
         prices_a, prices_b = prices_b, prices_a
     r_b = (bias or BiasPolicy()).r_b
     # Without a profile the rated capacity applies over series a's horizon.
-    horizon = _aligned_horizon(
+    horizon = _shared_horizon(
         {
             f"prices '{prices_a.region_id}'": prices_a.timesteps,
             f"prices '{prices_b.region_id}'": prices_b.timesteps,
@@ -295,16 +272,16 @@ def schedule_link(
 ) -> Schedule:
     """Optimal dispatch of one link over the price series' horizon.
 
-    Both price series and the capacity profile must cover exactly the same
-    timesteps. With no profile given, the link's rated capacity applies at
-    every step. Separability makes the per-step optimum the horizon
+    Both price series and the capacity profile follow the horizon rule of
+    :mod:`hvdcarb.model`. With no profile given, the link's rated capacity
+    applies at every step. Separability makes the per-step optimum the horizon
     optimum. The inputs are checked as whole columns, then the total is
     computed in one pass with the expressions of
     :func:`~hvdcarb.arbitrage.optimal_flow`; the per-step columns are built
     when first read. Every value is bit-identical to deciding step by step.
 
     Raises:
-        AlignmentError: the three sources cover different timesteps.
+        AlignmentError: the three sources break the horizon rule.
         ValueError: the series do not belong to the link's endpoints, the
             capacity profile belongs to another link, the step duration is
             not finite and > 0, a step is invalid (the error
@@ -376,15 +353,15 @@ def schedule_portfolio(
     scheduled, so their errors come before those of a step.
 
     Raises:
-        AlignmentError: a link's sources do not align, or its horizon is not
-            the first link's (the total is annualised over one horizon);
-            names the link.
+        AlignmentError: a link's sources, or its horizon and the first
+            link's (the total is annualised over one horizon), break the
+            horizon rule; names the link.
         KeyError: a link endpoint has no price series.
         ValueError: the step duration is not finite and > 0, a
             ``capacities`` key names no link, a link's inputs are invalid
             (see :func:`schedule_link`), the network has links and an empty
-            horizon to annualise, or the grand total (naming the links) or
-            the annualised profit is not finite.
+            horizon to annualise, or the grand total or the annualised
+            profit is not finite (naming the links).
     """
     _check_duration(duration_h, "duration_h")
     capacities = capacities or {}
@@ -400,7 +377,7 @@ def schedule_portfolio(
             name, horizon = f"link '{link.id}'", _prepare(*call)[0]
             # The total is annualised over one horizon, so every link must share it.
             first = first or {name: horizon}
-            _aligned_horizon({**first, name: horizon})
+            _shared_horizon({**first, name: horizon})
         except AlignmentError as exc:
             raise AlignmentError(f"link '{link.id}': {exc}", exc.missing) from exc
         except KeyError as exc:
@@ -410,15 +387,16 @@ def schedule_portfolio(
         calls.append(call)
     schedules = [schedule_link(*call) for call in calls]
     grand_total = _sum_left_to_right(s.total_profit for s in schedules)
-    if not math.isfinite(grand_total):  # each link's total is finite
-        ids = ", ".join(f"'{s.interconnector_id}'" for s in schedules)
-        raise ValueError(f"portfolio of links {ids}: grand total profit is not finite")
     annualized = 0.0
     if schedules:
         hours = len(schedules[0].timesteps) * duration_h
         if not hours:
             raise ValueError("the horizon is empty: there is no hour to annualise")
-        annualized = extrapolate_annual(grand_total / hours)
+        annualized = grand_total / hours * HOURS_PER_YEAR  # as extrapolate_annual does
+    if not math.isfinite(annualized):  # each link's total is finite
+        ids = ", ".join(f"'{s.interconnector_id}'" for s in schedules)
+        what = "annualised" if math.isfinite(grand_total) else "grand total"
+        raise ValueError(f"portfolio of links {ids}: {what} profit is not finite")
     return PortfolioResult(tuple(schedules), grand_total, annualized)
 
 

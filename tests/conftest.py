@@ -71,3 +71,19 @@ def over_steps(network: Network, steps: int) -> Network:
         )
         for i, region in enumerate(network.regions)
     )
+
+
+# Two hourly years that share no timestep.
+DISJOINT_YEARS = (tuple(range(8760)), tuple(range(10_000, 18_760)))
+
+
+def one_link_network(horizon_a, horizon_b) -> Network:
+    """Regions a and b priced over the given timesteps, and one lossless link ab."""
+    return Network(
+        (Region("a"), Region("b")),
+        (Interconnector("ab", "a", "b", 100.0, 0.0),),
+        (
+            PriceSeries("a", tuple((t, 2.0) for t in horizon_a)),
+            PriceSeries("b", tuple((t, 1.0) for t in horizon_b)),
+        ),
+    )

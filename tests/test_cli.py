@@ -24,7 +24,7 @@ from hvdcarb.cli import main
 from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir, write_report
 from hvdcarb.scheduler import schedule_portfolio
 from hvdcarb.wheeling import WheelingChain, evaluate_wheel
-from conftest import over_steps, tiny_network
+from conftest import DISJOINT_YEARS, one_link_network, over_steps, tiny_network
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -169,7 +169,19 @@ class TestSchedule:
         for argv in (config, (*config, "--prices", str(tmp_path / "prices.csv"))):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
-            assert "price series 'b' horizon (2 steps) differs from linked region 'a'" in err
+            assert err.endswith(":\n- horizon mismatch: prices 'b' missing timesteps [0]\n")
+
+    def test_disjoint_years_are_named_briefly(self, capsys, tmp_path):
+        save_network(one_link_network(*DISJOINT_YEARS), tmp_path / "n.yaml")
+        code, out, err = run(capsys, "schedule", "--network", str(tmp_path / "n.yaml"),
+                             "--prices", str(tmp_path / "prices.csv"))
+        assert (code, out) == (3, "")
+        assert err.endswith(
+            ":\n- horizon mismatch: prices 'a' missing timesteps "
+            "[10000, 10001, 10002, 10003, 10004, ...] (8760 in all); "
+            "prices 'b' missing timesteps [0, 1, 2, 3, 4, ...] (8760 in all)\n"
+        )
+        assert len(err) < 300
 
     def test_prices_replace_a_missing_referenced_file(self, capsys, tmp_path):
         shutil.copy(default_data_dir() / "network.yaml", tmp_path / "network.yaml")
@@ -332,6 +344,19 @@ class TestProfitThatIsNotFinite:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "error: portfolio of links 'l1', 'l2': grand total profit is not finite\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["schedule", "plot-data"])
+    def test_an_annual_profit_that_overflows_names_the_link(self, capsys, tmp_path, command):
+        # the link's total, 1e308, is finite; a year of it is not
+        links = (Interconnector("l1", "a", "b", 1e300, 0.0),)
+        prices = (PriceSeries("a", ((1, 1e8),)), PriceSeries("b", ((1, 0.0),)))
+        save_network(Network((Region("a"), Region("b")), links, prices), tmp_path / "n.yaml")
+        report = tmp_path / "report.csv"
+        argv = [command, "--network", str(tmp_path / "n.yaml"), "--out", str(report)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: portfolio of links 'l1': annualised profit is not finite\n"
         assert not report.exists()
 
 

@@ -334,8 +334,8 @@ class TestValidateNetwork:
         )
         (message,) = validate_network(net)
         assert message == (
-            "price series 'b' horizon (8760 steps) differs from linked region 'a' "
-            "(8760 steps) first at step 0: t=1 against t=0"
+            "horizon mismatch: prices 'a' missing timesteps [8760]; "
+            "prices 'b' missing timesteps [0]"
         )
         assert len(message) < 300
 
@@ -349,8 +349,7 @@ class TestValidateNetwork:
             ),
         )
         assert validate_network(net) == [
-            "price series 'b' horizon (1 steps) differs from linked region 'a' "
-            "(2 steps) first at step 1: no step against t=2"
+            "horizon mismatch: prices 'b' missing timesteps [2]"
         ]
 
     def test_unpriced_unlinked_region_is_fine(self, bundle):

@@ -29,10 +29,11 @@ from hvdcarb import (
     optimal_flow,
     schedule_link,
     schedule_portfolio,
+    validate_network,
     write_report,
 )
 from hvdcarb import scheduler
-from conftest import random_link_instance
+from conftest import DISJOINT_YEARS, one_link_network, random_link_instance
 
 
 @pytest.fixture
@@ -881,6 +882,73 @@ class TestPortfolio:
         assert result.annualized == 30975.0 * 8760
 
 
+@st.composite
+def horizon_pairs(draw):
+    """Two horizons: shifted, trimmed, disjoint, one empty, or equal."""
+    first = tuple(range(draw(st.integers(0, 4)), draw(st.integers(5, 20))))
+    k = draw(st.integers(1, 12))
+    second = draw(st.sampled_from([
+        tuple(t + k for t in first),
+        first[k:],
+        first[:-k],
+        tuple(t + 100 for t in first),
+        (),
+        first,
+    ]))
+    return draw(st.permutations([first, second]))
+
+
+class TestOneHorizonRule:
+    def test_disjoint_years_are_named_briefly_with_every_missing_step(self):
+        year, later = DISJOINT_YEARS
+        network = one_link_network(year, later)
+        with pytest.raises(AlignmentError) as err:
+            schedule_link(*network.price_series, network.link("ab"))
+        message = str(err.value)
+        assert message == (
+            "horizon mismatch: prices 'a' missing timesteps "
+            "[10000, 10001, 10002, 10003, 10004, ...] (8760 in all); "
+            "prices 'b' missing timesteps [0, 1, 2, 3, 4, ...] (8760 in all); "
+            "capacity 'ab' missing timesteps "
+            "[10000, 10001, 10002, 10003, 10004, ...] (8760 in all)"
+        )
+        assert len(message) < 300
+        missing = {"prices 'a'": later, "prices 'b'": year, "capacity 'ab'": later}
+        assert err.value.missing == missing
+        with pytest.raises(AlignmentError) as err:
+            schedule_portfolio(network)
+        assert str(err.value) == f"link 'ab': {message}"
+        assert err.value.missing == missing
+        (line,) = validate_network(network)
+        assert len(line) < 300
+
+    @given(horizons=horizon_pairs())
+    def test_validation_reports_what_scheduling_rejects(self, horizons):
+        network = one_link_network(*horizons)
+        lines = [v for v in validate_network(network) if v.startswith("horizon mismatch")]
+        try:
+            schedule_portfolio(network)
+            error = None
+        except AlignmentError as exc:
+            error = exc
+        except ValueError:  # no hour to annualise
+            assert horizons == ((), ())
+            error = None
+        assert len(lines) == (error is not None)
+        if error is not None:
+            # the price sources are named and their gaps listed alike on both paths
+            library = str(error).removeprefix("link 'ab': horizon mismatch: ").split("; ")
+            assert lines[0].removeprefix("horizon mismatch: ").split("; ") == [
+                part for part in library if part.startswith("prices")
+            ]
+            union = set().union(*horizons)
+            assert {k: v for k, v in error.missing.items() if k.startswith("prices")} == {
+                f"prices '{region}'": tuple(sorted(union.difference(ts)))
+                for region, ts in zip("ab", horizons)
+                if union.difference(ts)
+            }
+
+
 class TestExtrapolateAnnual:
     def test_reported_total(self):
         assert extrapolate_annual(61414) == 537_986_640
@@ -906,3 +974,14 @@ class TestExtrapolateAnnual:
             ValueError, match="^portfolio of links 'l1', 'l2': grand total profit is not finite$"
         ):
             schedule_portfolio(Network(regions, links, prices))
+
+    def test_overflowing_annual_profit_names_the_link(self):
+        # the one link's total, 1e308, is finite; a year of it is not
+        regions = (Region("a"), Region("b"))
+        link = Interconnector("l1", "a", "b", 1e300, 0.0)
+        prices = (PriceSeries("a", ((1, 1e8),)), PriceSeries("b", ((1, 0.0),)))
+        assert schedule_link(*prices, link).total_profit == 1e308
+        with pytest.raises(
+            ValueError, match="^portfolio of links 'l1': annualised profit is not finite$"
+        ):
+            schedule_portfolio(Network(regions, (link,), prices))
