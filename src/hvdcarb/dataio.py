@@ -278,7 +278,10 @@ def _number(mapping: dict, key: str, context: str) -> float | None:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}: '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float reads as a float literal that large
+        return math.inf if value > 0 else -math.inf
 
 
 def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
@@ -474,8 +477,9 @@ def write_report(
 
 
 def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
-    """The fragments of :func:`write_report`'s document; the format is checked
-    before any fragment is rendered."""
+    """The fragments of :func:`write_report`'s document; the format is checked,
+    and the ledger rendered, before any fragment is made, so that a ledger
+    ``json.dumps`` refuses raises here."""
     if fmt == "csv":
         if isinstance(result, Schedule):
             return _schedule_csv([result])
@@ -483,7 +487,7 @@ def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
             return _schedule_csv(result.schedules)
         return _wheeling_csv(result)
     if fmt == "structured":
-        return _structured(result, expected)
+        return _structured(result, "" if expected is None else _json(expected, "  "))
     raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'structured')")
 
 
@@ -589,7 +593,7 @@ def _portfolio_schedules(schedules: Sequence[Schedule]) -> Iterator[str]:
         yield "\n    }"
 
 
-def _structured(result, expected: dict | None) -> Iterator[str]:
+def _structured(result, expected: str) -> Iterator[str]:
     yield "{\n"
     if isinstance(result, Schedule):
         yield '  "type": "schedule",\n'
@@ -620,8 +624,8 @@ def _structured(result, expected: dict | None) -> Iterator[str]:
         )
         yield '  "type": "wheeling",\n  "scenarios": '
         yield from _json_array(_blocks(scenarios, ",\n"), "  ")
-    if expected is not None:
-        yield ',\n  "expected": ' + _json(expected, "  ")
+    if expected:
+        yield ',\n  "expected": ' + expected
     yield "\n}\n"
 
 

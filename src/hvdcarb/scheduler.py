@@ -11,25 +11,13 @@ objective sum x_t * lambda_t is separable across timesteps and linear in
 each x_t over a box, so the per-step bang-bang rule of
 :func:`hvdcarb.arbitrage.optimal_flow` attains the horizon optimum.
 
-A :class:`Schedule` holds the horizon as parallel columns: timesteps,
-directions, quantities, lambdas and profits. :func:`schedule_link` aligns
-and checks its inputs, then computes the link's total in one pass over the
-price columns, with the expressions of ``optimal_flow`` in the same order;
-the other four columns are built on first read, with the same values, so
-every value is bit-identical to deciding step by step. ``Schedule.decisions``
-builds the per-step :class:`~hvdcarb.arbitrage.FlowDecision` view only when
-asked, from those columns: FlowDecision's two rules are tested once over
-whole columns, and the slotted decisions are filled from them without
-``__init__``. Totals are summed left to right. :func:`lp_oracle` re-solves the
-same problem by explicit per-step enumeration and exists as an independent
-check on the production path. Neither states a step rule of its own: both
-raise the error ``optimal_flow`` raises at the first step it rejects, for a
-loss outside [0, 1), a negative or non-finite capacity, a bias that is not
-finite and >= 0, a non-finite price or step length, an overflowing spread or
-an overflowing step profit. Both test the link's total once: a total that is
-not finite replays ``optimal_flow`` step by step, and when no step's profit
-overflows, the link's sum is rejected instead. A capacity profile must carry
-its link's id.
+A :class:`Schedule` holds the horizon as parallel columns, which
+:func:`schedule_link` fills bit for bit as ``optimal_flow`` would step by step
+(its docstring says how). :func:`lp_oracle` re-solves the same problem by
+explicit per-step enumeration, as an independent check on the production
+path. Neither states a step rule of its own: both raise the error
+``optimal_flow`` raises (see its Raises) at the first step it rejects, and
+test the link's total once, as :func:`schedule_link` states.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each

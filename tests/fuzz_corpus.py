@@ -31,6 +31,11 @@ CONFIG_MUTATIONS = [
     ("loss_negative", lambda d: _set_link(d, "celtic", loss_fraction=-0.1), False),
     ("capacity_negative", lambda d: _set_link(d, "moyle", capacity_mw=-5.0), False),
     ("capacity_zero", lambda d: _set_link(d, "moyle", capacity_mw=0.0), True),
+    (
+        "capacity_too_large_for_a_float",
+        lambda d: _set_link(d, "moyle", capacity_mw=10**400),
+        False,
+    ),
     ("capacity_missing", lambda d: _del_link_key(d, "moyle", "capacity_mw"), False),
     ("unknown_endpoint", lambda d: _set_link(d, "moyle", to="atlantis"), False),
     ("self_loop", lambda d: _set_link(d, "moyle", to="ireland"), False),

@@ -578,6 +578,11 @@ class TestCaseIreland:
             ("links: {moyle: {reported_eur: -5.0}}", "link 'moyle': 'reported_eur' must be finite"),
             ("links: {moyle: {reported_eur: .inf}}", "link 'moyle': 'reported_eur' must be finite"),
             ("annual: {claim_exceeds_eur: -1}", "'annual': 'claim_exceeds_eur' must be finite"),
+            pytest.param(
+                f"totals: {{reported_eur: {10**400}}}",
+                "'totals': 'reported_eur' must be finite and >= 0",
+                id="int-too-large-for-a-float",
+            ),
         ],
     )
     def test_malformed_ledger_is_a_parse_error(
@@ -591,6 +596,32 @@ class TestCaseIreland:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {tmp_path / 'expected.yaml'}: ")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "note, message",
+        [
+            ("2020-01-01", "Object of type date is not JSON serializable"),
+            ("!!binary aGk=", "Object of type bytes is not JSON serializable"),
+            ("&a [*a]", "Circular reference detected"),
+        ],
+        ids=["date", "binary", "cycle"],
+    )
+    def test_a_ledger_json_cannot_write_is_a_parse_error_only_as_json(
+        self, capsys, tmp_path, monkeypatch, bundle, note, message
+    ):
+        shutil.copytree(default_data_dir(), tmp_path / "data")
+        ledger = tmp_path / "data" / "expected.yaml"
+        ledger.write_text(ledger.read_text() + f"note: {note}\n")
+        monkeypatch.setenv("HVDCARB_DATA_DIR", str(tmp_path / "data"))
+        report = tmp_path / "case.json"
+        code, out, err = run(capsys, "case-ireland", "--out", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: {ledger}: cannot be written as JSON: {message}\n"
+        assert not report.exists()
+        # the table and the CSV report do not write the ledger as JSON
+        table = run(capsys, "case-ireland")
+        assert table[0] == 0 and "total" in table[1]
+        assert run(capsys, "case-ireland", "--format", "csv", "--out", str(report))[0] == 0
 
     def test_structured_report_carries_expected(self, capsys, tmp_path):
         out_path = tmp_path / "case.json"

@@ -1,21 +1,125 @@
-"""Checks that need a fresh interpreter, each run as a child process."""
+"""The README's examples and the exit codes, run as a user runs them: each command
+is a fresh ``python -m hvdcarb.cli`` in a temporary directory, importing ``hvdcarb``
+from where this process did (``src`` in a checkout, or the installed package).
+"""
 
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+import hvdcarb
+
+PACKAGE = Path(hvdcarb.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python(*args, cwd, data_dir=None) -> subprocess.CompletedProcess:
+    """``python *args`` in ``cwd``, importing hvdcarb from where this process did."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("HVDCARB_DATA_DIR", None)
+    if data_dir is not None:
+        env["HVDCARB_DATA_DIR"] = str(data_dir)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced block after ``heading`` in the README, without its fences."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n{heading}\n"):]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def readme_commands() -> list[list[str]]:
+    """The command-line examples, continuation lines joined and comments dropped."""
+    lines = readme_block("## Command line").replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines]
+
+
+@pytest.fixture(scope="module")
+def readme_runs(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("readme")
+    runs = []
+    for argv in readme_commands():
+        assert argv[0] == "hvdcarb"
+        runs.append((argv[1:], python("-m", "hvdcarb.cli", *argv[1:], cwd=cwd)))
+    return cwd, runs
+
+
+def test_the_readme_commands_succeed(readme_runs):
+    cwd, runs = readme_runs
+    assert len(runs) == 5
+    for argv, child in runs:
+        assert (child.returncode, child.stderr) == (0, ""), argv
+        if "--out" in argv:
+            assert (cwd / argv[argv.index("--out") + 1]).stat().st_size > 0, argv
+
+
+def test_the_readme_table_is_what_case_ireland_prints(readme_runs):
+    out = next(child.stdout for argv, child in readme_runs[1] if argv == ["case-ireland"])
+    assert out.split("\n\n")[1] + "\n" == readme_block("### The case-study figures")
+
+
+def test_the_readme_library_example(monkeypatch):
+    monkeypatch.delenv("HVDCARB_DATA_DIR", raising=False)
+    block = readme_block("## Library")
+    namespace = {}
+    exec(block, namespace)
+    shown = " ".join(line.split("#", 1)[1].strip() for line in block.splitlines() if "#" in line)
+    result = namespace["result"]
+    totals = repr((result.grand_total, result.annualized))
+    decision = repr(namespace["decision"])
+    assert totals == "(52289.0, 458051640.0)"
+    assert decision == (
+        "FlowDecision(timestep=0, direction=<Direction.B_TO_A: 'B_to_A'>, "
+        "quantity_mw=700.0, marginal_value=44.25, profit=30975.0)"
+    )
+    assert totals in shown and decision in shown
+
+
+def write_ledgers(directory: Path) -> None:
+    """Case-study copies whose ledger holds a date, or an int too large for a float."""
+    bundled = PACKAGE / "data" / "ireland"
+    for name, ledger in (
+        ("dated", (bundled / "expected.yaml").read_text() + "note: 2020-01-01\n"),
+        ("huge", f"totals: {{reported_eur: {10**400}}}\n"),
+    ):
+        shutil.copytree(bundled, directory / name)
+        (directory / name / "expected.yaml").write_text(ledger)
+
+
+@pytest.mark.parametrize(
+    "argv, data_dir, code",
+    [
+        (["evaluate", "celtic", "-t", "1", "--out", "x"], None, 2),
+        (["schedule", "--form", "structured", "--o", "x"], None, 2),
+        (["schedule", "--from", "5", "--to", "2", "--out", "x"], None, 3),
+        (["wheel", "france", "ireland", "atlantis", "--via", "celtic", "moyle",
+          "--quantity", "1", "--out", "x"], None, 4),
+        (["case-ireland", "--out", "x"], "dated", 2),
+        (["case-ireland", "--out", "x"], "huge", 2),
+    ],
+    ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
+         "ledger-date", "ledger-int-too-large"],
+)
+def test_a_refused_command_exits_with_its_code_and_writes_nothing(tmp_path, argv, data_dir, code):
+    write_ledgers(tmp_path)
+    data_dir = data_dir and tmp_path / data_dir
+    child = python("-m", "hvdcarb.cli", *argv, cwd=tmp_path, data_dir=data_dir)
+    assert (child.returncode, child.stdout) == (code, ""), child.stderr
+    assert not (tmp_path / "x").exists()
+    assert not re.search(r"\binf\b", child.stderr)
 
 
 def test_importing_the_cli_imports_neither_typing_nor_json(tmp_path):
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "import hvdcarb.cli"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
+    child = python("-X", "importtime", "-c", "import hvdcarb.cli", cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
     lines = child.stderr.splitlines()
     # the lines after site's are the imports that hvdcarb.cli causes
     site = next(i for i, line in enumerate(lines) if re.search(r"\| site$", line))

@@ -718,8 +718,11 @@ class TestStructuredReportMatchesJsonDumps:
         want = reference_structured_report(result, expected)
         assert write_report(result, "structured", expected) == want
 
-    def test_case_study(self, bundle):
-        result = schedule_portfolio(bundle.network)
+    @pytest.mark.parametrize("steps", [None, 2 * dataio._BLOCK_ROWS + 7], ids=["one", "blocks"])
+    def test_case_study(self, bundle, steps):
+        # over more than two blocks of rows per link, the seams between blocks
+        network = bundle.network if steps is None else over_steps(bundle.network, steps)
+        result = schedule_portfolio(network)
         for doc in (result, *result.schedules):
             for expected in (None, bundle.expected):
                 assert write_report(doc, "structured", expected) == (
