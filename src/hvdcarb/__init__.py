@@ -6,112 +6,21 @@ losses: per-timestep flow decisions, time-coupled schedules under dynamic
 capacity limits, and 3-area wheeling analysis.
 """
 
-from .arbitrage import (
-    BiasPolicy,
-    Direction,
-    FlowDecision,
-    flow_condition,
-    marginal_value,
-    optimal_flow,
-    pairwise_profit,
-    pairwise_profit_biased,
-)
-from .dataio import (
-    CaseStudyBundle,
-    load_case_study,
-    load_network,
-    load_prices,
-    save_network,
-    save_prices,
-    write_report,
-)
-from .errors import (
-    AlignmentError,
-    CapacityError,
-    ConfigConflictError,
-    DuplicateRowError,
-    HvdcArbError,
-    InvalidLossError,
-    ParseError,
-    ResolutionError,
-    ValidationError,
-)
-from .model import (
-    CapacityProfile,
-    Interconnector,
-    Network,
-    PriceSeries,
-    Region,
-    loss_from_length,
-    validate_network,
-)
-from .scheduler import (
-    HOURS_PER_YEAR,
-    PortfolioResult,
-    Schedule,
-    extrapolate_annual,
-    lp_oracle,
-    schedule_link,
-    schedule_portfolio,
-)
-from .wheeling import (
-    WheelingChain,
-    WheelingResult,
-    WheelScenario,
-    evaluate_wheel,
-    wheel_gates_123,
-    wheel_gates_321,
-    wheel_profit_123,
-    wheel_profit_321,
-)
+from . import arbitrage, dataio, errors, model, scheduler, wheeling
+from .arbitrage import *
+from .dataio import *
+from .errors import *
+from .model import *
+from .scheduler import *
+from .wheeling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentError",
-    "BiasPolicy",
-    "CapacityError",
-    "CapacityProfile",
-    "CaseStudyBundle",
-    "ConfigConflictError",
-    "Direction",
-    "DuplicateRowError",
-    "FlowDecision",
-    "HOURS_PER_YEAR",
-    "HvdcArbError",
-    "Interconnector",
-    "InvalidLossError",
-    "Network",
-    "ParseError",
-    "PortfolioResult",
-    "PriceSeries",
-    "Region",
-    "ResolutionError",
-    "Schedule",
-    "ValidationError",
-    "WheelScenario",
-    "WheelingChain",
-    "WheelingResult",
-    "evaluate_wheel",
-    "extrapolate_annual",
-    "flow_condition",
-    "load_case_study",
-    "load_network",
-    "load_prices",
-    "loss_from_length",
-    "lp_oracle",
-    "marginal_value",
-    "optimal_flow",
-    "pairwise_profit",
-    "pairwise_profit_biased",
-    "save_network",
-    "save_prices",
-    "schedule_link",
-    "schedule_portfolio",
-    "validate_network",
-    "wheel_gates_123",
-    "wheel_gates_321",
-    "wheel_profit_123",
-    "wheel_profit_321",
-    "write_report",
-]
+# Each module's __all__ is its public API; the package republishes them.
+__all__ = []
+__all__ += arbitrage.__all__
+__all__ += dataio.__all__
+__all__ += errors.__all__
+__all__ += model.__all__
+__all__ += scheduler.__all__
+__all__ += wheeling.__all__

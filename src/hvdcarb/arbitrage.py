@@ -32,6 +32,7 @@ differ only in that name.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,8 +131,8 @@ def _check_duration(value: float, name: str) -> None:
 
 
 def _check_nonnegative(value: float, name: str) -> None:
-    """A capacity, quantity, bias, length or profit: finite and >= 0."""
-    if not (0 <= value < math.inf):
+    """A capacity, quantity, bias, length or profit: finite (<= the largest float) and >= 0."""
+    if not (0 <= value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 

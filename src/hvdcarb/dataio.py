@@ -38,6 +38,7 @@ from pathlib import Path
 
 import yaml
 
+from .arbitrage import _check_nonnegative
 from .errors import (
     ConfigConflictError,
     DuplicateRowError,
@@ -50,26 +51,22 @@ from .model import (
     Network,
     PriceSeries,
     Region,
+    _broken,
     loss_from_length,
     validate_network,
 )
 from .scheduler import PortfolioResult, Schedule
 from .wheeling import WheelingResult
 
+# The package republishes these; the other public names here are dataio's own.
 __all__ = [
-    "PRICE_CSV_HEADER",
-    "SCHEDULE_CSV_HEADER",
-    "WHEELING_CSV_HEADER",
     "CaseStudyBundle",
     "load_prices",
     "save_prices",
-    "prices_to_csv",
     "load_network",
     "save_network",
-    "network_to_yaml",
     "write_report",
     "load_case_study",
-    "default_data_dir",
 ]
 
 PRICE_CSV_HEADER = "timestep,region_id,price_eur_mwh"
@@ -88,13 +85,26 @@ if TYPE_CHECKING:  # an alias for annotations; typing is not imported at run tim
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _name(source: Source) -> str:
+    """How an error names ``source``: its path, or a stream's name."""
+    return getattr(source, "name", "stream") if hasattr(source, "read") else str(source)
+
+
 def _read_text(source: Source) -> str:
     stream = hasattr(source, "read")
     try:
         return source.read() if stream else Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        name = getattr(source, "name", "stream") if stream else source
-        raise ParseError(f"{name}: not UTF-8 text: {exc}") from exc
+        raise ParseError(f"{_name(source)}: not UTF-8 text: {exc}") from exc
+
+
+def _read_yaml(source: Source):
+    """The YAML document in ``source``; a ParseError naming it if it cannot be read."""
+    text = _read_text(source)
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{_name(source)}: invalid YAML: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +325,7 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
     """The config's regions and links, unvalidated, and its resolved ``prices_csv``."""
     if base_dir is None and not hasattr(source, "read"):
         base_dir = Path(source).parent
-    try:
-        doc = yaml.load(_read_text(source), Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"invalid YAML: {exc}") from exc
+    doc = _read_yaml(source)
     if not isinstance(doc, dict):
         raise ParseError("config root must be a mapping")
     unknown = set(doc) - _TOP_KEYS
@@ -668,10 +675,7 @@ def load_case_study(data_dir: str | Path | None = None) -> CaseStudyBundle:
 
 def _load_ledger(path: Path) -> dict:
     """The reference ledger; a ParseError names the file if it is malformed."""
-    try:
-        ledger = yaml.load(_read_text(path), Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: invalid YAML: {exc}") from exc
+    ledger = _read_yaml(path)
 
     def mapping(value, what: str) -> dict:
         if not isinstance(value, dict):
@@ -684,7 +688,8 @@ def _load_ledger(path: Path) -> dict:
     entries.update((f"link '{k}'", v) for k, v in links.items())
     for context, entry in entries.items():
         for key in ("reported_eur", "claim_exceeds_eur"):
-            value = _number(mapping(entry, context), key, f"{path}: {context}")
-            if value is not None and not 0 <= value < math.inf:
-                raise ParseError(f"{path}: {context}: '{key}' must be finite and >= 0")
+            # checked as written, so an int too large for a float is named by its digits
+            if _number(mapping(entry, context), key, f"{path}: {context}") is not None:
+                for message in _broken(_check_nonnegative, entry[key], f"'{key}'"):
+                    raise ParseError(f"{path}: {context}: {message}")
     return ledger

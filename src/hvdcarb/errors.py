@@ -6,6 +6,18 @@ cover data and file level failures, so the CLI can map them to distinct
 exit codes.
 """
 
+__all__ = [
+    "HvdcArbError",
+    "ParseError",
+    "DuplicateRowError",
+    "ValidationError",
+    "ConfigConflictError",
+    "InvalidLossError",
+    "AlignmentError",
+    "ResolutionError",
+    "CapacityError",
+]
+
 
 class HvdcArbError(Exception):
     """Base class for all package-specific errors."""

@@ -58,6 +58,15 @@ def _strictly_increasing(timesteps: tuple[int, ...]) -> bool:
     return all(map(operator.lt, timesteps, timesteps[1:]))
 
 
+def _broken(check, value: float, name: str) -> list[str]:
+    """The message of ``check(value, name)`` as a one-item list, or [] if it passes."""
+    try:
+        check(value, name)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
 def _order_violations(owner: str, ts: tuple[int, ...]) -> list[str]:
     return [
         f"{owner}: timesteps not strictly increasing at t={t1}"
@@ -168,28 +177,14 @@ class Interconnector:
         return {self.endpoint_a, self.endpoint_b} == {region_x, region_y}
 
     def violations(self) -> list[str]:
-        out = []
-        if not self.id:
-            out.append("interconnector with empty id")
-        if not (self.capacity_mw >= 0) or not math.isfinite(self.capacity_mw):
-            out.append(
-                f"interconnector '{self.id}': capacity_mw {self.capacity_mw} must "
-                f"be finite and >= 0"
-            )
-        if not (0 <= self.loss_fraction < 1):
-            out.append(
-                f"interconnector '{self.id}': loss_fraction {self.loss_fraction} "
-                f"outside [0, 1)"
-            )
+        name = f"interconnector '{self.id}'"
+        out = [] if self.id else ["interconnector with empty id"]
+        out += _broken(_check_nonnegative, self.capacity_mw, f"{name}: capacity_mw")
+        out += _broken(_check_loss, self.loss_fraction, f"{name}: loss_fraction")
         if self.endpoint_a == self.endpoint_b:
-            out.append(f"interconnector '{self.id}': both endpoints are '{self.endpoint_a}'")
-        if self.length_km is not None and (
-            not (self.length_km >= 0) or not math.isfinite(self.length_km)
-        ):
-            out.append(
-                f"interconnector '{self.id}': length_km {self.length_km} must "
-                f"be finite and >= 0"
-            )
+            out.append(f"{name}: both endpoints are '{self.endpoint_a}'")
+        if self.length_km is not None:
+            out += _broken(_check_nonnegative, self.length_km, f"{name}: length_km")
         return out
 
 
@@ -226,13 +221,10 @@ class CapacityProfile:
             and math.isfinite(sum(values))
         ):
             return []
-        out = _order_violations(f"capacity profile '{self.interconnector_id}'", ts)
+        name = f"capacity profile '{self.interconnector_id}'"
+        out = _order_violations(name, ts)
         for t, x in zip(ts, values):
-            if not (x >= 0) or not math.isfinite(x):
-                out.append(
-                    f"capacity profile '{self.interconnector_id}': x_max {x} at t={t} "
-                    f"must be finite and >= 0"
-                )
+            out += _broken(_check_nonnegative, x, f"{name}: x_max at t={t}")
         return out
 
 

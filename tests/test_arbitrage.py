@@ -5,6 +5,8 @@ import io
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 
 from hvdcarb import (
     BiasPolicy,
+    CapacityProfile,
     Direction,
     FlowDecision,
     Interconnector,
     Network,
+    ParseError,
     PriceSeries,
     Schedule,
     WheelingChain,
@@ -34,6 +38,7 @@ from hvdcarb import (
     wheel_gates_321,
     wheel_profit_123,
 )
+from hvdcarb import dataio
 from hvdcarb.cli import main
 
 prices = st.floats(min_value=-50, max_value=200)
@@ -493,6 +498,22 @@ def _cli_error(*argv) -> str:
     return err.getvalue().removeprefix("error: ").removesuffix("\n")
 
 
+def _violation(value) -> str:
+    """The one violation that ``value.violations()`` reports."""
+    (message,) = value.violations()
+    return message
+
+
+def _ledger_error(text: str) -> str:
+    """The message, after the file's name, of the ParseError of the ledger ``text``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "expected.yaml"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            dataio._load_ledger(path)
+    return str(err.value).removeprefix(f"{path}: ")
+
+
 def _link(r=0.0):
     return Interconnector("ab", "a", "b", 100.0, r)
 
@@ -527,6 +548,8 @@ _LOSS_CALLERS = [
      "transit_loss_c must be in [0, 1), got 1.0"),
     ("loss_from_length", lambda: _error(loss_from_length, 10.0, 1.0),
      "loss_rate_per_100km must be in [0, 1), got 1.0"),
+    ("Interconnector.violations", lambda: _violation(_link(1.0)),
+     "interconnector 'ab': loss_fraction must be in [0, 1), got 1.0"),
     ("cli --transit-loss",
      lambda: _cli_error(*_WHEEL, "--quantity", "10", "--transit-loss", "1"),
      "--transit-loss must be in [0, 1), got 1.0"),
@@ -577,12 +600,30 @@ _NONNEGATIVE_CALLERS = [
      "x_request must be finite and >= 0, got -1.0"),
     ("extrapolate_annual", lambda: _error(extrapolate_annual, math.inf),
      "hourly_profit must be finite and >= 0, got inf"),
+    ("extrapolate_annual int too large for a float",
+     lambda: _error(extrapolate_annual, 10**400),
+     f"hourly_profit must be finite and >= 0, got {10**400}"),
     ("extrapolate_annual result", lambda: _error(extrapolate_annual, 1e306),
      "annual profit must be finite and >= 0, got inf"),
     ("loss_from_length", lambda: _error(loss_from_length, math.inf, 0.0),
      "length_km must be finite and >= 0, got inf"),
     ("loss_from_length negative", lambda: _error(loss_from_length, -1, 0.01),
      "length_km must be finite and >= 0, got -1"),
+    ("Interconnector.violations capacity",
+     lambda: _violation(Interconnector("ab", "a", "b", math.inf, 0.0)),
+     "interconnector 'ab': capacity_mw must be finite and >= 0, got inf"),
+    ("Interconnector.violations length",
+     lambda: _violation(Interconnector("ab", "a", "b", 100.0, 0.0, -1.0)),
+     "interconnector 'ab': length_km must be finite and >= 0, got -1.0"),
+    ("CapacityProfile.violations", lambda: _violation(CapacityProfile("ab", ((1, math.nan),))),
+     "capacity profile 'ab': x_max at t=1 must be finite and >= 0, got nan"),
+    ("ledger reported_eur", lambda: _ledger_error("totals: {reported_eur: .inf}"),
+     "'totals': 'reported_eur' must be finite and >= 0, got inf"),
+    ("ledger claim_exceeds_eur", lambda: _ledger_error("annual: {claim_exceeds_eur: -1}"),
+     "'annual': 'claim_exceeds_eur' must be finite and >= 0, got -1"),
+    ("ledger int too large for a float",
+     lambda: _ledger_error(f"totals: {{reported_eur: {10**400}}}"),
+     f"'totals': 'reported_eur' must be finite and >= 0, got {10**400}"),
     ("cli --bias", lambda: _cli_error("evaluate", "celtic", "--bias", "inf"),
      "bias r_b must be finite and >= 0, got inf"),
     ("cli --quantity", lambda: _cli_error(*_WHEEL, "--quantity", "inf"),

@@ -388,7 +388,7 @@ class TestErrorsNameTheirInput:
             heading = "inputs are invalid"
         code, _, err = run(capsys, *argv)
         assert code == 3
-        violation = "interconnector 'ab': loss_fraction 1.0 outside [0, 1)"
+        violation = "interconnector 'ab': loss_fraction must be in [0, 1), got 1.0"
         assert err == f"error: {heading}:\n- {violation}\n"
 
 
@@ -582,6 +582,11 @@ class TestCaseIreland:
                 f"totals: {{reported_eur: {10**400}}}",
                 "'totals': 'reported_eur' must be finite and >= 0",
                 id="int-too-large-for-a-float",
+            ),
+            pytest.param(
+                "totals: {reported_eur: 1" + "0" * 5000 + "}",
+                "invalid YAML: Exceeds the limit (4300 digits) for integer string conversion",
+                id="int-too-long-to-convert",
             ),
         ],
     )

@@ -83,15 +83,18 @@ def test_the_readme_library_example(monkeypatch):
     assert totals in shown and decision in shown
 
 
-def write_ledgers(directory: Path) -> None:
-    """Case-study copies whose ledger holds a date, or an int too large for a float."""
+def write_data_dirs(directory: Path) -> None:
+    """Case-study copies whose ledger holds a date, or an int too large for a float,
+    or whose network config holds an int too long to convert."""
     bundled = PACKAGE / "data" / "ireland"
-    for name, ledger in (
-        ("dated", (bundled / "expected.yaml").read_text() + "note: 2020-01-01\n"),
-        ("huge", f"totals: {{reported_eur: {10**400}}}\n"),
+    ledger, config = ((bundled / name).read_text() for name in ("expected.yaml", "network.yaml"))
+    for name, file, text in (
+        ("dated", "expected.yaml", ledger + "note: 2020-01-01\n"),
+        ("huge", "expected.yaml", f"totals: {{reported_eur: {10**400}}}\n"),
+        ("long", "network.yaml", config.replace("500.0", "1" + "0" * 5000, 1)),
     ):
         shutil.copytree(bundled, directory / name)
-        (directory / name / "expected.yaml").write_text(ledger)
+        (directory / name / file).write_text(text)
 
 
 @pytest.mark.parametrize(
@@ -104,12 +107,13 @@ def write_ledgers(directory: Path) -> None:
           "--quantity", "1", "--out", "x"], None, 4),
         (["case-ireland", "--out", "x"], "dated", 2),
         (["case-ireland", "--out", "x"], "huge", 2),
+        (["schedule", "--out", "x"], "long", 2),
     ],
     ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
-         "ledger-date", "ledger-int-too-large"],
+         "ledger-date", "ledger-int-too-large", "config-int-too-long"],
 )
 def test_a_refused_command_exits_with_its_code_and_writes_nothing(tmp_path, argv, data_dir, code):
-    write_ledgers(tmp_path)
+    write_data_dirs(tmp_path)
     data_dir = data_dir and tmp_path / data_dir
     child = python("-m", "hvdcarb.cli", *argv, cwd=tmp_path, data_dir=data_dir)
     assert (child.returncode, child.stdout) == (code, ""), child.stderr

@@ -359,6 +359,8 @@ def yaml_corpus() -> dict[str, str]:
             "block_scalars": "a: |\n  one\n  two\nb: >-\n  three\n  four\n",
             "empty": "",
             "null": "~",
+            "int_too_long_to_convert": "capacity_mw: 1" + "0" * 5000,
+            "nested_600_deep": "regions: " + "[" * 600 + "]" * 600,
         }
     )
     return texts
@@ -374,16 +376,18 @@ class TestYamlLoaders:
 
     @pytest.mark.parametrize("text", _YAML_CORPUS.values(), ids=_YAML_CORPUS.keys())
     def test_both_loaders_give_the_same_document_or_a_parse_error(self, text, monkeypatch):
+        """Only the pure-Python loader may fail where libyaml reads the document:
+        by nesting deeper than the recursion limit, which is a ParseError too."""
         outcomes = []
         for loader in (yaml.SafeLoader, yaml.CSafeLoader):
             try:
                 outcomes.append(repr(yaml.load(text, Loader=loader)))
-            except yaml.YAMLError:
+            except (yaml.YAMLError, ValueError, RecursionError) as exc:
                 monkeypatch.setattr(dataio, "_YAML_LOADER", loader)
-                with pytest.raises(ParseError, match="invalid YAML"):
+                with pytest.raises(ParseError, match="^stream: invalid YAML: "):
                     load_network(io.StringIO(text))
-                outcomes.append(ParseError)
-        assert outcomes[0] == outcomes[1]
+                outcomes.append(RecursionError if isinstance(exc, RecursionError) else ParseError)
+        assert outcomes[0] in (outcomes[1], RecursionError)
 
 
 def write_two_region_config(tmp_path, link_lines: str):
@@ -427,11 +431,28 @@ class TestLoadNetwork:
         )
         assert load_network(config).link("ab").loss_fraction == 0.0575
 
-    def test_invalid_yaml(self, tmp_path):
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (None, "regions: [unclosed\n"),
+            ("SafeLoader", "capacity_mw: 1" + "0" * 5000),
+            ("SafeLoader", "regions: " + "[" * 600 + "]" * 600),
+            ("CSafeLoader", "capacity_mw: 1" + "0" * 5000),
+        ],
+        ids=["unclosed", "int-too-long", "nested-600-deep", "int-too-long-libyaml"],
+    )
+    def test_invalid_yaml_is_a_parse_error_naming_the_file(
+        self, tmp_path, monkeypatch, loader, text
+    ):
+        if loader is not None:
+            if not hasattr(yaml, loader):
+                pytest.skip(f"PyYAML has no {loader}")
+            monkeypatch.setattr(dataio, "_YAML_LOADER", getattr(yaml, loader))
         config = tmp_path / "net.yaml"
-        config.write_text("regions: [unclosed\n")
-        with pytest.raises(ParseError):
+        config.write_text(text)
+        with pytest.raises(ParseError) as err:
             load_network(config)
+        assert str(err.value).startswith(f"{config}: invalid YAML: ")
 
     def test_non_mapping_root(self, tmp_path):
         config = tmp_path / "net.yaml"

@@ -117,8 +117,8 @@ def capacity_violations_by_loop(profile):
     for t, x in steps:
         if not (x >= 0) or not math.isfinite(x):
             out.append(
-                f"capacity profile '{profile.interconnector_id}': x_max {x} at t={t} "
-                f"must be finite and >= 0"
+                f"capacity profile '{profile.interconnector_id}': x_max at t={t} "
+                f"must be finite and >= 0, got {x}"
             )
     return out
 

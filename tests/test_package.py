@@ -1,0 +1,37 @@
+"""The package's public names: each module's ``__all__``, republished by the package."""
+
+import hvdcarb
+from hvdcarb import arbitrage, dataio, errors, model, scheduler, wheeling
+
+MODULES = (arbitrage, dataio, errors, model, scheduler, wheeling)
+
+PUBLIC = [
+    "AlignmentError", "BiasPolicy", "CapacityError", "CapacityProfile", "CaseStudyBundle",
+    "ConfigConflictError", "Direction", "DuplicateRowError", "FlowDecision", "HOURS_PER_YEAR",
+    "HvdcArbError", "Interconnector", "InvalidLossError", "Network", "ParseError",
+    "PortfolioResult", "PriceSeries", "Region", "ResolutionError", "Schedule",
+    "ValidationError", "WheelScenario", "WheelingChain", "WheelingResult", "evaluate_wheel",
+    "extrapolate_annual", "flow_condition", "load_case_study", "load_network", "load_prices",
+    "loss_from_length", "lp_oracle", "marginal_value", "optimal_flow", "pairwise_profit",
+    "pairwise_profit_biased", "save_network", "save_prices", "schedule_link",
+    "schedule_portfolio", "validate_network", "wheel_gates_123", "wheel_gates_321",
+    "wheel_profit_123", "wheel_profit_321", "write_report",
+]
+
+
+def test_the_package_exports_the_46_names_each_once():
+    assert sorted(hvdcarb.__all__) == PUBLIC
+    assert len(set(hvdcarb.__all__)) == len(hvdcarb.__all__) == 46
+
+
+def test_each_name_is_its_modules_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(hvdcarb, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_the_public_attributes_are_the_names_and_the_modules():
+    public = {name for name in dir(hvdcarb) if not name.startswith("_")}
+    # hvdcarb.cli is bound on the package once anything imports it
+    modules = {module.__name__.removeprefix("hvdcarb.") for module in MODULES}
+    assert public - {"cli"} == set(PUBLIC) | modules
