@@ -281,8 +281,8 @@ _LINK_KEYS = {
 _TOP_KEYS = {"regions", "links", "prices_csv"}
 
 
-def _number(mapping: dict, key: str, context: str) -> float | None:
-    """``mapping[key]`` as a float, or None when the key is absent."""
+def _number(mapping: dict, key: str, context: str) -> float | int | None:
+    """``mapping[key]`` as a float (an int too large for one as written), or None if absent."""
     if key not in mapping:
         return None
     value = mapping[key]
@@ -290,8 +290,8 @@ def _number(mapping: dict, key: str, context: str) -> float | None:
         raise ParseError(f"{context}: '{key}' must be a number, got {value!r}")
     try:
         return float(value)
-    except OverflowError:  # an int too large for a float reads as a float literal that large
-        return math.inf if value > 0 else -math.inf
+    except OverflowError:
+        return value
 
 
 def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
@@ -386,7 +386,7 @@ def _mapping_list(value, name: str) -> list[dict]:
 
 
 def _resolve_loss(entry: dict, length: float | None, context: str) -> float:
-    """Loss fraction from a link entry, cross-checking redundant declarations."""
+    """Loss fraction from a link entry; a declared loss in [0, 1) must match a derived one."""
     declared = _number(entry, "loss_fraction", context)
     rate = _number(entry, "loss_rate_per_100km", context)
     derived = None
@@ -401,14 +401,12 @@ def _resolve_loss(entry: dict, length: float | None, context: str) -> float:
             raise InvalidLossError(f"{context}: {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"{context}: {exc}") from exc
-    if declared is not None and derived is not None:
-        if abs(declared - derived) > 1e-12:
+    if declared is not None:
+        if derived is not None and 0 <= declared < 1 and abs(declared - derived) > 1e-12:
             raise ConfigConflictError(
                 f"{context}: loss_fraction {declared} disagrees with "
                 f"length-derived value {derived}"
             )
-        return declared
-    if declared is not None:
         return declared
     if derived is not None:
         return derived
@@ -654,7 +652,7 @@ class CaseStudyBundle:
 
     @property
     def prices(self) -> dict[str, PriceSeries]:
-        return {s.region_id: s for s in self.network.price_series}
+        return dict(self.network._by_id["price_series"])  # by the network's lookup rule
 
 
 def default_data_dir() -> Path:
@@ -688,7 +686,7 @@ def _load_ledger(path: Path) -> dict:
     entries.update((f"link '{k}'", v) for k, v in links.items())
     for context, entry in entries.items():
         for key in ("reported_eur", "claim_exceeds_eur"):
-            # checked as written, so an int too large for a float is named by its digits
+            # checked as written, so -1 is named -1, not -1.0
             if _number(mapping(entry, context), key, f"{path}: {context}") is not None:
                 for message in _broken(_check_nonnegative, entry[key], f"'{key}'"):
                     raise ParseError(f"{path}: {context}: {message}")

@@ -228,11 +228,21 @@ class CapacityProfile:
         return out
 
 
+def _first_wins(items: Iterable, key: str) -> dict:
+    """``items`` by their ``key`` attribute; the first item of a repeated key wins."""
+    index = {}
+    for item in items:
+        index.setdefault(getattr(item, key), item)
+    return index
+
+
 @dataclass(frozen=True)
 class Network:
     """Regions, the HVDC links joining them, and one price series per region.
 
-    Regions that have no interconnector may omit a price series.
+    Regions that have no interconnector may omit a price series. The lookup
+    rule, for :meth:`region`, :meth:`link` and :meth:`prices_for`: the first
+    item of a repeated id wins, and an unknown id raises ``KeyError(id)``.
     """
 
     regions: tuple[Region, ...] = ()
@@ -244,34 +254,28 @@ class Network:
         object.__setattr__(self, "interconnectors", tuple(self.interconnectors))
         object.__setattr__(self, "price_series", tuple(self.price_series))
 
+    @cached_property
+    def _by_id(self) -> dict[str, dict]:
+        keys = {"regions": "id", "interconnectors": "id", "price_series": "region_id"}
+        return {name: _first_wins(getattr(self, name), key) for name, key in keys.items()}
+
     def region(self, region_id: str) -> Region:
-        for r in self.regions:
-            if r.id == region_id:
-                return r
-        raise KeyError(region_id)
+        return self._by_id["regions"][region_id]
 
     def link(self, link_id: str) -> Interconnector:
-        for link in self.interconnectors:
-            if link.id == link_id:
-                return link
-        raise KeyError(link_id)
+        return self._by_id["interconnectors"][link_id]
 
     def prices_for(self, region_id: str) -> PriceSeries:
-        for s in self.price_series:
-            if s.region_id == region_id:
-                return s
-        raise KeyError(region_id)
+        return self._by_id["price_series"][region_id]
 
     def with_prices(self, series: Iterable[PriceSeries]) -> "Network":
         """Copy of this network with its price series replaced.
 
-        Series are reordered to follow region declaration order; the first
-        series wins if a region appears twice, and series for undeclared
+        Series are reordered to follow region declaration order; a repeated
+        region keeps one series, by the lookup rule, and series for undeclared
         regions are kept (validation flags them).
         """
-        by_region: dict[str, PriceSeries] = {}
-        for s in series:
-            by_region.setdefault(s.region_id, s)
+        by_region = _first_wins(series, "region_id")
         ordered = [by_region.pop(r.id) for r in self.regions if r.id in by_region]
         ordered.extend(by_region.values())
         return Network(self.regions, self.interconnectors, tuple(ordered))

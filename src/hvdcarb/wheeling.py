@@ -21,11 +21,10 @@ infeasible instance; :func:`evaluate_wheel` dispatches zero instead):
     Profit(1->3) = (p3*(1-r1)*(1-r2)*(1-c) - p1) * x
     Profit(3->1) = (p1*(1-r1)*(1-r2)*(1-c) - p3) * x
 
-Losses, quantities and step lengths are checked by the rules of
-:mod:`hvdcarb.arbitrage`. A gate or profit that is not finite (a price that
-is not finite, or finite prices whose gate or profit overflows) raises a
-``ValueError`` naming the prices along the path; the 321 functions and
-:func:`evaluate_wheel` inherit these checks from the 123 ones.
+A gate or profit that is not finite (a price that is not finite, or finite
+prices whose gate or profit overflows) raises a ``ValueError`` naming the
+prices along the path. The 321 functions and :func:`evaluate_wheel` inherit
+the 123 ones' checks, which apply the rules of :mod:`hvdcarb.arbitrage`.
 """
 
 from __future__ import annotations
@@ -106,8 +105,8 @@ def wheel_gates_123(
     """Gate pair for wheeling area1 -> area2 -> area3; feasible iff both > 0.
 
     Raises:
-        ValueError: a loss outside [0, 1), or a gate that is not finite (a
-            price is not finite, or the gate overflows).
+        ValueError: a loss breaks its rule in :mod:`hvdcarb.arbitrage`, or a
+            gate is not finite (a price is not, or the gate overflows).
     """
     _check_losses(r1, r2, c)
     gates = (p3 * (1 - r2) * (1 - c) - p2, p2 * (1 - r1) - p1)
@@ -133,9 +132,8 @@ def wheel_profit_123(
     Raw formula value: negative on an infeasible instance.
 
     Raises:
-        ValueError: a loss outside [0, 1), x not finite and >= 0,
-            duration_h not finite and > 0, or a profit that is not finite (a
-            price is not finite, or the profit overflows).
+        ValueError: a loss, x or duration_h breaks its rule in :mod:`hvdcarb.arbitrage`,
+            or the profit is not finite (a price is not, or the profit overflows).
     """
     _check_losses(r1, r2, c)
     _check_nonnegative(x, "dispatch quantity")
@@ -194,8 +192,8 @@ def evaluate_wheel(
     attenuated quantity.
 
     Raises:
-        ValueError: x_request not finite and >= 0, duration_h not finite
-            and > 0, or a gate or dispatched profit that is not finite.
+        ValueError: x_request or duration_h breaks its rule in
+            :mod:`hvdcarb.arbitrage`, or a gate or dispatched profit is not finite.
         CapacityError: a dispatching scenario's leg cannot carry its flow;
             the error names the binding link.
     """

@@ -3,6 +3,8 @@
 The loader must reject exactly the mutations that violate a model
 invariant and accept everything else (negative prices, zero capacity,
 redundant-but-consistent loss declarations, extra unlinked series).
+A rejection names each value as the file writes it, so an int too large
+for a float is never reported as ``inf``.
 """
 
 import copy
@@ -34,6 +36,18 @@ CONFIG_MUTATIONS = [
     (
         "capacity_too_large_for_a_float",
         lambda d: _set_link(d, "moyle", capacity_mw=10**400),
+        False,
+    ),
+    (
+        "loss_too_large_for_a_float",
+        lambda d: _set_link(
+            d, "celtic", loss_fraction=10**400, length_km=575.0, loss_rate_per_100km=0.01
+        ),
+        False,
+    ),
+    (
+        "length_too_large_for_a_float",
+        lambda d: _set_link(d, "celtic", length_km=10**400, loss_rate_per_100km=0.01),
         False,
     ),
     ("capacity_missing", lambda d: _del_link_key(d, "moyle", "capacity_mw"), False),

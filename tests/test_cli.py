@@ -114,9 +114,7 @@ class TestEvaluate:
         assert "direction: Idle" in out
 
     def test_unknown_link_resolution_error(self, capsys):
-        code, _, err = run(capsys, "evaluate", "nordlink")
-        assert code == 4
-        assert "unknown link" in err
+        assert run(capsys, "evaluate", "nordlink") == (4, "", "error: unknown link 'nordlink'\n")
 
     def test_unknown_timestep_resolution_error(self, capsys):
         code, _, err = run(capsys, "evaluate", "celtic", "-t", "99")
@@ -517,13 +515,16 @@ class TestWheel:
         assert f"--transit-loss must be in [0, 1), got {float(loss)}" in err
 
     def test_unknown_region(self, capsys):
-        code, _, err = run(
-            capsys,
-            "wheel", "atlantis", "ireland", "scotland",
-            "--via", "celtic", "moyle", "--quantity", "10",
+        argv = ["wheel", "atlantis", "ireland", "scotland", "--via", "celtic", "moyle"]
+        assert run(capsys, *argv, "--quantity", "10") == (
+            4, "", "error: unknown region 'atlantis'\n"
         )
-        assert code == 4
-        assert "unknown region" in err
+
+    def test_unknown_link(self, capsys):
+        argv = ["wheel", "france", "ireland", "scotland", "--via", "nordlink", "moyle"]
+        assert run(capsys, *argv, "--quantity", "10") == (
+            4, "", "error: unknown link 'nordlink'\n"
+        )
 
     def test_capacity_error_names_binding_link(self, capsys):
         code, _, err = run(

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import hvdcarb
+from hvdcarb import Interconnector, Network, PriceSeries, Region, save_network
 
 PACKAGE = Path(hvdcarb.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -119,6 +120,18 @@ def test_a_refused_command_exits_with_its_code_and_writes_nothing(tmp_path, argv
     assert (child.returncode, child.stdout) == (code, ""), child.stderr
     assert not (tmp_path / "x").exists()
     assert not re.search(r"\binf\b", child.stderr)
+
+
+def test_schedule_on_a_2000_region_chain(tmp_path):
+    # 500 times the case study's regions; test_model counts the lookups' comparisons.
+    n = 2000
+    regions = [Region(f"r{i}") for i in range(n)]
+    links = [Interconnector(f"l{i}", f"r{i}", f"r{i + 1}", 100.0, 0.02) for i in range(n - 1)]
+    series = [PriceSeries(f"r{i}", ((t, float(i % 7 + t)) for t in range(4))) for i in range(n)]
+    save_network(Network(regions, links, series), tmp_path / "chain.yaml")
+    child = python("-m", "hvdcarb.cli", "schedule", "--network", "chain.yaml", cwd=tmp_path)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.splitlines()[0] == f"links_scheduled: {n - 1}"
 
 
 def test_importing_the_cli_imports_neither_typing_nor_json(tmp_path):

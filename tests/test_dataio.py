@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 import yaml
@@ -879,8 +880,9 @@ class TestMutationFuzzing:
         if ok:
             load_network(tmp_path / "network.yaml")
         else:
-            with pytest.raises((ParseError, ValidationError)):
+            with pytest.raises((ParseError, ValidationError)) as err:
                 load_network(tmp_path / "network.yaml")
+            assert not re.search(r"\binf\b", str(err.value))
 
     @pytest.mark.parametrize(
         "name,mutate,ok", PRICE_MUTATIONS, ids=[m[0] for m in PRICE_MUTATIONS]

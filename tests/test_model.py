@@ -16,8 +16,10 @@ from hvdcarb import (
     PriceSeries,
     Region,
     loss_from_length,
+    schedule_portfolio,
     validate_network,
 )
+from hvdcarb.dataio import CaseStudyBundle
 
 
 class TestLossFromLength:
@@ -229,8 +231,10 @@ class TestNetworkLookups:
         assert net.region("ireland").name == "Ireland"
         assert net.link("celtic").capacity_mw == 700.0
         assert net.prices_for("france").price_at(1) == 50.0
-        with pytest.raises(KeyError):
-            net.link("nordlink")
+        for lookup in (net.region, net.link, net.prices_for):
+            with pytest.raises(KeyError) as err:
+                lookup("nordlink")
+            assert err.value.args == ("nordlink",)
 
     def test_with_prices_orders_by_region_declaration(self, bundle, one_hour_prices):
         shuffled = [
@@ -246,6 +250,73 @@ class TestNetworkLookups:
             "wales",
             "france",
         ]
+
+
+class TestLookupRule:
+    """On an unvalidated network, the first item of a repeated id wins."""
+
+    @pytest.fixture
+    def repeated(self):
+        return Network(
+            (Region("a", "first"), Region("b"), Region("a", "second")),
+            (
+                Interconnector("ab", "a", "b", 1.0, 0.0),
+                Interconnector("ab", "a", "b", 2.0, 0.0),
+            ),
+            (
+                PriceSeries("b", ((1, 1.0),)),
+                PriceSeries("a", ((1, 2.0),)),
+                PriceSeries("b", ((1, 3.0),)),
+            ),
+        )
+
+    def test_first_item_wins(self, repeated):
+        assert repeated.region("a") is repeated.regions[0]
+        assert repeated.link("ab") is repeated.interconnectors[0]
+        assert repeated.prices_for("b") is repeated.price_series[0]
+        assert repeated.with_prices(repeated.price_series).prices_for("b").prices == (1.0,)
+
+    def test_bundle_prices_follow_the_rule(self, repeated):
+        prices = CaseStudyBundle(repeated, {}).prices
+        assert list(prices) == ["b", "a"]
+        assert all(prices[r] is repeated.prices_for(r) for r in prices)
+
+
+class CountingId(str):
+    """An id that counts the equality tests made on it."""
+
+    comparisons = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountingId.comparisons += 1
+        return str.__eq__(self, other)
+
+
+def counting_chain(n: int) -> Network:
+    """n regions in a line, joined by n - 1 links; no two ids are one object."""
+
+    def rid(i):
+        return CountingId(f"r{i}")
+
+    return Network(
+        tuple(Region(rid(i)) for i in range(n)),
+        tuple(
+            Interconnector(CountingId(f"l{i}"), rid(i), rid(i + 1), 100.0, 0.02)
+            for i in range(n - 1)
+        ),
+        tuple(PriceSeries(rid(i), ((t, float(i % 7 + t)) for t in range(4))) for i in range(n)),
+    )
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_validating_and_scheduling_are_linear_in_size(n):
+    # A scan per lookup makes about n * n / 2 id comparisons; a map, a few per item.
+    net = counting_chain(n)
+    CountingId.comparisons = 0
+    assert validate_network(net) == []
+    assert len(schedule_portfolio(net).schedules) == n - 1
+    assert CountingId.comparisons <= 20 * n
 
 
 class TestValidateNetwork:

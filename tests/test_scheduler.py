@@ -754,8 +754,9 @@ class TestPortfolio:
 
     def test_missing_prices_annotated_with_link(self, bundle):
         net = Network(bundle.network.regions, bundle.network.interconnectors, ())
-        with pytest.raises(KeyError, match="celtic"):
+        with pytest.raises(KeyError) as err:
             schedule_portfolio(net)
+        assert err.value.args == ("link 'celtic': no price series for region 'ireland'",)
 
     def test_alignment_error_annotated_with_link(self):
         net = Network(
