@@ -282,16 +282,32 @@ _TOP_KEYS = {"regions", "links", "prices_csv"}
 
 
 def _number(mapping: dict, key: str, context: str) -> float | int | None:
-    """``mapping[key]`` as a float (an int too large for one as written), or None if absent."""
+    """``mapping[key]`` as the file writes it, or None if absent; it must be a number."""
     if key not in mapping:
         return None
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}: '{key}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return value
+    return value
+
+
+def _entries(doc: dict, name: str, keys: set, required: tuple) -> Iterator[dict]:
+    """The entries of the config's ``name`` list, each checked before it is yielded:
+    a mapping, no key outside ``keys``, and a string at each ``required`` key."""
+    entries = doc.get(name)
+    if entries is None:
+        return
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"'{name}' must be a list of mappings")
+    kind = name[:-1]  # "region" or "link"
+    for entry in entries:
+        unknown = set(entry) - keys
+        if unknown:
+            raise ParseError(f"{kind} entry: unknown keys {sorted(unknown)}")
+        for key in required:
+            if not isinstance(entry.get(key), str):
+                raise ParseError(f"{kind} entry {entry!r}: '{key}' must be a string")
+        yield entry
 
 
 def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
@@ -332,23 +348,12 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
 
-    regions = []
-    for entry in _mapping_list(doc.get("regions", []), "regions"):
-        unknown = set(entry) - _REGION_KEYS
-        if unknown:
-            raise ParseError(f"region entry: unknown keys {sorted(unknown)}")
-        if "id" not in entry or not isinstance(entry["id"], str):
-            raise ParseError(f"region entry {entry!r}: 'id' must be a string")
-        regions.append(Region(entry["id"], str(entry.get("name", ""))))
-
+    regions = [
+        Region(entry["id"], str(entry.get("name", "")))
+        for entry in _entries(doc, "regions", _REGION_KEYS, ("id",))
+    ]
     links = []
-    for entry in _mapping_list(doc.get("links", []), "links"):
-        unknown = set(entry) - _LINK_KEYS
-        if unknown:
-            raise ParseError(f"link entry: unknown keys {sorted(unknown)}")
-        for key in ("id", "from", "to"):
-            if key not in entry or not isinstance(entry[key], str):
-                raise ParseError(f"link entry {entry!r}: '{key}' must be a string")
+    for entry in _entries(doc, "links", _LINK_KEYS, ("id", "from", "to")):
         context = f"link '{entry['id']}'"
         capacity = _number(entry, "capacity_mw", context)
         if capacity is None:
@@ -375,14 +380,6 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
             )
         ref = Path(base_dir) / ref
     return Network(tuple(regions), tuple(links)), ref
-
-
-def _mapping_list(value, name: str) -> list[dict]:
-    if value is None:
-        return []
-    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
-        raise ParseError(f"'{name}' must be a list of mappings")
-    return value
 
 
 def _resolve_loss(entry: dict, length: float | None, context: str) -> float:
@@ -439,14 +436,10 @@ def network_to_yaml(network: Network, prices_csv: str | None = None) -> str:
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 
-def save_network(
-    network: Network,
-    path: str | Path,
-    prices_filename: str = "prices.csv",
-) -> None:
-    """Write the config file, plus the referenced price CSV if prices exist."""
+def save_network(network: Network, path: str | Path) -> None:
+    """Write the config file, plus ``prices.csv`` beside it if prices exist."""
     path = Path(path)
-    ref = prices_filename if network.price_series else None
+    ref = "prices.csv" if network.price_series else None
     path.write_text(network_to_yaml(network, ref), encoding="utf-8")
     if ref is not None:
         save_prices(network.price_series, path.parent / ref)
@@ -650,10 +643,6 @@ class CaseStudyBundle:
     network: Network
     expected: dict
 
-    @property
-    def prices(self) -> dict[str, PriceSeries]:
-        return dict(self.network._by_id["price_series"])  # by the network's lookup rule
-
 
 def default_data_dir() -> Path:
     """Bundled case-study directory, overridable via HVDCARB_DATA_DIR."""
@@ -686,8 +675,8 @@ def _load_ledger(path: Path) -> dict:
     entries.update((f"link '{k}'", v) for k, v in links.items())
     for context, entry in entries.items():
         for key in ("reported_eur", "claim_exceeds_eur"):
-            # checked as written, so -1 is named -1, not -1.0
-            if _number(mapping(entry, context), key, f"{path}: {context}") is not None:
-                for message in _broken(_check_nonnegative, entry[key], f"'{key}'"):
+            value = _number(mapping(entry, context), key, f"{path}: {context}")
+            if value is not None:
+                for message in _broken(_check_nonnegative, value, f"'{key}'"):
                     raise ParseError(f"{path}: {context}: {message}")
     return ledger

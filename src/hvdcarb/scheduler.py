@@ -170,11 +170,12 @@ def _prepare(
     capacity: CapacityProfile | None,
     bias: BiasPolicy | None,
     duration_h: float,
-) -> tuple[tuple[int, ...], float, _Column, _Column, _Column]:
+) -> tuple:
     """Checked, endpoint-relative inputs of one link's horizon problem.
 
-    Returns the horizon, the bias r_b and the columns p_a, p_b and x_max,
-    aligned with the horizon.
+    Returns the argument tuple of :func:`_check_steps`: the horizon, the
+    columns p_a, p_b and x_max aligned with it, the loss r, the bias r_b
+    and the step duration.
     """
     _check_duration(duration_h, "duration_h")
     if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
@@ -208,7 +209,7 @@ def _prepare(
         x_max = (float(link.capacity_mw),) * len(horizon)
     else:
         x_max = capacity.values
-    return horizon, r_b, prices_a.prices, prices_b.prices, x_max
+    return horizon, prices_a.prices, prices_b.prices, x_max, link.loss_fraction, r_b, duration_h
 
 
 def _check_steps(
@@ -277,11 +278,8 @@ def schedule_link(
             step, a step whose profit overflows included), or the total
             profit overflows.
     """
-    horizon, r_b, col_a, col_b, col_x = _prepare(
-        prices_a, prices_b, link, capacity, bias, duration_h
-    )
-    r = link.loss_fraction
-    problem = (horizon, col_a, col_b, col_x, r, r_b, duration_h)
+    problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    horizon, col_a, col_b, col_x, r, r_b, _ = problem
     _check_steps(*problem)
     # The total sums the dispatched steps' profits left to right (an idle
     # step's is +0.0, which changes no sum). Margins are never -0.0, so the
@@ -297,7 +295,7 @@ def schedule_link(
         interconnector_id=link.id,
         timesteps=horizon,
         total_profit=_checked_total(total, link.id, problem),
-        _inputs=(col_a, col_b, col_x, r, r_b, duration_h),
+        _inputs=problem[1:],
     )
     return schedule
 
@@ -417,9 +415,8 @@ def lp_oracle(
     must agree with :func:`schedule_link` step for step, errors included.
     Intended as a test oracle for small horizons, not the production path.
     """
-    horizon, r_b, col_a, col_b, col_x = _prepare(
-        prices_a, prices_b, link, capacity, bias, duration_h
-    )
+    problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    horizon, col_a, col_b, col_x, r, r_b, _ = problem
     if len(horizon) > _ORACLE_MAX_STEPS:
         raise ValueError(
             f"lp_oracle is limited to {_ORACLE_MAX_STEPS} steps, got {len(horizon)}"
@@ -430,8 +427,6 @@ def lp_oracle(
         """x * duration_h * lam unrounded, so a tiny product is not 0."""
         return Fraction(x) * Fraction(duration_h) * Fraction(lam)
 
-    r = link.loss_fraction
-    problem = (horizon, col_a, col_b, col_x, r, r_b, duration_h)
     _check_steps(*problem)
     steps = []  # (direction, quantity, lambda, profit) per step
     for p_a, p_b, x_max in zip(col_a, col_b, col_x):

@@ -105,7 +105,46 @@ CONFIG_MUTATIONS = [
         lambda d: d.__setitem__("frequency_hz", 50),
         False,
     ),
+    ("capacity_an_int", lambda d: _set_link(d, "moyle", capacity_mw=500), True),
+    (
+        "links_a_mapping",
+        lambda d: d.__setitem__("links", {link["id"]: link for link in d["links"]}),
+        False,
+    ),
+    ("region_id_missing", lambda d: d["regions"].append({"name": "Atlantis"}), False),
+    ("region_id_a_number", lambda d: d["regions"].append({"id": 7}), False),
+    (
+        "unknown_region_key",
+        lambda d: d["regions"].append({"id": "atlantis", "population": 5}),
+        False,
+    ),
+    ("link_to_a_number", lambda d: _set_link(d, "moyle", to=7), False),
+    ("prices_csv_a_number", lambda d: d.__setitem__("prices_csv", 5), False),
+    (
+        "rate_without_length",
+        lambda d: (
+            _del_link_key(d, "celtic", "length_km"),
+            _set_link(d, "celtic", loss_rate_per_100km=0.01),
+        ),
+        False,
+    ),
 ]
+
+# The mutations that break the config's format rather than a model invariant:
+# the loader refuses each with a ParseError.
+PARSE_ERRORS = {
+    "capacity_missing",
+    "loss_missing",
+    "unknown_link_key",
+    "unknown_top_key",
+    "links_a_mapping",
+    "region_id_missing",
+    "region_id_a_number",
+    "unknown_region_key",
+    "link_to_a_number",
+    "prices_csv_a_number",
+    "rate_without_length",
+}
 
 _PRICE_ROW = "1,france,50.0"
 

@@ -121,6 +121,11 @@ class TestEvaluate:
         assert code == 4
         assert "timestep 99" in err
 
+    def test_a_window_without_prices_resolution_error(self, capsys):
+        assert run(capsys, "evaluate", "celtic", "--from", "100", "--to", "200") == (
+            4, "", "error: no priced timesteps for ireland, france\n"
+        )
+
 
 class TestSchedule:
     def test_case_study_totals(self, capsys):
@@ -369,7 +374,7 @@ class TestErrorsNameTheirInput:
         code, _, err = run(capsys, "schedule", "--network", str(config))
         assert code == 3
         assert err == (
-            "error: link 'ab': derived loss fraction 2.0 >= 1 for length 20000.0 km "
+            "error: link 'ab': derived loss fraction 2.0 >= 1 for length 20000 km "
             "at rate 0.01 per 100 km\n"
         )
 
@@ -553,6 +558,17 @@ class TestCaseIreland:
         assert "annualized_computed_eur: 554411640.0" in out
         assert "annualized_reported_eur: 537986640.0" in out
         assert "annual_income_exceeds_525000000.0_eur: true" in out
+
+    def test_a_link_without_a_reported_figure_is_unchecked(self, capsys, tmp_path, monkeypatch):
+        shutil.copytree(default_data_dir(), tmp_path / "data")
+        ledger = tmp_path / "data" / "expected.yaml"
+        ledger.write_text(ledger.read_text().replace("    reported_eur: 9622.0\n", "", 1))
+        monkeypatch.setenv("HVDCARB_DATA_DIR", str(tmp_path / "data"))
+        code, out, _ = run(capsys, "case-ireland")
+        assert code == 0
+        lines = {line.split()[0]: line for line in out.splitlines() if line}
+        assert lines["moyle"].split() == ["moyle", "9619.0", "?", "?", "unchecked"]
+        assert lines["total"].split() == ["total", "63289.0", "61414.0", "1875.0", "delta"]
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "case-ireland")

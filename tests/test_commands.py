@@ -86,13 +86,14 @@ def test_the_readme_library_example(monkeypatch):
 
 def write_data_dirs(directory: Path) -> None:
     """Case-study copies whose ledger holds a date, or an int too large for a float,
-    or whose network config holds an int too long to convert."""
+    or whose network config holds an int too long to convert, or a link to a number."""
     bundled = PACKAGE / "data" / "ireland"
     ledger, config = ((bundled / name).read_text() for name in ("expected.yaml", "network.yaml"))
     for name, file, text in (
         ("dated", "expected.yaml", ledger + "note: 2020-01-01\n"),
         ("huge", "expected.yaml", f"totals: {{reported_eur: {10**400}}}\n"),
         ("long", "network.yaml", config.replace("500.0", "1" + "0" * 5000, 1)),
+        ("to-7", "network.yaml", config.replace("to: scotland", "to: 7", 1)),
     ):
         shutil.copytree(bundled, directory / name)
         (directory / name / file).write_text(text)
@@ -109,9 +110,10 @@ def write_data_dirs(directory: Path) -> None:
         (["case-ireland", "--out", "x"], "dated", 2),
         (["case-ireland", "--out", "x"], "huge", 2),
         (["schedule", "--out", "x"], "long", 2),
+        (["schedule", "--out", "x"], "to-7", 2),
     ],
     ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
-         "ledger-date", "ledger-int-too-large", "config-int-too-long"],
+         "ledger-date", "ledger-int-too-large", "config-int-too-long", "config-link-to-7"],
 )
 def test_a_refused_command_exits_with_its_code_and_writes_nothing(tmp_path, argv, data_dir, code):
     write_data_dirs(tmp_path)
@@ -120,6 +122,7 @@ def test_a_refused_command_exits_with_its_code_and_writes_nothing(tmp_path, argv
     assert (child.returncode, child.stdout) == (code, ""), child.stderr
     assert not (tmp_path / "x").exists()
     assert not re.search(r"\binf\b", child.stderr)
+    assert "Traceback" not in child.stderr
 
 
 def test_schedule_on_a_2000_region_chain(tmp_path):

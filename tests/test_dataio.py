@@ -41,7 +41,7 @@ from hvdcarb.dataio import (
     prices_to_csv,
 )
 from conftest import over_steps, tiny_network
-from fuzz_corpus import CONFIG_MUTATIONS, PRICE_MUTATIONS, mutated_config
+from fuzz_corpus import CONFIG_MUTATIONS, PARSE_ERRORS, PRICE_MUTATIONS, mutated_config
 from test_wheeling import make_chain
 
 CASE_CSV = """timestep,region_id,price_eur_mwh
@@ -835,10 +835,10 @@ class TestCaseStudyBundle:
         assert net.link("greenlink").loss_fraction == 0.02
         assert net.link("celtic").capacity_mw == 700.0
         assert net.link("celtic").loss_fraction == 0.0575
-        assert bundle.prices["ireland"].price_at(1) == 100.0
-        assert bundle.prices["scotland"].price_at(1) == 120.0
-        assert bundle.prices["wales"].price_at(1) == 75.0
-        assert bundle.prices["france"].price_at(1) == 50.0
+        assert net.prices_for("ireland").price_at(1) == 100.0
+        assert net.prices_for("scotland").price_at(1) == 120.0
+        assert net.prices_for("wales").price_at(1) == 75.0
+        assert net.prices_for("france").price_at(1) == 50.0
 
     def test_expected_ledger_tags_both_sources(self, bundle):
         links = bundle.expected["links"]
@@ -880,9 +880,20 @@ class TestMutationFuzzing:
         if ok:
             load_network(tmp_path / "network.yaml")
         else:
-            with pytest.raises((ParseError, ValidationError)) as err:
+            refusal = ParseError if name in PARSE_ERRORS else (ParseError, ValidationError)
+            with pytest.raises(refusal) as err:
                 load_network(tmp_path / "network.yaml")
             assert not re.search(r"\binf\b", str(err.value))
+
+    def test_a_refused_number_is_named_as_written(self, tmp_path, corpus):
+        config = (default_data_dir() / "network.yaml").read_text()
+        (tmp_path / "network.yaml").write_text(config.replace("500.0", "-5", 1))
+        (tmp_path / "prices.csv").write_text(corpus.prices_text)
+        with pytest.raises(ValidationError) as err:
+            load_network(tmp_path / "network.yaml")
+        assert str(err.value).endswith(
+            "interconnector 'moyle': capacity_mw must be finite and >= 0, got -5"
+        )
 
     @pytest.mark.parametrize(
         "name,mutate,ok", PRICE_MUTATIONS, ids=[m[0] for m in PRICE_MUTATIONS]

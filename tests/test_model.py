@@ -19,7 +19,6 @@ from hvdcarb import (
     schedule_portfolio,
     validate_network,
 )
-from hvdcarb.dataio import CaseStudyBundle
 
 
 class TestLossFromLength:
@@ -275,11 +274,6 @@ class TestLookupRule:
         assert repeated.link("ab") is repeated.interconnectors[0]
         assert repeated.prices_for("b") is repeated.price_series[0]
         assert repeated.with_prices(repeated.price_series).prices_for("b").prices == (1.0,)
-
-    def test_bundle_prices_follow_the_rule(self, repeated):
-        prices = CaseStudyBundle(repeated, {}).prices
-        assert list(prices) == ["b", "a"]
-        assert all(prices[r] is repeated.prices_for(r) for r in prices)
 
 
 class CountingId(str):

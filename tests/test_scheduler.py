@@ -391,10 +391,9 @@ class TestColumnCoreMatchesPerStepRule:
 
 def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
     """Reference: the column kernel that computed every column up front."""
-    horizon, r_b, col_a, col_b, col_x = scheduler._prepare(
+    horizon, col_a, col_b, col_x, r, r_b, _ = scheduler._prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
     )
-    r = link.loss_fraction
     to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
     to_b = [p_b - p_a - r * p_b for p_a, p_b in zip(col_a, col_b)]
     lambdas = tuple([max(m_a - r_b, m_b - r_b, 0.0) for m_a, m_b in zip(to_a, to_b)])
