@@ -31,6 +31,7 @@ import io
 import math
 import operator
 import os
+import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
@@ -83,6 +84,8 @@ if TYPE_CHECKING:  # an alias for annotations; typing is not imported at run tim
 
 # libyaml's safe loader when PyYAML has it: the same documents, read faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SHOWN = reprlib.Repr()  # a value in a message: two levels deep, six items a level
+_SHOWN.maxlevel = 2
 
 
 def _name(source: Source) -> str:
@@ -279,6 +282,8 @@ _LINK_KEYS = {
     "loss_rate_per_100km",
 }
 _TOP_KEYS = {"regions", "links", "prices_csv"}
+_LEDGER_KEYS = {"links", "totals", "annual"}
+_LEDGER_ENTRY_KEYS = {"reported_eur", "computed_eur", "hours", "claim_exceeds_eur"}
 
 
 def _number(mapping: dict, key: str, context: str) -> float | int | None:
@@ -287,7 +292,16 @@ def _number(mapping: dict, key: str, context: str) -> float | int | None:
         return None
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{context}: '{key}' must be a number, got {value!r}")
+        raise ParseError(f"{context}: '{key}' must be a number, got {_SHOWN.repr(value)}")
+    return value
+
+
+def _mapping(value, keys: set | None, context: str) -> dict:
+    """``value``, which must be a mapping with no key outside ``keys`` (if given)."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{context} must be a mapping, got {_SHOWN.repr(value)}")
+    if keys is not None and not keys.issuperset(value):
+        raise ParseError(f"{context}: unknown keys {sorted(set(value) - keys, key=str)}")
     return value
 
 
@@ -297,16 +311,14 @@ def _entries(doc: dict, name: str, keys: set, required: tuple) -> Iterator[dict]
     entries = doc.get(name)
     if entries is None:
         return
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+    if not isinstance(entries, list):
         raise ParseError(f"'{name}' must be a list of mappings")
     kind = name[:-1]  # "region" or "link"
     for entry in entries:
-        unknown = set(entry) - keys
-        if unknown:
-            raise ParseError(f"{kind} entry: unknown keys {sorted(unknown)}")
+        _mapping(entry, keys, f"{kind} entry")
         for key in required:
             if not isinstance(entry.get(key), str):
-                raise ParseError(f"{kind} entry {entry!r}: '{key}' must be a string")
+                raise ParseError(f"{kind} entry {_SHOWN.repr(entry)}: '{key}' must be a string")
         yield entry
 
 
@@ -341,12 +353,7 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
     """The config's regions and links, unvalidated, and its resolved ``prices_csv``."""
     if base_dir is None and not hasattr(source, "read"):
         base_dir = Path(source).parent
-    doc = _read_yaml(source)
-    if not isinstance(doc, dict):
-        raise ParseError("config root must be a mapping")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
+    doc = _mapping(_read_yaml(source), _TOP_KEYS, "config root")
 
     regions = [
         Region(entry["id"], str(entry.get("name", "")))
@@ -373,7 +380,7 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
     ref = doc.get("prices_csv")
     if ref is not None:
         if not isinstance(ref, str):
-            raise ParseError(f"'prices_csv' must be a path string, got {ref!r}")
+            raise ParseError(f"'prices_csv' must be a path string, got {_SHOWN.repr(ref)}")
         if base_dir is None:
             raise ParseError(
                 "config references a prices_csv but no base_dir was given"
@@ -475,9 +482,7 @@ def write_report(
 
 
 def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
-    """The fragments of :func:`write_report`'s document; the format is checked,
-    and the ledger rendered, before any fragment is made, so that a ledger
-    ``json.dumps`` refuses raises here."""
+    """The fragments of :func:`write_report`'s document; the format is checked first."""
     if fmt == "csv":
         if isinstance(result, Schedule):
             return _schedule_csv([result])
@@ -661,22 +666,20 @@ def load_case_study(data_dir: str | Path | None = None) -> CaseStudyBundle:
 
 
 def _load_ledger(path: Path) -> dict:
-    """The reference ledger; a ParseError names the file if it is malformed."""
+    """The reference ledger, checked as the config is: the root, ``links``,
+    ``totals``, ``annual`` and each ``links.<id>`` entry are mappings holding only
+    the bundled ledger's keys, link ids are strings, and every value is a number,
+    finite and >= 0. A ParseError names the file and the key."""
     ledger = _read_yaml(path)
-
-    def mapping(value, what: str) -> dict:
-        if not isinstance(value, dict):
-            raise ParseError(f"{path}: {what} must be a mapping, got {value!r}")
-        return value
-
-    ledger = mapping({} if ledger is None else ledger, "the root")
-    links = mapping(ledger.get("links", {}), "'links'")
-    entries = {f"'{key}'": ledger.get(key, {}) for key in ("totals", "annual")}
-    entries.update((f"link '{k}'", v) for k, v in links.items())
+    ledger = _mapping({} if ledger is None else ledger, _LEDGER_KEYS, f"{path}: the root")
+    entries = {f"{path}: '{key}'": ledger.get(key, {}) for key in ("totals", "annual")}
+    for link_id, entry in _mapping(ledger.get("links", {}), None, f"{path}: 'links'").items():
+        if not isinstance(link_id, str):
+            raise ParseError(f"{path}: 'links': link id {link_id!r} must be a string")
+        entries[f"{path}: link '{link_id}'"] = entry
     for context, entry in entries.items():
-        for key in ("reported_eur", "claim_exceeds_eur"):
-            value = _number(mapping(entry, context), key, f"{path}: {context}")
-            if value is not None:
-                for message in _broken(_check_nonnegative, value, f"'{key}'"):
-                    raise ParseError(f"{path}: {context}: {message}")
+        for key in _mapping(entry, _LEDGER_ENTRY_KEYS, context):
+            value = _number(entry, key, context)
+            for message in _broken(_check_nonnegative, value, f"'{key}'"):
+                raise ParseError(f"{context}: {message}")
     return ledger

@@ -11,13 +11,9 @@ objective sum x_t * lambda_t is separable across timesteps and linear in
 each x_t over a box, so the per-step bang-bang rule of
 :func:`hvdcarb.arbitrage.optimal_flow` attains the horizon optimum.
 
-A :class:`Schedule` holds the horizon as parallel columns, which
-:func:`schedule_link` fills bit for bit as ``optimal_flow`` would step by step
-(its docstring says how). :func:`lp_oracle` re-solves the same problem by
-explicit per-step enumeration, as an independent check on the production
-path. Neither states a step rule of its own: both raise the error
-``optimal_flow`` raises (see its Raises) at the first step it rejects, and
-test the link's total once, as :func:`schedule_link` states.
+How :func:`schedule_link` fills a :class:`Schedule`'s columns, and what it
+raises, is stated in its docstring. :func:`lp_oracle` re-solves the same
+problem by explicit per-step enumeration, as an independent check.
 
 Links share no constraints in this model (shared-node network limits are
 folded into each link's capacity profile), so a portfolio schedules each

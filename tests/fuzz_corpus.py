@@ -105,6 +105,7 @@ CONFIG_MUTATIONS = [
         lambda d: d.__setitem__("frequency_hz", 50),
         False,
     ),
+    ("unknown_top_keys_of_two_types", lambda d: d.update({1: "a", "x": "b"}), False),
     ("capacity_an_int", lambda d: _set_link(d, "moyle", capacity_mw=500), True),
     (
         "links_a_mapping",
@@ -116,6 +117,11 @@ CONFIG_MUTATIONS = [
     (
         "unknown_region_key",
         lambda d: d["regions"].append({"id": "atlantis", "population": 5}),
+        False,
+    ),
+    (
+        "unknown_region_keys_of_two_types",
+        lambda d: d["regions"].append({"id": "atlantis", 1: 5, "x": 6}),
         False,
     ),
     ("link_to_a_number", lambda d: _set_link(d, "moyle", to=7), False),
@@ -137,10 +143,12 @@ PARSE_ERRORS = {
     "loss_missing",
     "unknown_link_key",
     "unknown_top_key",
+    "unknown_top_keys_of_two_types",
     "links_a_mapping",
     "region_id_missing",
     "region_id_a_number",
     "unknown_region_key",
+    "unknown_region_keys_of_two_types",
     "link_to_a_number",
     "prices_csv_a_number",
     "rate_without_length",

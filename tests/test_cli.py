@@ -595,6 +595,20 @@ class TestCaseIreland:
             ("links: {moyle: {reported_eur: -5.0}}", "link 'moyle': 'reported_eur' must be finite"),
             ("links: {moyle: {reported_eur: .inf}}", "link 'moyle': 'reported_eur' must be finite"),
             ("annual: {claim_exceeds_eur: -1}", "'annual': 'claim_exceeds_eur' must be finite"),
+            ("links: {moyle: {computed_eur: .nan}}", "link 'moyle': 'computed_eur' must be finite"),
+            ("links: {moyle: {computed_eur: .inf}}", "link 'moyle': 'computed_eur' must be finite"),
+            ("links: {moyle: {computed_eur: -.inf}}", "link 'moyle': 'computed_eur' must be finite"),
+            ("links: {moyle: {computed_eur: -5.0}}", "link 'moyle': 'computed_eur' must be finite"),
+            ("totals: {computed_eur: .nan}", "'totals': 'computed_eur' must be finite and >= 0"),
+            ("annual: {hours: .nan}", "'annual': 'hours' must be finite and >= 0, got nan"),
+            ("annual: {hours: .inf}", "'annual': 'hours' must be finite and >= 0, got inf"),
+            ("annual: {hours: -.inf}", "'annual': 'hours' must be finite and >= 0, got -inf"),
+            ("annual: {hours: -1}", "'annual': 'hours' must be finite and >= 0, got -1"),
+            ("note: 2020-01-01", "the root: unknown keys ['note']"),
+            ("links: {moyle: {profit_eur: 1.0}}", "link 'moyle': unknown keys ['profit_eur']"),
+            ("totals: {hours: 1, 7: 2, x: 3}", "'totals': unknown keys [7, 'x']"),
+            ("links: {7: {reported_eur: 1.0}}", "'links': link id 7 must be a string"),
+            ("links: {moyle: {computed_eur: yes}}", "'computed_eur' must be a number, got True"),
             pytest.param(
                 f"totals: {{reported_eur: {10**400}}}",
                 "'totals': 'reported_eur' must be finite and >= 0",
@@ -620,30 +634,22 @@ class TestCaseIreland:
         assert message in err
 
     @pytest.mark.parametrize(
-        "note, message",
-        [
-            ("2020-01-01", "Object of type date is not JSON serializable"),
-            ("!!binary aGk=", "Object of type bytes is not JSON serializable"),
-            ("&a [*a]", "Circular reference detected"),
-        ],
-        ids=["date", "binary", "cycle"],
+        "note", ["2020-01-01", "!!binary aGk=", "&a [*a]", "reviewed"],
+        ids=["date", "binary", "cycle", "text"],
     )
-    def test_a_ledger_json_cannot_write_is_a_parse_error_only_as_json(
-        self, capsys, tmp_path, monkeypatch, bundle, note, message
+    def test_a_ledger_with_a_note_is_refused_by_every_form(
+        self, capsys, tmp_path, monkeypatch, note
     ):
         shutil.copytree(default_data_dir(), tmp_path / "data")
         ledger = tmp_path / "data" / "expected.yaml"
         ledger.write_text(ledger.read_text() + f"note: {note}\n")
         monkeypatch.setenv("HVDCARB_DATA_DIR", str(tmp_path / "data"))
-        report = tmp_path / "case.json"
-        code, out, err = run(capsys, "case-ireland", "--out", str(report))
-        assert (code, out) == (2, "")
-        assert err == f"error: {ledger}: cannot be written as JSON: {message}\n"
-        assert not report.exists()
-        # the table and the CSV report do not write the ledger as JSON
-        table = run(capsys, "case-ireland")
-        assert table[0] == 0 and "total" in table[1]
-        assert run(capsys, "case-ireland", "--format", "csv", "--out", str(report))[0] == 0
+        report = tmp_path / "case.out"
+        for form in ([], ["--format", "csv", "--out", str(report)], ["--out", str(report)]):
+            assert run(capsys, "case-ireland", *form) == (
+                2, "", f"error: {ledger}: the root: unknown keys ['note']\n"
+            )
+            assert not report.exists()
 
     def test_structured_report_carries_expected(self, capsys, tmp_path):
         out_path = tmp_path / "case.json"

@@ -84,43 +84,74 @@ def test_the_readme_library_example(monkeypatch):
     assert totals in shown and decision in shown
 
 
+# Five levels of 9-way aliases, 227 bytes as lines, the last holding 9**5
+# ones: a writer that expands aliases writes every one.
+ALIAS_LEVELS = ["&a0 [1,1,1,1,1,1,1,1,1]"] + [
+    f"&a{i} [{','.join([f'*a{i - 1}'] * 9)}]" for i in range(1, 5)
+]
+ALIAS_CHAIN = "".join(f"note{i}: {level}\n" for i, level in enumerate(ALIAS_LEVELS))
+
+# Case-study copies, by directory: the file each rewrites, and its new text
+# from the bundled one.
+DATA_DIRS = {
+    "dated": ("expected.yaml", lambda text: text + "note: 2020-01-01\n"),
+    "huge": ("expected.yaml", lambda text: f"totals: {{reported_eur: {10**400}}}\n"),
+    "alias-chain": ("expected.yaml", lambda text: text + ALIAS_CHAIN),
+    "alias-value": (
+        "expected.yaml", lambda text: f"totals: {{reported_eur: [{', '.join(ALIAS_LEVELS)}]}}\n"
+    ),
+    "nan-computed": ("expected.yaml", lambda text: "links: {moyle: {computed_eur: .nan}}\n"),
+    "long": ("network.yaml", lambda text: text.replace("500.0", "1" + "0" * 5000, 1)),
+    "to-7": ("network.yaml", lambda text: text.replace("to: scotland", "to: 7", 1)),
+    "to-aliases": (
+        "network.yaml",
+        lambda text: text.replace("to: scotland", f"to: [{', '.join(ALIAS_LEVELS)}]", 1),
+    ),
+}
+
+
 def write_data_dirs(directory: Path) -> None:
-    """Case-study copies whose ledger holds a date, or an int too large for a float,
-    or whose network config holds an int too long to convert, or a link to a number."""
     bundled = PACKAGE / "data" / "ireland"
-    ledger, config = ((bundled / name).read_text() for name in ("expected.yaml", "network.yaml"))
-    for name, file, text in (
-        ("dated", "expected.yaml", ledger + "note: 2020-01-01\n"),
-        ("huge", "expected.yaml", f"totals: {{reported_eur: {10**400}}}\n"),
-        ("long", "network.yaml", config.replace("500.0", "1" + "0" * 5000, 1)),
-        ("to-7", "network.yaml", config.replace("to: scotland", "to: 7", 1)),
-    ):
+    for name, (file, rewrite) in DATA_DIRS.items():
         shutil.copytree(bundled, directory / name)
-        (directory / name / file).write_text(text)
+        (directory / name / file).write_text(rewrite((bundled / file).read_text()))
 
 
 @pytest.mark.parametrize(
-    "argv, data_dir, code",
+    "argv, data_dir, code, named",
     [
-        (["evaluate", "celtic", "-t", "1", "--out", "x"], None, 2),
-        (["schedule", "--form", "structured", "--o", "x"], None, 2),
-        (["schedule", "--from", "5", "--to", "2", "--out", "x"], None, 3),
+        (["evaluate", "celtic", "-t", "1", "--out", "x"], None, 2, "--out"),
+        (["schedule", "--form", "structured", "--o", "x"], None, 2, "--form"),
+        (["schedule", "--from", "5", "--to", "2", "--out", "x"], None, 3, "horizon is empty"),
         (["wheel", "france", "ireland", "atlantis", "--via", "celtic", "moyle",
-          "--quantity", "1", "--out", "x"], None, 4),
-        (["case-ireland", "--out", "x"], "dated", 2),
-        (["case-ireland", "--out", "x"], "huge", 2),
-        (["schedule", "--out", "x"], "long", 2),
-        (["schedule", "--out", "x"], "to-7", 2),
+          "--quantity", "1", "--out", "x"], None, 4, "atlantis"),
+        (["case-ireland", "--out", "x"], "dated", 2, "note"),
+        (["case-ireland", "--out", "x"], "huge", 2, "reported_eur"),
+        (["case-ireland", "--out", "x"], "alias-chain", 2, "note0"),
+        (["case-ireland", "--out", "x"], "alias-value", 2, "reported_eur"),
+        (["case-ireland", "--out", "x"], "nan-computed", 2, "computed_eur"),
+        (["schedule", "--out", "x"], "long", 2, "network.yaml"),
+        (["schedule", "--out", "x"], "to-7", 2, "'to'"),
+        (["schedule", "--out", "x"], "to-aliases", 2, "'to'"),
     ],
     ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
-         "ledger-date", "ledger-int-too-large", "config-int-too-long", "config-link-to-7"],
+         "ledger-date", "ledger-int-too-large", "ledger-alias-chain", "ledger-alias-value",
+         "ledger-nan-computed", "config-int-too-long", "config-link-to-7",
+         "config-link-to-aliases"],
 )
-def test_a_refused_command_exits_with_its_code_and_writes_nothing(tmp_path, argv, data_dir, code):
+def test_a_refused_command_exits_with_its_code_and_writes_nothing(
+    tmp_path, argv, data_dir, code, named
+):
+    """Its stderr is one message under 1 KB that names what is refused; a
+    refused ledger's message names the file too."""
     write_data_dirs(tmp_path)
     data_dir = data_dir and tmp_path / data_dir
     child = python("-m", "hvdcarb.cli", *argv, cwd=tmp_path, data_dir=data_dir)
     assert (child.returncode, child.stdout) == (code, ""), child.stderr
     assert not (tmp_path / "x").exists()
+    assert len(child.stderr.encode()) < 1024 and named in child.stderr, child.stderr[:1024]
+    if data_dir and DATA_DIRS[data_dir.name][0] == "expected.yaml":
+        assert str(data_dir / "expected.yaml") in child.stderr
     assert not re.search(r"\binf\b", child.stderr)
     assert "Traceback" not in child.stderr
 
