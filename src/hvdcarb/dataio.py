@@ -305,20 +305,21 @@ def _mapping(value, keys: set | None, context: str) -> dict:
     return value
 
 
-def _entries(doc: dict, name: str, keys: set, required: tuple) -> Iterator[dict]:
+def _entries(doc: dict, name: str, keys: set, required: tuple, file: str) -> Iterator[dict]:
     """The entries of the config's ``name`` list, each checked before it is yielded:
-    a mapping, no key outside ``keys``, and a string at each ``required`` key."""
+    a mapping, no key outside ``keys``, and a string at each ``required`` key.
+    A ParseError names the config ``file``."""
     entries = doc.get(name)
     if entries is None:
         return
     if not isinstance(entries, list):
-        raise ParseError(f"'{name}' must be a list of mappings")
-    kind = name[:-1]  # "region" or "link"
+        raise ParseError(f"{file}: '{name}' must be a list of mappings")
+    kind = f"{file}: {name[:-1]} entry"  # a region or a link entry
     for entry in entries:
-        _mapping(entry, keys, f"{kind} entry")
+        _mapping(entry, keys, kind)
         for key in required:
             if not isinstance(entry.get(key), str):
-                raise ParseError(f"{kind} entry {_SHOWN.repr(entry)}: '{key}' must be a string")
+                raise ParseError(f"{kind} {_SHOWN.repr(entry)}: '{key}' must be a string")
         yield entry
 
 
@@ -350,18 +351,20 @@ def _check_valid(report: list[str], heading: str) -> None:
 
 
 def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network, Path | None]:
-    """The config's regions and links, unvalidated, and its resolved ``prices_csv``."""
+    """The config's regions and links, unvalidated, and its resolved ``prices_csv``.
+    Every error it raises names the config file once."""
     if base_dir is None and not hasattr(source, "read"):
         base_dir = Path(source).parent
-    doc = _mapping(_read_yaml(source), _TOP_KEYS, "config root")
+    file = _name(source)
+    doc = _mapping(_read_yaml(source), _TOP_KEYS, f"{file}: config root")
 
     regions = [
         Region(entry["id"], str(entry.get("name", "")))
-        for entry in _entries(doc, "regions", _REGION_KEYS, ("id",))
+        for entry in _entries(doc, "regions", _REGION_KEYS, ("id",), file)
     ]
     links = []
-    for entry in _entries(doc, "links", _LINK_KEYS, ("id", "from", "to")):
-        context = f"link '{entry['id']}'"
+    for entry in _entries(doc, "links", _LINK_KEYS, ("id", "from", "to"), file):
+        context = f"{file}: link '{entry['id']}'"
         capacity = _number(entry, "capacity_mw", context)
         if capacity is None:
             raise ParseError(f"{context}: 'capacity_mw' is missing")
@@ -380,10 +383,12 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
     ref = doc.get("prices_csv")
     if ref is not None:
         if not isinstance(ref, str):
-            raise ParseError(f"'prices_csv' must be a path string, got {_SHOWN.repr(ref)}")
+            raise ParseError(
+                f"{file}: 'prices_csv' must be a path string, got {_SHOWN.repr(ref)}"
+            )
         if base_dir is None:
             raise ParseError(
-                "config references a prices_csv but no base_dir was given"
+                f"{file}: config references a prices_csv but no base_dir was given"
             )
         ref = Path(base_dir) / ref
     return Network(tuple(regions), tuple(links)), ref

@@ -166,12 +166,14 @@ def _prepare(
     capacity: CapacityProfile | None,
     bias: BiasPolicy | None,
     duration_h: float,
-) -> tuple:
+) -> tuple[tuple, bool]:
     """Checked, endpoint-relative inputs of one link's horizon problem.
 
-    Returns the argument tuple of :func:`_check_steps`: the horizon, the
-    columns p_a, p_b and x_max aligned with it, the loss r, the bias r_b
-    and the step duration.
+    Returns the argument tuple of :func:`_replay` (the horizon, the columns
+    p_a, p_b and x_max aligned with it, the loss r, the bias r_b and the step
+    duration) and whether whole-input tests show every step valid. When they
+    do not, the caller replays the per-step rule: it raises at the first
+    failing step, or passes, since finite columns can overflow their sum.
     """
     _check_duration(duration_h, "duration_h")
     if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
@@ -202,29 +204,27 @@ def _prepare(
         if not _strictly_increasing(horizon):
             raise AlignmentError("horizon timesteps must be strictly increasing")
     if capacity is None:
-        x_max = (float(link.capacity_mw),) * len(horizon)
+        capacities = (float(link.capacity_mw),)
+        x_max = capacities * len(horizon)
     else:
-        x_max = capacity.values
-    return horizon, prices_a.prices, prices_b.prices, x_max, link.loss_fraction, r_b, duration_h
-
-
-def _check_steps(
-    horizon: tuple[int, ...], col_a: _Column, col_b: _Column, col_x: _Column,
-    r: float, r_b: float, duration_h: float,
-) -> None:
-    """Raise the error ``optimal_flow`` raises at the horizon's first invalid step."""
-    # Whole-column tests keep valid input cheap: p_a - p_b is finite only for
-    # finite prices, and then a step's margins are finite exactly when it is.
-    # When a test fails, the per-step rule is replayed: it raises at the first
-    # failing step, or passes, since finite columns can overflow their sum.
-    if not (
+        capacities = x_max = capacity.values
+    r = link.loss_fraction
+    # A step's margins are finite exactly when its p_a - p_b is. Each series
+    # finds its violations and its price range (low, high) once, for every
+    # link that reads it. Without violations, every p_a - p_b lies between
+    # low_a - high_b and high_a - low_b, and rounding is monotone, so two
+    # finite bounds make every step's spread finite. At rated capacity x_max
+    # repeats one value, so that value is tested once.
+    valid = (
         0 <= r < 1
         and 0 <= r_b < math.inf
-        and min(col_x, default=0.0) >= 0
-        and math.isfinite(sum(col_x))
-        and math.isfinite(sum(map(operator.sub, col_a, col_b)))
-    ):
-        _replay(horizon, col_a, col_b, col_x, r, r_b, duration_h)
+        and min(capacities, default=0.0) >= 0
+        and math.isfinite(sum(capacities))
+        and not (prices_a._violations or prices_b._violations)
+        and math.isfinite(prices_a._range[1] - prices_b._range[0])
+        and math.isfinite(prices_b._range[1] - prices_a._range[0])
+    )
+    return (horizon, prices_a.prices, prices_b.prices, x_max, r, r_b, duration_h), valid
 
 
 def _replay(
@@ -239,7 +239,7 @@ def _replay(
 def _checked_total(total: float, link_id: str, problem: tuple) -> float:
     """``total`` when it is finite. Otherwise the error ``optimal_flow`` raises
     at the first step whose profit overflows, or, when no step's does, an error
-    for the link. ``problem`` is the argument tuple of :func:`_check_steps`.
+    for the link. ``problem`` is the argument tuple of :func:`_replay`.
     """
     if not math.isfinite(total):
         _replay(*problem)
@@ -260,10 +260,12 @@ def schedule_link(
     Both price series and the capacity profile follow the horizon rule of
     :mod:`hvdcarb.model`. With no profile given, the link's rated capacity
     applies at every step. Separability makes the per-step optimum the horizon
-    optimum. The inputs are checked as whole columns, then the total is
-    computed in one pass with the expressions of
-    :func:`~hvdcarb.arbitrage.optimal_flow`; the per-step columns are built
-    when first read. Every value is bit-identical to deciding step by step.
+    optimum. The inputs are checked as whole columns, or through what each
+    price series finds once for every link that reads it (its violations and
+    its price range), then the total is computed in one pass with the
+    expressions of :func:`~hvdcarb.arbitrage.optimal_flow`; the per-step
+    columns are built when first read. Every value is bit-identical to
+    deciding step by step.
 
     Raises:
         AlignmentError: the three sources break the horizon rule.
@@ -274,9 +276,10 @@ def schedule_link(
             step, a step whose profit overflows included), or the total
             profit overflows.
     """
-    problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    problem, valid = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     horizon, col_a, col_b, col_x, r, r_b, _ = problem
-    _check_steps(*problem)
+    if not valid:
+        _replay(*problem)
     # The total sums the dispatched steps' profits left to right (an idle
     # step's is +0.0, which changes no sum). Margins are never -0.0, so the
     # zero floor of max(a, b, 0.0) only decides dispatch.
@@ -356,7 +359,7 @@ def schedule_portfolio(
         try:
             prices = tuple(map(network.prices_for, link.endpoints()))
             call = (*prices, link, capacities.get(link.id), bias, duration_h)
-            name, horizon = f"link '{link.id}'", _prepare(*call)[0]
+            name, horizon = f"link '{link.id}'", _prepare(*call)[0][0]
             # The total is annualised over one horizon, so every link must share it.
             first = first or {name: horizon}
             _shared_horizon({**first, name: horizon})
@@ -411,7 +414,7 @@ def lp_oracle(
     must agree with :func:`schedule_link` step for step, errors included.
     Intended as a test oracle for small horizons, not the production path.
     """
-    problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    problem, valid = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     horizon, col_a, col_b, col_x, r, r_b, _ = problem
     if len(horizon) > _ORACLE_MAX_STEPS:
         raise ValueError(
@@ -423,7 +426,8 @@ def lp_oracle(
         """x * duration_h * lam unrounded, so a tiny product is not 0."""
         return Fraction(x) * Fraction(duration_h) * Fraction(lam)
 
-    _check_steps(*problem)
+    if not valid:
+        _replay(*problem)
     steps = []  # (direction, quantity, lambda, profit) per step
     for p_a, p_b, x_max in zip(col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a

@@ -374,8 +374,8 @@ class TestErrorsNameTheirInput:
         code, _, err = run(capsys, "schedule", "--network", str(config))
         assert code == 3
         assert err == (
-            "error: link 'ab': derived loss fraction 2.0 >= 1 for length 20000 km "
-            "at rate 0.01 per 100 km\n"
+            f"error: {config}: link 'ab': derived loss fraction 2.0 >= 1 for length "
+            "20000 km at rate 0.01 per 100 km\n"
         )
 
     @pytest.mark.parametrize("replace_prices", [False, True])

@@ -313,6 +313,47 @@ def test_validating_and_scheduling_are_linear_in_size(n):
     assert CountingId.comparisons <= 20 * n
 
 
+class CountingColumn(tuple):
+    """A column that counts the elements read or compared through it."""
+
+    reads = 0
+    __hash__ = tuple.__hash__
+
+    def __iter__(self):
+        CountingColumn.reads += len(self)
+        return super().__iter__()
+
+    def __eq__(self, other):
+        CountingColumn.reads += len(self)
+        return super().__eq__(other)
+
+
+def checked_reads(links: int, steps: int) -> int:
+    """Elements read to schedule ``links`` links at rated capacity over one
+    pair of price series that share one timestep tuple."""
+    timesteps = CountingColumn(range(steps))
+    series = (
+        PriceSeries._checked("a", timesteps, CountingColumn(float(t % 5) for t in timesteps)),
+        PriceSeries._checked("b", timesteps, CountingColumn(float(t % 3) for t in timesteps)),
+    )
+    net = Network(
+        (Region("a"), Region("b")),
+        tuple(Interconnector(f"l{i}", "a", "b", 100.0, 0.02) for i in range(links)),
+        series,
+    )
+    CountingColumn.reads = 0
+    assert len(schedule_portfolio(net).schedules) == links
+    return CountingColumn.reads
+
+
+def test_checking_shared_series_reads_each_once_whatever_the_links():
+    # Each series finds its violations and price range once; a shared timestep
+    # tuple agrees with itself unread. What each further link reads is its
+    # margin loop's pass over the two price columns (x_max is a plain tuple).
+    steps = 50
+    assert checked_reads(16, steps) - checked_reads(1, steps) == 15 * 2 * steps
+
+
 class TestValidateNetwork:
     def test_bundled_network_is_clean(self, bundle):
         assert validate_network(bundle.network) == []

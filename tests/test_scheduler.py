@@ -36,6 +36,13 @@ from hvdcarb import scheduler
 from conftest import DISJOINT_YEARS, one_link_network, random_link_instance
 
 
+# Finite floats, with extremes of either sign drawn often.
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 9e307, -9e307]),
+)
+
+
 @pytest.fixture
 def celtic_hour(celtic):
     a = PriceSeries("ireland", ((1, 100.0),))
@@ -207,6 +214,13 @@ class TestScheduleLink:
         ):
             solver(a, b, celtic, capacity)
 
+    def test_a_range_bound_that_overflows_leaves_the_steps_to_decide(self):
+        # high_a - low_b = 1e308 - -1e308 overflows, yet no step's spread does
+        problem = link_problem([1e308, 0.0], [0.0, -1e308], rated=0.5)
+        got, want = schedule_link(*problem), lp_oracle(*problem)
+        assert got.total_profit == 1e308 and got.quantities == (0.5, 0.5)
+        assert repr(got) == repr(want)
+
     def test_total_is_summed_left_to_right(self):
         # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1e16 + 2
         a = PriceSeries("a", ((1, 1e16), (2, 1.0), (3, 1.0)))
@@ -219,10 +233,25 @@ class TestScheduleLink:
     @given(st.lists(st.floats()))
     @example([1.7976931348623157e308, 6e291, 6e291])  # compensation overflows
     def test_a_finite_sum_has_only_finite_terms(self, values):
-        # _check_steps trusts a finite sum() of a column, whichever summation
+        # _prepare trusts a finite sum() of a column, whichever summation
         # the interpreter's sum() uses
         if math.isfinite(sum(values)):
             assert all(map(math.isfinite, values))
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(_finite_floats, min_size=n, max_size=n), min_size=2, max_size=2
+            )
+        )
+    )
+    @example([[9e307, 0.0], [-8.9e307, 1e307]])  # both bounds near the largest float
+    @example([[1.7976931348623157e308], [-0.0]])
+    def test_finite_range_differences_bound_every_spread(self, columns):
+        # _prepare trusts two finite differences of the series' ranges
+        a, b = columns
+        if math.isfinite(max(a) - min(b)) and math.isfinite(max(b) - min(a)):
+            assert all(map(math.isfinite, map(operator.sub, a, b)))
 
     def test_empty_horizon_total_is_a_float(self, celtic):
         schedule = schedule_link(PriceSeries("ireland", ()), PriceSeries("france", ()), celtic)
@@ -391,7 +420,7 @@ class TestColumnCoreMatchesPerStepRule:
 
 def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
     """Reference: the column kernel that computed every column up front."""
-    horizon, col_a, col_b, col_x, r, r_b, _ = scheduler._prepare(
+    (horizon, col_a, col_b, col_x, r, r_b, _), _ = scheduler._prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
     )
     to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
