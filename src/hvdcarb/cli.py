@@ -199,7 +199,7 @@ def _load_run_network(args) -> Network:
         network = _read_network(path, None)[0].with_prices(load_prices(args.prices).values())
         # validated here, once, as load_network validates the config's own
         # prices: before --from/--to, which keep valid series valid
-        _check_valid(validate_network(network), "inputs are invalid")
+        _check_valid(validate_network(network), f"{path} and {args.prices}: inputs are invalid")
     if args.t_from is not None or args.t_to is not None:
         network = network.with_prices(
             s.restricted(args.t_from, args.t_to) for s in network.price_series

@@ -127,13 +127,17 @@ def load_prices(source: Source) -> dict[str, PriceSeries]:
     Raises:
         ParseError: bad header, malformed row, over-long field, non-finite
             price, out-of-order timesteps (with the offending line number),
-            or text that is not UTF-8 (naming the source).
+            or text that is not UTF-8. The message names the source.
         DuplicateRowError: a (timestep, region) pair repeats.
     """
     text = _read_text(source)
     series = _load_price_columns(text)
     if series is None:
-        series = _load_price_rows(text.splitlines())
+        try:
+            series = _load_price_rows(text.splitlines())
+        except ParseError as exc:  # keeps its type and line
+            exc.args = (f"{_name(source)}: {exc}",)
+            raise
     return series
 
 
@@ -335,12 +339,12 @@ def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
         ConfigConflictError: a link's declared and length-derived losses
             disagree.
         ValidationError: the loaded network violates a model invariant;
-            the message lists every violation.
+            the message names the config and lists every violation.
     """
     network, prices_csv = _read_network(source, base_dir)
     if prices_csv is not None:
         network = network.with_prices(load_prices(prices_csv).values())
-    _check_valid(validate_network(network), "network config is invalid")
+    _check_valid(validate_network(network), f"{_name(source)}: network config is invalid")
     return network
 
 

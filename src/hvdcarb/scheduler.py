@@ -166,14 +166,14 @@ def _prepare(
     capacity: CapacityProfile | None,
     bias: BiasPolicy | None,
     duration_h: float,
-) -> tuple[tuple, bool]:
+) -> tuple:
     """Checked, endpoint-relative inputs of one link's horizon problem.
 
-    Returns the argument tuple of :func:`_replay` (the horizon, the columns
+    Returns the argument tuple of :func:`_replay`: the horizon, the columns
     p_a, p_b and x_max aligned with it, the loss r, the bias r_b and the step
-    duration) and whether whole-input tests show every step valid. When they
-    do not, the caller replays the per-step rule: it raises at the first
-    failing step, or passes, since finite columns can overflow their sum.
+    duration. When whole-input tests do not show every step valid, it replays
+    the per-step rule first, which raises at the first failing step, or
+    passes, since finite columns can overflow their sum.
     """
     _check_duration(duration_h, "duration_h")
     if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
@@ -215,7 +215,8 @@ def _prepare(
     # low_a - high_b and high_a - low_b, and rounding is monotone, so two
     # finite bounds make every step's spread finite. At rated capacity x_max
     # repeats one value, so that value is tested once.
-    valid = (
+    problem = (horizon, prices_a.prices, prices_b.prices, x_max, r, r_b, duration_h)
+    if not (
         0 <= r < 1
         and 0 <= r_b < math.inf
         and min(capacities, default=0.0) >= 0
@@ -223,8 +224,9 @@ def _prepare(
         and not (prices_a._violations or prices_b._violations)
         and math.isfinite(prices_a._range[1] - prices_b._range[0])
         and math.isfinite(prices_b._range[1] - prices_a._range[0])
-    )
-    return (horizon, prices_a.prices, prices_b.prices, x_max, r, r_b, duration_h), valid
+    ):
+        _replay(*problem)
+    return problem
 
 
 def _replay(
@@ -276,10 +278,8 @@ def schedule_link(
             step, a step whose profit overflows included), or the total
             profit overflows.
     """
-    problem, valid = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     horizon, col_a, col_b, col_x, r, r_b, _ = problem
-    if not valid:
-        _replay(*problem)
     # The total sums the dispatched steps' profits left to right (an idle
     # step's is +0.0, which changes no sum). Margins are never -0.0, so the
     # zero floor of max(a, b, 0.0) only decides dispatch.
@@ -333,9 +333,9 @@ def schedule_portfolio(
 
     Links are processed in id order so results are reproducible however
     the per-link work is executed. ``capacities`` may supply a dynamic
-    profile per link id; links without one run at rated capacity. Every
-    link's inputs are looked up, checked and aligned before any link is
-    scheduled, so their errors come before those of a step.
+    profile per link id; links without one run at rated capacity. Each link
+    is looked up, checked, scheduled and aligned with the first link in one
+    pass, so the first link in id order that is refused raises.
 
     Raises:
         AlignmentError: a link's sources, or its horizon and the first
@@ -353,24 +353,22 @@ def schedule_portfolio(
     unknown = set(capacities).difference(link.id for link in network.interconnectors)
     if unknown:
         raise ValueError(f"capacities name unknown links: {sorted(unknown)}")
-    calls = []
+    schedules = []
     first = {}  # the first link's horizon, by the link's name
     for link in sorted(network.interconnectors, key=lambda ln: ln.id):
         try:
             prices = tuple(map(network.prices_for, link.endpoints()))
-            call = (*prices, link, capacities.get(link.id), bias, duration_h)
-            name, horizon = f"link '{link.id}'", _prepare(*call)[0][0]
+        except KeyError as exc:
+            raise KeyError(f"link '{link.id}': no price series for region {exc}") from exc
+        try:
+            schedule = schedule_link(*prices, link, capacities.get(link.id), bias, duration_h)
             # The total is annualised over one horizon, so every link must share it.
-            first = first or {name: horizon}
-            _shared_horizon({**first, name: horizon})
+            name = f"link '{link.id}'"
+            first = first or {name: schedule.timesteps}
+            _shared_horizon({**first, name: schedule.timesteps})
         except AlignmentError as exc:
             raise AlignmentError(f"link '{link.id}': {exc}", exc.missing) from exc
-        except KeyError as exc:
-            raise KeyError(
-                f"link '{link.id}': no price series for region {exc}"
-            ) from exc
-        calls.append(call)
-    schedules = [schedule_link(*call) for call in calls]
+        schedules.append(schedule)
     grand_total = _sum_left_to_right(s.total_profit for s in schedules)
     annualized = 0.0
     if schedules:
@@ -414,7 +412,7 @@ def lp_oracle(
     must agree with :func:`schedule_link` step for step, errors included.
     Intended as a test oracle for small horizons, not the production path.
     """
-    problem, valid = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
+    problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     horizon, col_a, col_b, col_x, r, r_b, _ = problem
     if len(horizon) > _ORACLE_MAX_STEPS:
         raise ValueError(
@@ -426,8 +424,6 @@ def lp_oracle(
         """x * duration_h * lam unrounded, so a tiny product is not 0."""
         return Fraction(x) * Fraction(duration_h) * Fraction(lam)
 
-    if not valid:
-        _replay(*problem)
     steps = []  # (direction, quantity, lambda, profit) per step
     for p_a, p_b, x_max in zip(col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a

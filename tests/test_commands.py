@@ -102,6 +102,10 @@ DATA_DIRS = {
     ),
     "nan-computed": ("expected.yaml", lambda text: "links: {moyle: {computed_eur: .nan}}\n"),
     "long": ("network.yaml", lambda text: text.replace("500.0", "1" + "0" * 5000, 1)),
+    "negative-capacity": ("network.yaml", lambda text: text.replace("500.0", "-5", 1)),
+    "price-not-a-number": (
+        "prices.csv", lambda text: text.replace("1,scotland,120.0", "1,scotland,abc")
+    ),
     "to-7": ("network.yaml", lambda text: text.replace("to: scotland", "to: 7", 1)),
     "to-aliases": (
         "network.yaml",
@@ -133,17 +137,19 @@ def write_data_dirs(directory: Path) -> None:
         (["schedule", "--out", "x"], "long", 2, "network.yaml"),
         (["schedule", "--out", "x"], "to-7", 2, "'to'"),
         (["schedule", "--out", "x"], "to-aliases", 2, "'to'"),
+        (["case-ireland", "--out", "x"], "negative-capacity", 3, "capacity_mw"),
+        (["case-ireland", "--out", "x"], "price-not-a-number", 2, "line 3: price 'abc'"),
     ],
     ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
          "ledger-date", "ledger-int-too-large", "ledger-alias-chain", "ledger-alias-value",
          "ledger-nan-computed", "config-int-too-long", "config-link-to-7",
-         "config-link-to-aliases"],
+         "config-link-to-aliases", "config-negative-capacity", "price-not-a-number"],
 )
 def test_a_refused_command_exits_with_its_code_and_writes_nothing(
     tmp_path, argv, data_dir, code, named
 ):
     """Its stderr is one message under 1 KB that names what is refused; a
-    refused ledger's or config's message names the file too, once."""
+    refused ledger's, config's or price file's message names the file too, once."""
     write_data_dirs(tmp_path)
     data_dir = data_dir and tmp_path / data_dir
     child = python("-m", "hvdcarb.cli", *argv, cwd=tmp_path, data_dir=data_dir)

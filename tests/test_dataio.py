@@ -91,6 +91,14 @@ class TestLoadPrices:
         path.write_text(CASE_CSV)
         assert load_prices(path)["france"].price_at(1) == 50.0
 
+    def test_a_refused_file_is_named_with_the_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(CASE_CSV + "1,france,51.0\n")
+        with pytest.raises(DuplicateRowError) as err:
+            load_prices(path)
+        assert str(err.value) == f"{path}: line 6: duplicate timestep 1 for region 'france'"
+        assert err.value.line == 6
+
 
 def row_by_row_prices(text: str) -> dict[str, tuple[tuple[int, ...], tuple[float, ...]]]:
     """Reference reader: the price CSV parsed and checked one row at a time."""
@@ -249,7 +257,7 @@ class TestBulkIngestMatchesRowByRow:
             with pytest.raises(ParseError) as err:
                 load_prices(io.StringIO(text))
             assert type(err.value) is type(exc)
-            assert str(err.value) == str(exc)
+            assert str(err.value) == f"stream: {exc}"
             assert err.value.line == exc.line
             return
         got = load_prices(io.StringIO(text))
@@ -267,7 +275,7 @@ class TestBulkIngestMatchesRowByRow:
             load_prices(io.StringIO(text))
         assert err.value.line == 3
         assert str(err.value) == (
-            f"line 3: field larger than field limit ({csv.field_size_limit()})"
+            f"stream: line 3: field larger than field limit ({csv.field_size_limit()})"
         )
 
     def test_written_file_is_read_as_columns_and_written_back_byte_identical(

@@ -420,7 +420,7 @@ class TestColumnCoreMatchesPerStepRule:
 
 def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
     """Reference: the column kernel that computed every column up front."""
-    (horizon, col_a, col_b, col_x, r, r_b, _), _ = scheduler._prepare(
+    horizon, col_a, col_b, col_x, r, r_b, _ = scheduler._prepare(
         prices_a, prices_b, link, capacity, bias, duration_h
     )
     to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
@@ -827,32 +827,54 @@ class TestPortfolio:
         assert err.value.missing == {"link 'ab'": missing}
 
     @pytest.mark.parametrize("p_a, p_b", [(1.7e308, -1.7e308), (math.nan, 1.0)])
-    def test_every_link_is_aligned_before_any_is_scheduled(self, monkeypatch, p_a, p_b):
-        # "a1", first in id order, has a spread that is not finite; "b2" is shifted
-        net = Network(
-            tuple(map(Region, "abcd")),
-            (
-                Interconnector("a1", "a", "b", 10.0, 0.0),
-                Interconnector("b2", "c", "d", 10.0, 0.0),
-            ),
-            (
-                PriceSeries("a", ((1, p_a),)),
-                PriceSeries("b", ((1, p_b),)),
-                PriceSeries("c", ((1, 1.0),)),
-                PriceSeries("d", ((2, 1.0),)),
-            ),
-        )
+    def test_the_first_refused_link_in_id_order_raises(self, monkeypatch, p_a, p_b):
+        def network(shifted):
+            # "a1", first in id order, has a spread that is not finite
+            prices = {"a": p_a, "b": p_b, "c": 1.0, "d": 1.0}
+            return Network(
+                tuple(map(Region, "abcd")),
+                (
+                    Interconnector("a1", "a", "b", 10.0, 0.0),
+                    Interconnector("b2", "c", "d", 10.0, 0.0),
+                ),
+                tuple(
+                    PriceSeries(rid, ((2 if rid == shifted else 1, price),))
+                    for rid, price in prices.items()
+                ),
+            )
+
+        net = network(shifted="d")  # b2 is shifted
         prices = {s.region_id: s for s in net.price_series}
-        with pytest.raises(ValueError, match="spread at t=1 is not finite"):
+        with pytest.raises(ValueError) as want:
             schedule_link(prices["a"], prices["b"], net.link("a1"))
+        assert str(want.value).startswith("price spread at t=1 is not finite")
         calls = []
-        monkeypatch.setattr(scheduler, "schedule_link", lambda *a: calls.append(a))
-        with pytest.raises(AlignmentError, match="link 'b2'") as err:
+        schedule = scheduler.schedule_link
+        monkeypatch.setattr(
+            scheduler, "schedule_link", lambda *a: calls.append(a[2].id) or schedule(*a)
+        )
+        with pytest.raises(ValueError) as got:
             schedule_portfolio(net)
+        assert (type(got.value), str(got.value)) == (ValueError, str(want.value))
+        assert calls == ["a1"]
+
+        calls.clear()
+        with pytest.raises(AlignmentError, match="^link 'a1': ") as err:
+            schedule_portfolio(network(shifted="b"))  # a1 is shifted
         assert err.value.missing == {
-            "prices 'c'": (2,), "prices 'd'": (1,), "capacity 'b2'": (2,)
+            "prices 'a'": (2,), "prices 'b'": (1,), "capacity 'a1'": (2,)
         }
-        assert calls == []
+        assert calls == ["a1"]
+
+    def test_each_link_is_prepared_once(self, monkeypatch, bundle):
+        calls = []
+        prepare = scheduler._prepare
+        monkeypatch.setattr(
+            scheduler, "_prepare", lambda *a: calls.append(a[2].id) or prepare(*a)
+        )
+        result = schedule_portfolio(bundle.network)
+        assert calls == [s.interconnector_id for s in result.schedules]
+        assert calls == ["celtic", "ewi", "greenlink", "moyle"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rated_profiles_schedule_like_no_profile(self, bundle, seed):
