@@ -32,9 +32,12 @@ differ only in that name.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 __all__ = [
     "Direction",
@@ -63,7 +66,8 @@ class FlowDecision:
     ``marginal_value`` is the per-MWh value of the chosen direction after
     any bias, floored at zero; ``profit`` equals
     quantity_mw * marginal_value * step duration. Instances are slotted:
-    they have no ``__dict__``.
+    they have no ``__dict__``. A schedule's decisions are built here too, from
+    its columns, by ``_from_columns``.
     """
 
     timestep: int
@@ -80,6 +84,24 @@ class FlowDecision:
             )
         if not (self.marginal_value >= 0):
             raise ValueError(f"marginal_value must be >= 0, got {self.marginal_value}")
+
+    @classmethod
+    def _from_columns(cls, timesteps, directions, quantities, lambdas, profits) -> tuple:
+        """One decision per step, from parallel columns in field order. The two rules
+        are tested over whole columns, then each decision's slots are filled without
+        ``__init__``; when a step breaks a rule, the decisions are constructed one by
+        one instead, so ``__post_init__`` raises at the first such step."""
+        columns = (timesteps, directions, quantities, lambdas, profits)
+        zero = map(operator.eq, quantities, repeat(0))
+        idle = map(operator.is_, directions, repeat(Direction.IDLE))
+        nonnegative = map(operator.ge, lambdas, repeat(0))
+        if not (all(map(operator.eq, zero, idle)) and all(nonnegative)):
+            return tuple(map(cls, *columns))
+        decisions = list(map(object.__new__, repeat(cls, len(timesteps))))
+        for name, column in zip(cls.__slots__, columns):
+            slot = getattr(cls, name)
+            deque(map(slot.__set__, decisions, column), 0)  # runs the map, keeps nothing
+        return tuple(decisions)
 
 
 @dataclass(frozen=True)

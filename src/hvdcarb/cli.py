@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 from pathlib import Path
 
 from .arbitrage import BiasPolicy, Direction, _check_duration, _check_loss, optimal_flow
@@ -226,15 +227,18 @@ def _prices_at(network: Network, requested: int | None, regions) -> tuple[int, l
     return t, prices
 
 
-def _emit(args, fragments: Iterable[str]) -> None:
-    """Write a report's fragments as they are rendered: to ``--out``, opened only
-    now that the result is computed, or to the current ``sys.stdout``."""
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(fragments)
-        print(f"report written to {args.out}")
-    else:
-        sys.stdout.writelines(fragments)
+def _emit(args, fragments: Iterable[str], summary: Iterable[str] = ()) -> None:
+    """Print the summary's lines, then write a report's fragments as they are
+    rendered: to ``--out`` or to the current ``sys.stdout``. ``--out`` is opened
+    only now that the result is computed, and before anything is printed, so a
+    refused computation creates no file and a refused ``--out`` prints nothing."""
+    path = args.out
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as out:
+        for line in summary:
+            print(line)
+        out.writelines(fragments)
+    if path is not None:
+        print(f"report written to {path}")
 
 
 def _cmd_evaluate(args) -> int:
@@ -274,11 +278,12 @@ def _cmd_schedule(args) -> int:
     result = schedule_portfolio(
         network, None, BiasPolicy(args.bias), args.duration_hours
     )
-    print(f"links_scheduled: {len(result.schedules)}")
-    print(f"grand_total_eur: {result.grand_total!r}")
-    print(f"annualized_eur: {result.annualized!r}")
-    if args.out is not None:
-        _emit(args, _report(result, args.format))
+    summary = (
+        f"links_scheduled: {len(result.schedules)}",
+        f"grand_total_eur: {result.grand_total!r}",
+        f"annualized_eur: {result.annualized!r}",
+    )
+    _emit(args, () if args.out is None else _report(result, args.format), summary)
     return EXIT_OK
 
 
@@ -309,16 +314,17 @@ def _cmd_wheel(args) -> int:
         WheelScenario.S123: f"{args.area1} -> {args.area2} -> {args.area3}",
         WheelScenario.S321: f"{args.area3} -> {args.area2} -> {args.area1}",
     }
-    print(f"timestep: {t}")
+    summary = [f"timestep: {t}"]
     for r in results:
-        print(f"scenario: {r.scenario.value} ({routes[r.scenario]})")
-        print(f"  gate_a_eur_mwh: {r.gate_values[0]!r}")
-        print(f"  gate_b_eur_mwh: {r.gate_values[1]!r}")
-        print(f"  feasible: {str(r.feasible).lower()}")
-        print(f"  dispatched_mw: {r.dispatched_mw!r}")
-        print(f"  profit_eur: {r.profit!r}")
-    if args.out is not None:
-        _emit(args, _report(results, args.format))
+        summary += (
+            f"scenario: {r.scenario.value} ({routes[r.scenario]})",
+            f"  gate_a_eur_mwh: {r.gate_values[0]!r}",
+            f"  gate_b_eur_mwh: {r.gate_values[1]!r}",
+            f"  feasible: {str(r.feasible).lower()}",
+            f"  dispatched_mw: {r.dispatched_mw!r}",
+            f"  profit_eur: {r.profit!r}",
+        )
+    _emit(args, () if args.out is None else _report(results, args.format), summary)
     return EXIT_OK
 
 
@@ -329,9 +335,11 @@ def _cmd_case_ireland(args) -> int:
     expected_totals = bundle.expected.get("totals", {})
     annual = bundle.expected.get("annual", {})
 
-    print("Irish interconnector case study (one hour, zero bias)")
-    print()
-    print(f"{'link':<10} {'computed_eur':>13} {'reported_eur':>13} {'delta_eur':>10} status")
+    summary = [
+        "Irish interconnector case study (one hour, zero bias)",
+        "",
+        f"{'link':<10} {'computed_eur':>13} {'reported_eur':>13} {'delta_eur':>10} status",
+    ]
     rows = [
         (s.interconnector_id, s.total_profit, expected_links.get(s.interconnector_id, {}))
         for s in result.schedules
@@ -340,24 +348,23 @@ def _cmd_case_ireland(args) -> int:
     for name, computed, expected in rows:
         reported = expected.get("reported_eur")
         if reported is None:
-            print(f"{name:<10} {computed!r:>13} {'?':>13} {'?':>10} unchecked")
+            summary.append(f"{name:<10} {computed!r:>13} {'?':>13} {'?':>10} unchecked")
             continue
         delta = computed - reported
         status = "match" if abs(delta) < 0.005 else "delta"
-        print(f"{name:<10} {computed!r:>13} {reported!r:>13} {delta!r:>10} {status}")
-    print()
-    print(f"annualized_computed_eur: {result.annualized!r}")
+        summary.append(f"{name:<10} {computed!r:>13} {reported!r:>13} {delta!r:>10} {status}")
+    summary += ("", f"annualized_computed_eur: {result.annualized!r}")
     reported_total = expected_totals.get("reported_eur")
     if reported_total is not None:
-        print(f"annualized_reported_eur: {extrapolate_annual(reported_total)!r}")
+        summary.append(f"annualized_reported_eur: {extrapolate_annual(reported_total)!r}")
     threshold = annual.get("claim_exceeds_eur")
     if threshold is not None:
         both = result.annualized > threshold and (
             reported_total is None or extrapolate_annual(reported_total) > threshold
         )
-        print(f"annual_income_exceeds_{threshold!r}_eur: {str(both).lower()}")
-    if args.out is not None:
-        _emit(args, _report(result, args.format, bundle.expected))
+        summary.append(f"annual_income_exceeds_{threshold!r}_eur: {str(both).lower()}")
+    report = () if args.out is None else _report(result, args.format, bundle.expected)
+    _emit(args, report, summary)
     return EXIT_OK
 
 

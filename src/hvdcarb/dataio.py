@@ -516,9 +516,10 @@ def _schedule_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
     for s in schedules:
         link_id = s.interconnector_id
         names = {d: d.value for d in set(s.directions)}
+        columns = s.timesteps, s.directions, s.quantities, s.lambdas, s.profits
         yield from _blocks(
             f"{t},{link_id},{names[d]},{quantity!r},{lam!r},{profit!r}\n"
-            for t, d, quantity, lam, profit in s.rows()
+            for t, d, quantity, lam, profit in zip(*columns)
         )
 
 

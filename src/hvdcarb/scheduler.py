@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 
 from .arbitrage import (
     BiasPolicy,
@@ -66,9 +64,6 @@ _Column = tuple[float, ...]
 
 _STEP_COLUMNS = ("directions", "quantities", "lambdas", "profits")
 
-# The slot descriptors of FlowDecision's fields, in field order.
-_DECISION_SLOTS = tuple(getattr(FlowDecision, name) for name in FlowDecision.__slots__)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -76,7 +71,8 @@ class Schedule:
 
     Entry i of ``directions``, ``quantities`` (MW), ``lambdas`` (EUR/MWh
     after any bias) and ``profits`` (EUR) belongs to ``timesteps[i]``.
-    :attr:`decisions` is the per-step view.
+    :attr:`decisions` is the per-step view, which :class:`FlowDecision`
+    builds from the columns.
 
     A schedule from :func:`schedule_link` builds those four columns on first
     read; equality, hashing, ``repr``, pickling and copying read them too.
@@ -108,37 +104,13 @@ class Schedule:
         self.__dict__.pop("_inputs", None)
         return self.__dict__[name]
 
-    def rows(self) -> Iterator[tuple[int, Direction, float, float, float]]:
-        """``(timestep, direction, quantity_mw, lambda, profit)`` per step."""
-        return zip(
-            self.timesteps, self.directions, self.quantities, self.lambdas, self.profits
-        )
-
     @property
     def decisions(self) -> tuple[FlowDecision, ...]:
-        """One :class:`FlowDecision` per step, built anew on each access.
-
-        FlowDecision's two rules are tested once, over whole columns, and
-        the decisions are filled slot by slot from the columns, without
-        ``__init__``. When a step breaks a rule, the decisions are
-        constructed one by one instead, which raises FlowDecision's
-        ``ValueError`` at the first such step.
-        """
-        # (quantity_mw == 0) == (direction is IDLE), and marginal_value >= 0
-        zero = map(operator.eq, self.quantities, repeat(0))
-        idle = map(operator.is_, self.directions, repeat(Direction.IDLE))
-        if not (
-            all(map(operator.eq, zero, idle))
-            and all(map(operator.ge, self.lambdas, repeat(0)))
-        ):
-            return tuple(FlowDecision(*row) for row in self.rows())
-        decisions = list(map(object.__new__, repeat(FlowDecision, len(self.timesteps))))
-        columns = (
+        """One :class:`FlowDecision` per step, built anew on each access by
+        ``FlowDecision._from_columns``, which raises at the first bad step."""
+        return FlowDecision._from_columns(
             self.timesteps, self.directions, self.quantities, self.lambdas, self.profits
         )
-        for slot, column in zip(_DECISION_SLOTS, columns):
-            deque(map(slot.__set__, decisions, column), 0)  # runs the map, keeps nothing
-        return tuple(decisions)
 
 
 @dataclass(frozen=True)
@@ -176,7 +148,7 @@ def _prepare(
     passes, since finite columns can overflow their sum.
     """
     _check_duration(duration_h, "duration_h")
-    if {prices_a.region_id, prices_b.region_id} != {link.endpoint_a, link.endpoint_b}:
+    if not link.connects(prices_a.region_id, prices_b.region_id):
         raise ValueError(
             f"price series ({prices_a.region_id}, {prices_b.region_id}) do not "
             f"match link '{link.id}' endpoints ({link.endpoint_a}, {link.endpoint_b})"

@@ -710,11 +710,11 @@ class TestPlotData:
 def reference_plot_csv(result) -> str:
     """The plot-data CSV built row by row, each link's profit summed from 0.0."""
     lines = ["timestep,link_id,lambda_eur_mwh,quantity_mw,cumulative_profit_eur"]
-    for schedule in result.schedules:
+    for s in result.schedules:
         running = 0.0
-        for t, _, quantity, lam, profit in schedule.rows():
+        for t, quantity, lam, profit in zip(s.timesteps, s.quantities, s.lambdas, s.profits):
             running += profit
-            lines.append(f"{t},{schedule.interconnector_id},{lam!r},{quantity!r},{running!r}")
+            lines.append(f"{t},{s.interconnector_id},{lam!r},{quantity!r},{running!r}")
     return "\n".join(lines) + "\n"
 
 

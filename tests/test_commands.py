@@ -139,22 +139,29 @@ def write_data_dirs(directory: Path) -> None:
         (["schedule", "--out", "x"], "to-aliases", 2, "'to'"),
         (["case-ireland", "--out", "x"], "negative-capacity", 3, "capacity_mw"),
         (["case-ireland", "--out", "x"], "price-not-a-number", 2, "line 3: price 'abc'"),
+        (["schedule", "--out", "missing/x"], None, 2, "missing/x"),
+        (["wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle",
+          "--quantity", "1", "--out", "missing/x"], None, 2, "missing/x"),
+        (["case-ireland", "--out", "missing/x"], None, 2, "missing/x"),
     ],
     ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
          "ledger-date", "ledger-int-too-large", "ledger-alias-chain", "ledger-alias-value",
          "ledger-nan-computed", "config-int-too-long", "config-link-to-7",
-         "config-link-to-aliases", "config-negative-capacity", "price-not-a-number"],
+         "config-link-to-aliases", "config-negative-capacity", "price-not-a-number",
+         "schedule-out-in-missing-dir", "wheel-out-in-missing-dir",
+         "case-ireland-out-in-missing-dir"],
 )
 def test_a_refused_command_exits_with_its_code_and_writes_nothing(
     tmp_path, argv, data_dir, code, named
 ):
     """Its stderr is one message under 1 KB that names what is refused; a
-    refused ledger's, config's or price file's message names the file too, once."""
+    refused ledger's, config's or price file's message names the file too, once.
+    An ``--out`` that cannot be opened prints none of the command's result."""
     write_data_dirs(tmp_path)
     data_dir = data_dir and tmp_path / data_dir
     child = python("-m", "hvdcarb.cli", *argv, cwd=tmp_path, data_dir=data_dir)
     assert (child.returncode, child.stdout) == (code, ""), child.stderr
-    assert not (tmp_path / "x").exists()
+    assert not (tmp_path / "x").exists() and not (tmp_path / "missing").exists()
     assert len(child.stderr.encode()) < 1024 and named in child.stderr, child.stderr[:1024]
     if data_dir:
         assert child.stderr.count(str(data_dir / DATA_DIRS[data_dir.name][0])) == 1

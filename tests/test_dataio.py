@@ -615,7 +615,9 @@ def reference_structured_report(result, expected=None) -> str:
                     "lambda_eur_mwh": lam,
                     "profit_eur": profit,
                 }
-                for t, direction, quantity, lam, profit in s.rows()
+                for t, direction, quantity, lam, profit in zip(
+                    s.timesteps, s.directions, s.quantities, s.lambdas, s.profits
+                )
             ],
         }
 

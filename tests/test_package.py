@@ -1,4 +1,10 @@
-"""The package's public names: each module's ``__all__``, republished by the package."""
+"""The package's public names: each module's ``__all__``, republished by the package,
+and its version, stated once."""
+
+import warnings
+from pathlib import Path
+
+import pytest
 
 import hvdcarb
 from hvdcarb import arbitrage, dataio, errors, model, scheduler, wheeling
@@ -35,3 +41,15 @@ def test_the_public_attributes_are_the_names_and_the_modules():
     # hvdcarb.cli is bound on the package once anything imports it
     modules = {module.__name__.removeprefix("hvdcarb.") for module in MODULES}
     assert public - {"cli"} == set(PUBLIC) | modules
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    try:
+        from setuptools.config.pyprojecttoml import read_configuration
+    except Exception as exc:  # absent, or too old for this interpreter
+        pytest.skip(f"setuptools cannot read pyproject.toml here: {exc!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools 65 calls this reader beta
+        config = read_configuration(pyproject)
+    assert config["project"]["version"] == hvdcarb.__version__

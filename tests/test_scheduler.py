@@ -531,6 +531,11 @@ def _deferred_problem():
     )
 
 
+def columns(s):
+    """A schedule's five per-step columns, in FlowDecision's field order."""
+    return s.timesteps, s.directions, s.quantities, s.lambdas, s.profits
+
+
 class TestDeferredSchedule:
     @pytest.mark.parametrize(
         "duplicate",
@@ -555,7 +560,7 @@ class TestDeferredSchedule:
             lambda s: repr(dataclasses.replace(s, total_profit=1.0)),
             lambda s: repr(dataclasses.replace(s, interconnector_id="other")),
             lambda s: repr(dataclasses.astuple(s)),
-            lambda s: repr(list(s.rows())),
+            lambda s: repr(list(zip(*columns(s)))),
             lambda s: repr(s.decisions),
         ],
         ids=[
@@ -582,7 +587,7 @@ class TestDeferredSchedule:
         assert builds == []
         assert schedule.total_profit > 0 and len(schedule.timesteps) == 5
         assert builds == []
-        schedule.profits, schedule.directions, schedule.decisions, list(schedule.rows())
+        schedule.profits, schedule.directions, schedule.decisions, columns(schedule)
         assert len(builds) == 1
 
     @pytest.mark.parametrize(
@@ -600,10 +605,36 @@ class TestDeferredSchedule:
     )
     def test_decisions_are_what_flow_decision_builds(self, view):
         schedule = schedule_link(*_deferred_problem())
-        built = [FlowDecision(*row) for row in schedule.rows()]
+        built = list(map(FlowDecision, *columns(schedule)))
         got = list(map(view, schedule.decisions))
         assert got == list(map(view, built))
         assert repr(got) == repr(list(map(view, built)))  # signed zeros too
+
+    def test_valid_decisions_are_filled_without_the_constructor(self, monkeypatch):
+        """Only a schedule that breaks a rule builds its decisions one by one,
+        and raises at its first bad step."""
+        calls = []
+        init = FlowDecision.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        schedules = [
+            schedule_link(*_deferred_problem()),
+            lp_oracle(*_deferred_problem()),
+            Schedule("empty", (), (), (), (), (), 0.0),
+        ]
+        monkeypatch.setattr(FlowDecision, "__init__", counting)
+        for schedule in schedules:
+            assert len(schedule.decisions) == len(schedule.timesteps)
+        assert calls == []
+        idle = Direction.IDLE
+        bad = Schedule("ab", (1, 2, 3), (idle,) * 3, (0.0, 5.0, 5.0), (0.0,) * 3, (0.0,) * 3, 0.0)
+        with pytest.raises(ValueError, match=r"^quantity_mw must be 0 exactly when idle "
+                           r"\(got 5\.0 MW, Idle\)$"):
+            bad.decisions
+        assert [t for t, *_ in calls] == [1, 2]
 
     def test_decisions_are_slotted_and_frozen(self):
         for decision in schedule_link(*_deferred_problem()).decisions:
