@@ -5,7 +5,8 @@ Formats (all stable):
 * Price CSV: header ``timestep,region_id,price_eur_mwh``, one row per
   (timestep, region), UTF-8, decimal point. Timesteps must be strictly
   increasing within each region. Fields may be quoted or padded with
-  whitespace; :func:`load_prices` reads a plain file as whole columns.
+  whitespace; :func:`load_prices` reads a plain file as whole columns, and
+  :func:`prices_to_csv` quotes a region id only where CSV needs it.
 * Network config: YAML with a ``regions`` list, a ``links`` list, and an
   optional ``prices_csv`` reference resolved relative to the config file.
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
@@ -202,7 +203,8 @@ def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
 
 
 def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
-    """The price file read row by row; raises the error of its first bad row."""
+    """The price file read row by row; raises the error of its first bad row,
+    naming the last line that csv read for it."""
     if not lines or lines[0].strip() != PRICE_CSV_HEADER:
         raise ParseError(
             f"expected header '{PRICE_CSV_HEADER}', got "
@@ -210,61 +212,56 @@ def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
             line=1,
         )
     steps: dict[str, list[tuple[int, float]]] = {}
-    for offset, row in enumerate(_csv_rows(lines[1:])):
-        lineno = offset + 2
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-        raw_t, region_id, raw_price = (field.strip() for field in row)
-        try:
-            t = int(raw_t)
-        except ValueError:
-            raise ParseError(f"timestep {raw_t!r} is not an integer", line=lineno)
-        if t < 0:
-            raise ParseError(f"timestep {t} is negative", line=lineno)
-        if not region_id:
-            raise ParseError("empty region_id", line=lineno)
-        try:
-            price = float(raw_price)
-        except ValueError:
-            raise ParseError(f"price {raw_price!r} is not a number", line=lineno)
-        if not math.isfinite(price):
-            raise ParseError(f"price {raw_price!r} is not finite", line=lineno)
-        series = steps.setdefault(region_id, [])
-        if series:
-            last_t = series[-1][0]
-            if t == last_t:
-                raise DuplicateRowError(
-                    f"duplicate timestep {t} for region '{region_id}'", line=lineno
-                )
-            if t < last_t:
-                raise ParseError(
-                    f"timestep {t} for region '{region_id}' is out of order "
-                    f"(last was {last_t})",
-                    line=lineno,
-                )
-        series.append((t, price))
-    return {rid: PriceSeries(rid, tuple(s)) for rid, s in steps.items()}
-
-
-def _csv_rows(body: list[str]) -> Iterable[list[str]]:
-    """The csv module's rows of the lines after the header; its errors
-    become a ParseError with the file's line number."""
-    reader = csv.reader(io.StringIO("\n".join(body)))
+    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
     try:
-        yield from reader
+        for row in reader:
+            lineno = reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
+            raw_t, region_id, raw_price = (field.strip() for field in row)
+            try:
+                t = int(raw_t)
+            except ValueError:
+                raise ParseError(f"timestep {raw_t!r} is not an integer", line=lineno)
+            if t < 0:
+                raise ParseError(f"timestep {t} is negative", line=lineno)
+            if not region_id:
+                raise ParseError("empty region_id", line=lineno)
+            try:
+                price = float(raw_price)
+            except ValueError:
+                raise ParseError(f"price {raw_price!r} is not a number", line=lineno)
+            if not math.isfinite(price):
+                raise ParseError(f"price {raw_price!r} is not finite", line=lineno)
+            series = steps.setdefault(region_id, [])
+            if series:
+                last_t = series[-1][0]
+                if t == last_t:
+                    raise DuplicateRowError(
+                        f"duplicate timestep {t} for region '{region_id}'", line=lineno
+                    )
+                if t < last_t:
+                    raise ParseError(
+                        f"timestep {t} for region '{region_id}' is out of order "
+                        f"(last was {last_t})",
+                        line=lineno,
+                    )
+            series.append((t, price))
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(str(exc), line=reader.line_num + 1) from exc
+    return {rid: PriceSeries(rid, tuple(s)) for rid, s in steps.items()}
 
 
 def prices_to_csv(series: Iterable[PriceSeries]) -> str:
     """Render price series back to the CSV format, deterministically."""
-    out = [PRICE_CSV_HEADER]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    out.write(PRICE_CSV_HEADER + "\n")
     for s in series:
-        for t, p in zip(s.timesteps, s.prices):
-            out.append(f"{t},{s.region_id},{p!r}")
-    return "\n".join(out) + "\n"
+        writer.writerows(zip(s.timesteps, repeat(s.region_id), s.prices))
+    return out.getvalue()
 
 
 def save_prices(series: Iterable[PriceSeries], path: str | Path) -> None:

@@ -50,11 +50,23 @@ class InvalidLossError(ValidationError):
 
 
 class AlignmentError(HvdcArbError):
-    """Price series and capacity profile do not cover the same horizon."""
+    """Price series and capacity profile do not cover the same horizon.
+
+    ``missing`` maps each source that lacks a timestep another covers to every
+    such timestep, sorted. The horizon rule builds it when it is first read, so
+    an error that is only printed costs no more than its message, which lists at
+    most five sources.
+    """
 
     def __init__(self, message: str, missing: dict[str, tuple[int, ...]] | None = None):
         super().__init__(message)
-        self.missing = missing or {}
+        self._missing = missing or {}  # the mapping, or (from the horizon rule) its builder
+
+    @property
+    def missing(self) -> dict[str, tuple[int, ...]]:
+        if callable(self._missing):
+            self._missing = self._missing()
+        return self._missing
 
 
 class ResolutionError(HvdcArbError):
@@ -64,6 +76,6 @@ class ResolutionError(HvdcArbError):
 class CapacityError(HvdcArbError):
     """A requested wheeling quantity exceeds what a link leg can carry."""
 
-    def __init__(self, message: str, binding_link: str):
+    def __init__(self, message: str, binding_link: str = ""):
         super().__init__(message)
         self.binding_link = binding_link

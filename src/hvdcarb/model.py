@@ -15,7 +15,8 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import filterfalse, islice
 
 from .arbitrage import _check_loss, _check_nonnegative
 from .errors import AlignmentError, InvalidLossError
@@ -376,8 +377,10 @@ def _shared_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     link constant time here, as their violations and price range, found once
     per series, do. Otherwise the :class:`AlignmentError` raised maps, in
     ``missing``, each source that lacks a timestep another covers to all such
-    timesteps. Its message lists at most five per source, then their count,
-    so its length does not grow with the horizon's: ``horizon mismatch:
+    timesteps; that map is built when first read. Its message lists at most
+    five sources, and at most five timesteps per source, then their count, so
+    it is worded in time linear in the sources' sizes and its length grows
+    with neither the horizon nor the number of sources: ``horizon mismatch:
     prices 'a' missing timesteps [10000, 10001, 10002, 10003, 10004, ...]
     (8760 in all)``.
     """
@@ -385,19 +388,36 @@ def _shared_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     if all(ts is reference or ts == reference for ts in sources.values()):
         return reference
     union = set().union(*sources.values())
-    missing = {}
+    ordered = sorted(union)
+    detail, more = [], 0
     for name, ts in sources.items():
-        gaps = union.difference(ts)
-        if gaps:
-            missing[name] = tuple(sorted(gaps))
-    if not missing:  # then a source breaks its own strictly-increasing invariant
+        covered = set(ts)
+        count = len(union) - len(covered)  # the source's gaps
+        if not count:
+            continue
+        if len(detail) == 5:
+            more += 1
+            continue
+        # the walk stops at the fifth gap, having passed at most len(covered) steps
+        listed = str(list(islice(filterfalse(covered.__contains__, ordered), 5)))
+        if count > 5:
+            listed = f"{listed[:-1]}, ...] ({count} in all)"
+        detail.append(f"{name} missing timesteps {listed}")
+    if not detail:  # then a source breaks its own strictly-increasing invariant
         raise AlignmentError(
             "horizon mismatch: sources cover the same timesteps in different order"
         )
-    detail = []
-    for name, gaps in missing.items():
-        listed = str(list(gaps[:5]))
-        if len(gaps) > 5:
-            listed = f"{listed[:-1]}, ...] ({len(gaps)} in all)"
-        detail.append(f"{name} missing timesteps {listed}")
-    raise AlignmentError(f"horizon mismatch: {'; '.join(detail)}", missing)
+    if more:
+        detail.append(f"and {more} more source{'s' if more > 1 else ''}")
+    message = f"horizon mismatch: {'; '.join(detail)}"
+    raise AlignmentError(message, partial(_missing_timesteps, sources, union))
+
+
+def _missing_timesteps(sources: dict[str, tuple[int, ...]], union: set[int]) -> dict:
+    """``AlignmentError.missing`` for ``sources``, which break the horizon rule and
+    together cover ``union``."""
+    return {
+        name: tuple(sorted(gaps))
+        for name, ts in sources.items()
+        if (gaps := union.difference(ts))
+    }

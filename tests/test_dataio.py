@@ -99,6 +99,17 @@ class TestLoadPrices:
         assert str(err.value) == f"{path}: line 6: duplicate timestep 1 for region 'france'"
         assert err.value.line == 6
 
+    def test_rows_are_numbered_by_the_lines_csv_reads(self):
+        # a quoted field on lines 2-3, then a bad row on line 4
+        with pytest.raises(ParseError) as err:
+            load_prices(io.StringIO(_csv('0,"a\nb",1.0', "1,a,cheap")))
+        assert str(err.value) == "stream: line 4: price 'cheap' is not a number"
+        assert err.value.line == 4
+        # a bad row that spans lines 2-3 is named by its last line
+        with pytest.raises(ParseError) as err:
+            load_prices(io.StringIO(_csv('0,"a\nb",cheap')))
+        assert err.value.line == 3
+
 
 def row_by_row_prices(text: str) -> dict[str, tuple[tuple[int, ...], tuple[float, ...]]]:
     """Reference reader: the price CSV parsed and checked one row at a time."""
@@ -511,6 +522,31 @@ class TestRoundTrips:
     def test_prices_round_trip_identity(self):
         series = load_prices(io.StringIO(CASE_CSV))
         assert prices_to_csv(series.values()) == CASE_CSV
+
+    @given(
+        st.lists(
+            # csv quotes these; the reader strips surrounding whitespace, and turns
+            # "\r" and the other line breaks of str.splitlines into "\n"
+            st.text('ab,"\n x', min_size=1, max_size=5).filter(lambda s: s == s.strip()),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    @example(["a,b", 'q"x', "c\nd", 'e,"\nf'])
+    def test_ids_that_csv_quotes_round_trip(self, tmp_path_factory, ids):
+        network = Network(
+            tuple(map(Region, ids)),
+            (),
+            tuple(PriceSeries(rid, ((0, 1.5), (1, -2.25))) for rid in ids),
+        )
+        first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
+        save_network(network, first / "network.yaml")
+        reloaded = load_network(first / "network.yaml")
+        assert reloaded == network
+        save_network(reloaded, second / "network.yaml")
+        for name in ("network.yaml", "prices.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_network_without_prices(self, tmp_path):
         net = Network(tiny_network().regions, tiny_network().interconnectors, ())

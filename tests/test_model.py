@@ -1,6 +1,7 @@
 """Domain types, loss model, and network validation."""
 
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvdcarb import (
+    AlignmentError,
     CapacityProfile,
     Interconnector,
     InvalidLossError,
@@ -19,6 +21,7 @@ from hvdcarb import (
     schedule_portfolio,
     validate_network,
 )
+from hvdcarb.model import _shared_horizon
 
 
 class TestLossFromLength:
@@ -303,6 +306,16 @@ def counting_chain(n: int) -> Network:
     )
 
 
+def priced_chain(n: int) -> Network:
+    """n regions in a line, joined by n - 1 links, region i priced at timestep i alone:
+    every linked source lacks a timestep that n - 1 others cover."""
+    return Network(
+        tuple(Region(f"r{i}") for i in range(n)),
+        tuple(Interconnector(f"l{i}", f"r{i}", f"r{i + 1}", 1.0, 0.0) for i in range(n - 1)),
+        tuple(PriceSeries(f"r{i}", ((i, 1.0),)) for i in range(n)),
+    )
+
+
 @pytest.mark.parametrize("n", [100, 400])
 def test_validating_and_scheduling_are_linear_in_size(n):
     # A scan per lookup makes about n * n / 2 id comparisons; a map, a few per item.
@@ -457,6 +470,43 @@ class TestValidateNetwork:
         assert validate_network(net) == [
             "horizon mismatch: prices 'b' missing timesteps [2]"
         ]
+
+    def test_past_five_sources_the_message_counts_them(self):
+        (message,) = validate_network(priced_chain(7))
+        assert message == (
+            "horizon mismatch: prices 'r0' missing timesteps [1, 2, 3, 4, 5, ...] (6 in all); "
+            "prices 'r1' missing timesteps [0, 2, 3, 4, 5, ...] (6 in all); "
+            "prices 'r2' missing timesteps [0, 1, 3, 4, 5, ...] (6 in all); "
+            "prices 'r3' missing timesteps [0, 1, 2, 4, 5, ...] (6 in all); "
+            "prices 'r4' missing timesteps [0, 1, 2, 3, 5, ...] (6 in all); "
+            "and 2 more sources"
+        )
+        (message,) = validate_network(priced_chain(6))
+        assert message.endswith(
+            "prices 'r4' missing timesteps [0, 1, 2, 3, 5]; and 1 more source"
+        )
+
+    def test_missing_holds_every_gap_of_every_source(self):
+        with pytest.raises(AlignmentError) as err:
+            _shared_horizon({f"s{i}": (i,) for i in range(7)})
+        assert str(err.value).endswith("; and 2 more sources")
+        assert err.value.missing == {
+            f"s{i}": tuple(t for t in range(7) if t != i) for i in range(7)
+        }
+
+    def test_a_mismatched_chain_is_worded_in_linear_memory(self):
+        # Listing every gap of every source takes n * n memory and text.
+        peaks = []
+        for n in (1000, 4000):
+            network = priced_chain(n)
+            tracemalloc.start()
+            try:
+                (line,) = validate_network(network)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(line.encode()) < 1024
+        assert peaks[1] / peaks[0] < 6
 
     def test_unpriced_unlinked_region_is_fine(self, bundle):
         # northern_ireland carries no link and needs no series

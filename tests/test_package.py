@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__``, republished by the package,
 and its version, stated once."""
 
+import pickle
 import warnings
 from pathlib import Path
 
@@ -53,3 +54,24 @@ def test_pyproject_takes_the_version_from_the_package():
         warnings.simplefilter("ignore")  # setuptools 65 calls this reader beta
         config = read_configuration(pyproject)
     assert config["project"]["version"] == hvdcarb.__version__
+
+
+def test_every_error_survives_pickling():
+    # an error raised in a worker process reaches its caller pickled
+    with pytest.raises(errors.AlignmentError) as err:
+        model._shared_horizon({"a": (1, 2), "b": (2, 3)})
+    lazy = err.value  # its missing is built when first read
+    made = [getattr(errors, name)("message") for name in errors.__all__] + [
+        errors.ParseError("bad row", line=3),
+        errors.DuplicateRowError("repeat", line=2),
+        errors.AlignmentError("gap", {"a": (1,)}),
+        lazy,
+        errors.CapacityError("too much", "moyle"),
+    ]
+    for exc in made:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc)
+        for attribute in ("line", "missing", "binding_link"):
+            assert getattr(copy, attribute, None) == getattr(exc, attribute, None)
+    assert lazy.missing == {"a": (3,), "b": (1,)}

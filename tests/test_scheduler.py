@@ -716,6 +716,83 @@ class TestScheduleProperties:
             previous_active = active
 
 
+# Every nonzero input lies in [1e-3, 1e6] in magnitude (a price, a capacity, a
+# bias), a loss in [1e-3, 0.5], a step in [0.25, 4] hours, and a horizon has at
+# most 200 steps. Then every intermediate is 0 or a normal float, also at twice
+# the prices and the bias: a nonzero margin or λ is at least the spacing of
+# floats near 1e-6 (the least r * p), about 2e-22, a profit at least about 5e-26,
+# a link's total at most 200 * 1e4 * 4 * 1e7 < 1e14 (λ < 1e7 at twice the
+# prices), and the grand total three times that. Doubling a normal float is
+# exact and commutes with rounding, and rounded + and * are monotone, so both
+# identities below hold by construction, not by the inputs drawn.
+@st.composite
+def bounded_portfolios(draw):
+    """A chain of up to three links over one horizon of at most 200 steps, with a
+    capacity profile per link, a step length and a bias, in the bounds above;
+    magnitudes are drawn log-uniformly, and a fifth of the values are 0."""
+    rng = draw(st.randoms(use_true_random=True))
+
+    def value(low, high, signed=False):
+        if rng.random() < 0.2:
+            return 0.0
+        magnitude = min(max(low * (high / low) ** rng.random(), low), high)
+        return -magnitude if signed and rng.random() < 0.5 else magnitude
+
+    steps = range(rng.randint(1, 200))
+    regions = "abcd"[: rng.randint(2, 4)]
+    series = [PriceSeries(rid, [(t, value(1e-3, 1e6, True)) for t in steps]) for rid in regions]
+    links = [
+        Interconnector(f"{a}{b}", a, b, 1.0, value(1e-3, 0.5))
+        for a, b in zip(regions, regions[1:])
+    ]
+    capacities = {
+        link.id: CapacityProfile(link.id, [(t, value(1e-3, 1e4)) for t in steps])
+        for link in links
+    }
+    network = Network(tuple(map(Region, regions)), tuple(links), tuple(series))
+    return network, capacities, rng.uniform(0.25, 4.0), value(1e-3, 1e4)
+
+
+def _doubled(network: Network) -> Network:
+    return network.with_prices(
+        PriceSeries(s.region_id, list(zip(s.timesteps, (2 * p for p in s.prices))))
+        for s in network.price_series
+    )
+
+
+def _bits(values) -> list[str]:
+    return list(map(float.hex, values))
+
+
+class TestExactIdentities:
+    @settings(max_examples=500)
+    @given(bounded_portfolios())
+    def test_doubling_prices_and_bias_doubles_every_value(self, problem):
+        network, capacities, duration_h, r_b = problem
+        base = schedule_portfolio(network, capacities, BiasPolicy(r_b), duration_h)
+        doubled = schedule_portfolio(
+            _doubled(network), capacities, BiasPolicy(2 * r_b), duration_h
+        )
+        for s, d in zip(base.schedules, doubled.schedules, strict=True):
+            assert d.directions == s.directions
+            assert _bits(d.lambdas) == _bits(2 * v for v in s.lambdas)
+            assert _bits(d.profits) == _bits(2 * v for v in s.profits)
+            assert d.total_profit.hex() == (2 * s.total_profit).hex()
+        assert doubled.grand_total.hex() == (2 * base.grand_total).hex()
+
+    @settings(max_examples=500)
+    @given(bounded_portfolios(), st.one_of(st.just(0.0), st.floats(1e-3, 1e4)))
+    def test_raising_the_bias_never_adds_a_step_or_raises_a_total(self, problem, extra):
+        network, capacities, duration_h, r_b = problem
+        low = schedule_portfolio(network, capacities, BiasPolicy(r_b), duration_h)
+        high = schedule_portfolio(network, capacities, BiasPolicy(r_b + extra), duration_h)
+        for s, h in zip(low.schedules, high.schedules, strict=True):
+            dispatched = {t for t, q in zip(s.timesteps, s.quantities) if q}
+            assert {t for t, q in zip(h.timesteps, h.quantities) if q} <= dispatched
+            assert h.total_profit <= s.total_profit
+        assert high.grand_total <= low.grand_total
+
+
 class TestLpOracle:
     def test_agrees_on_celtic_hour(self, celtic_hour):
         a, b, link = celtic_hour
