@@ -96,8 +96,8 @@ class PriceSeries:
     pass ``zip(timesteps, prices, strict=True)``. Timesteps become ints and
     prices floats. The series is stored as two parallel columns,
     ``timesteps`` and ``prices``; ``steps``, the pairs, is built on first
-    use, and its :meth:`violations` and its price range are found once, for
-    every reader (each link that reads the series, say).
+    use, and its :meth:`violations` are found once, for every reader (each
+    link that reads the series, say).
     """
 
     region_id: str
@@ -155,12 +155,6 @@ class PriceSeries:
             if t < 0:
                 out.append(f"price series '{self.region_id}': negative timestep {t}")
         return tuple(out)
-
-    @cached_property
-    def _range(self) -> tuple[float, float]:
-        """The lowest and highest price, ``(0.0, 0.0)`` for none; a bound on
-        every price only when the series has no violations."""
-        return min(self.prices, default=0.0), max(self.prices, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -374,15 +368,14 @@ def _shared_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     the first source's are returned (``()`` when there is none). A source
     whose timesteps are the first source's tuple itself agrees unread, so
     series sharing one tuple, as the price loader's regions do, cost each
-    link constant time here, as their violations and price range, found once
-    per series, do. Otherwise the :class:`AlignmentError` raised maps, in
-    ``missing``, each source that lacks a timestep another covers to all such
-    timesteps; that map is built when first read. Its message lists at most
-    five sources, and at most five timesteps per source, then their count, so
-    it is worded in time linear in the sources' sizes and its length grows
-    with neither the horizon nor the number of sources: ``horizon mismatch:
-    prices 'a' missing timesteps [10000, 10001, 10002, 10003, 10004, ...]
-    (8760 in all)``.
+    link constant time here, as their violations, found once per series, do.
+    Otherwise the :class:`AlignmentError` raised maps, in ``missing``, each
+    source that lacks a timestep another covers to all such timesteps; that
+    map is built when first read. Its message lists at most five sources, and
+    at most five timesteps per source, then their count, so it is worded in
+    time linear in the sources' sizes and its length grows with neither the
+    horizon nor the number of sources: ``horizon mismatch: prices 'a' missing
+    timesteps [10000, 10001, 10002, 10003, 10004, ...] (8760 in all)``.
     """
     reference = next(iter(sources.values()), ())
     if all(ts is reference or ts == reference for ts in sources.values()):

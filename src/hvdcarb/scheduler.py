@@ -143,9 +143,9 @@ def _prepare(
 
     Returns the argument tuple of :func:`_replay`: the horizon, the columns
     p_a, p_b and x_max aligned with it, the loss r, the bias r_b and the step
-    duration. When whole-input tests do not show every step valid, it replays
-    the per-step rule first, which raises at the first failing step, or
-    passes, since finite columns can overflow their sum.
+    duration. When an input's own check fails, it replays the per-step rule
+    first, which raises at the first failing step, or passes (a link with an
+    empty id, say, breaks no per-step rule).
     """
     _check_duration(duration_h, "duration_h")
     if not link.connects(prices_a.region_id, prices_b.region_id):
@@ -170,35 +170,28 @@ def _prepare(
             f"capacity '{link.id}'": (capacity or prices_a).timesteps,
         }
     )
-    # A series without (memoised) violations has increasing timesteps; its
-    # prices are checked step by step, with the other step values.
-    if prices_a.violations() or prices_b.violations():
-        if not _strictly_increasing(horizon):
-            raise AlignmentError("horizon timesteps must be strictly increasing")
-    if capacity is None:
-        capacities = (float(link.capacity_mw),)
-        x_max = capacities * len(horizon)
-    else:
-        capacities = x_max = capacity.values
-    r = link.loss_fraction
-    # A step's margins are finite exactly when its p_a - p_b is. Each series
-    # finds its violations and its price range (low, high) once, for every
-    # link that reads it. Without violations, every p_a - p_b lies between
-    # low_a - high_b and high_a - low_b, and rounding is monotone, so two
-    # finite bounds make every step's spread finite. At rated capacity x_max
-    # repeats one value, so that value is tested once.
-    problem = (horizon, prices_a.prices, prices_b.prices, x_max, r, r_b, duration_h)
-    if not (
-        0 <= r < 1
-        and 0 <= r_b < math.inf
-        and min(capacities, default=0.0) >= 0
-        and math.isfinite(sum(capacities))
-        and not (prices_a._violations or prices_b._violations)
-        and math.isfinite(prices_a._range[1] - prices_b._range[0])
-        and math.isfinite(prices_b._range[1] - prices_a._range[0])
+    # Each series finds its violations once, for every link that reads it. A
+    # series without them has increasing timesteps; its prices are checked
+    # step by step, with the other step values.
+    faulty_prices = prices_a._violations or prices_b._violations
+    if faulty_prices and not _strictly_increasing(horizon):
+        raise AlignmentError("horizon timesteps must be strictly increasing")
+    x_max = capacity.values if capacity else (link.capacity_mw,) * len(horizon)
+    col_a, col_b, r = prices_a.prices, prices_b.prices, link.loss_fraction
+    # Each input's own check; a bias may be any object with an r_b, so its
+    # rule is stated here.
+    if (
+        link.violations()
+        or capacity is not None and capacity.violations()
+        or faulty_prices
+        or not 0 <= r_b < math.inf
     ):
-        _replay(*problem)
-    return problem
+        _replay(horizon, col_a, col_b, x_max, r, r_b, duration_h)
+    if capacity is None and horizon:
+        # float() overflows on an int past float range, which the link's
+        # check, or else the replay, has refused by now.
+        x_max = (float(link.capacity_mw),) * len(horizon)
+    return horizon, col_a, col_b, x_max, r, r_b, duration_h
 
 
 def _replay(
@@ -212,8 +205,8 @@ def _replay(
 
 def _checked_total(total: float, link_id: str, problem: tuple) -> float:
     """``total`` when it is finite. Otherwise the error ``optimal_flow`` raises
-    at the first step whose profit overflows, or, when no step's does, an error
-    for the link. ``problem`` is the argument tuple of :func:`_replay`.
+    at the first step whose spread or profit overflows, or else an error for
+    the link. ``problem`` is the argument tuple of :func:`_replay`.
     """
     if not math.isfinite(total):
         _replay(*problem)
@@ -234,12 +227,11 @@ def schedule_link(
     Both price series and the capacity profile follow the horizon rule of
     :mod:`hvdcarb.model`. With no profile given, the link's rated capacity
     applies at every step. Separability makes the per-step optimum the horizon
-    optimum. The inputs are checked as whole columns, or through what each
-    price series finds once for every link that reads it (its violations and
-    its price range), then the total is computed in one pass with the
-    expressions of :func:`~hvdcarb.arbitrage.optimal_flow`; the per-step
-    columns are built when first read. Every value is bit-identical to
-    deciding step by step.
+    optimum. Each input is checked by its own check, a price series once for
+    every link that reads it, then the total is computed in one pass with the
+    expressions of :func:`~hvdcarb.arbitrage.optimal_flow`, which also
+    catches a spread that overflows; the per-step columns are built when
+    first read. Every value is bit-identical to deciding step by step.
 
     Raises:
         AlignmentError: the three sources break the horizon rule.
@@ -252,14 +244,16 @@ def schedule_link(
     """
     problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     horizon, col_a, col_b, col_x, r, r_b, _ = problem
-    # The total sums the dispatched steps' profits left to right (an idle
-    # step's is +0.0, which changes no sum). Margins are never -0.0, so the
-    # zero floor of max(a, b, 0.0) only decides dispatch.
+    # The total sums x * duration_h * lambda over the steps with lambda > 0,
+    # left to right; where x == 0 a term is +-0.0, which changes no sum.
+    # Margins are never -0.0, so the zero floor of max(a, b, 0.0) only decides
+    # dispatch. A spread that overflows makes lambda inf and the total inf, or
+    # nan where x == 0, so _checked_total replays the steps.
     total = 0.0
     for p_a, p_b, x in zip(col_a, col_b, col_x):
         a, b = p_a - p_b - r * p_a - r_b, p_b - p_a - r * p_b - r_b
         lam = b if b > a else a
-        if lam > 0.0 and x > 0.0:
+        if lam > 0.0:
             total += x * duration_h * lam
     schedule = Schedule.__new__(Schedule)
     schedule.__dict__.update(
@@ -390,6 +384,7 @@ def lp_oracle(
         raise ValueError(
             f"lp_oracle is limited to {_ORACLE_MAX_STEPS} steps, got {len(horizon)}"
         )
+    _replay(*problem)  # a spread that overflows would reach Fraction(inf)
     from fractions import Fraction  # here, so that importing hvdcarb never imports it
 
     def exact_profit(x: float, lam: float) -> Fraction:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 import tracemalloc
 from types import SimpleNamespace
@@ -25,6 +26,7 @@ from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir, write_report
 from hvdcarb.scheduler import schedule_portfolio
 from hvdcarb.wheeling import WheelingChain, evaluate_wheel
 from conftest import DISJOINT_YEARS, one_link_network, over_steps, tiny_network
+from fuzz_corpus import PRICE_MUTATIONS
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -956,3 +958,63 @@ class TestDataDirOverride:
         code, out, _ = run(capsys, "schedule")
         assert code == 0
         assert "grand_total_eur: 63289.0" in out
+
+
+def _hostile_price_files() -> dict[str, str]:
+    """The bundled price file's mutations, and files the loader accepts that push
+    the scheduler and the wheel to their edges."""
+    base = (default_data_dir() / "prices.csv").read_text(encoding="utf-8")
+    files = {name: mutate(base) for name, mutate, _ in PRICE_MUTATIONS}
+
+    def hours(prices: dict[str, float], steps=(1, 2), skip=()) -> str:
+        rows = [
+            f"{t},{rid},{p!r}" for t in steps for rid, p in prices.items() if (t, rid) not in skip
+        ]
+        return "\n".join([PRICE_CSV_HEADER, *rows, ""])
+
+    regions = {"ireland": 100.0, "scotland": 120.0, "wales": 75.0, "france": 50.0}
+    # ireland - france overflows, so only celtic's spread does
+    files["spread_overflows_on_one_link"] = hours({**regions, "ireland": 1e308, "france": -1e308})
+    files["negative_zero_prices"] = hours(dict.fromkeys(regions, -0.0))
+    files["a_region_missing_one_timestep"] = hours(regions, skip={(2, "wales")})
+    files["empty_body"] = PRICE_CSV_HEADER + "\n"
+    return files
+
+
+_HOSTILE_PRICES = _hostile_price_files()
+# A report holds no value that is not finite.
+_NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestHostilePriceFiles:
+    """Every command over a hostile price file exits with a documented code."""
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["schedule"], None),
+            (["schedule", "--out", "r.csv"], "r.csv"),
+            (["schedule", "--format", "structured", "--out", "r.json"], "r.json"),
+            (["plot-data", "--out", "p.csv"], "p.csv"),
+            (["evaluate", "celtic"], None),
+            (["wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle",
+              "--quantity", "400"], None),
+        ],
+        ids=["schedule", "schedule-csv", "schedule-structured", "plot-data", "evaluate", "wheel"],
+    )
+    @pytest.mark.parametrize("name", _HOSTILE_PRICES)
+    def test_exit_code_is_documented_and_a_report_is_finite(
+        self, capsys, tmp_path, monkeypatch, name, argv, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        text = _HOSTILE_PRICES[name]
+        (tmp_path / "prices.csv").write_text(text, encoding="utf-8")
+        code, stdout, err = run(capsys, *argv, "--prices", "prices.csv")
+        assert code in (0, 2, 3, 4)
+        assert len(err.encode()) < 1024 + len(text.encode())
+        if code == 0:
+            assert not _NOT_FINITE.search(stdout)
+            if out is not None:
+                assert not _NOT_FINITE.search((tmp_path / out).read_text(encoding="utf-8"))
+        else:
+            assert stdout == "" and err.startswith("error: ")

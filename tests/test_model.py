@@ -360,9 +360,9 @@ def checked_reads(links: int, steps: int) -> int:
 
 
 def test_checking_shared_series_reads_each_once_whatever_the_links():
-    # Each series finds its violations and price range once; a shared timestep
-    # tuple agrees with itself unread. What each further link reads is its
-    # margin loop's pass over the two price columns (x_max is a plain tuple).
+    # Each series finds its violations once; a shared timestep tuple agrees
+    # with itself unread. What each further link reads is its margin loop's
+    # pass over the two price columns (x_max is a plain tuple).
     steps = 50
     assert checked_reads(16, steps) - checked_reads(1, steps) == 15 * 2 * steps
 

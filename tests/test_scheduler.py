@@ -7,6 +7,7 @@ import math
 import operator
 import pickle
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -34,13 +35,6 @@ from hvdcarb import (
 )
 from hvdcarb import scheduler
 from conftest import DISJOINT_YEARS, one_link_network, random_link_instance
-
-
-# Finite floats, with extremes of either sign drawn often.
-_finite_floats = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 9e307, -9e307]),
-)
 
 
 @pytest.fixture
@@ -238,21 +232,6 @@ class TestScheduleLink:
         if math.isfinite(sum(values)):
             assert all(map(math.isfinite, values))
 
-    @given(
-        st.integers(1, 8).flatmap(
-            lambda n: st.lists(
-                st.lists(_finite_floats, min_size=n, max_size=n), min_size=2, max_size=2
-            )
-        )
-    )
-    @example([[9e307, 0.0], [-8.9e307, 1e307]])  # both bounds near the largest float
-    @example([[1.7976931348623157e308], [-0.0]])
-    def test_finite_range_differences_bound_every_spread(self, columns):
-        # _prepare trusts two finite differences of the series' ranges
-        a, b = columns
-        if math.isfinite(max(a) - min(b)) and math.isfinite(max(b) - min(a)):
-            assert all(map(math.isfinite, map(operator.sub, a, b)))
-
     def test_empty_horizon_total_is_a_float(self, celtic):
         schedule = schedule_link(PriceSeries("ireland", ()), PriceSeries("france", ()), celtic)
         assert repr(schedule.total_profit) == "0.0"
@@ -416,6 +395,97 @@ class TestColumnCoreMatchesPerStepRule:
     @per_step_cases
     def test_oracle_rejects_what_the_scheduler_rejects(self, problem):
         assert_matches_per_step_rule(lp_oracle, problem)
+
+
+def _as_portfolio(a, b, link, capacity, bias, duration_h):
+    """schedule_portfolio's arguments for one link's problem."""
+    network = Network((Region(a.region_id), Region(b.region_id)), (link,), (a, b))
+    return network, {link.id: capacity} if capacity else {}, bias, duration_h
+
+
+class TestRatedCapacityPastFloatRange:
+    # float() raises OverflowError on an int past float range; the per-step
+    # rule refuses such a capacity with a ValueError, and so do all three.
+    @pytest.mark.parametrize(
+        "solve",
+        [schedule_link, lp_oracle, lambda *problem: schedule_portfolio(*_as_portfolio(*problem))],
+        ids=["schedule_link", "lp_oracle", "schedule_portfolio"],
+    )
+    def test_is_refused_with_the_per_step_rules_error(self, solve):
+        problem = link_problem([10.0, 20.0], [5.0, 50.0], rated=10**400)
+        with pytest.raises(ValueError) as want:
+            optimal_flow(10.0, 5.0, 0.0, 10**400)
+        assert str(want.value).startswith("x_max must be finite and >= 0, got 1000")
+        with pytest.raises(ValueError) as got:
+            solve(*problem)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("solver", [schedule_link, lp_oracle])
+    def test_an_empty_horizon_decides_no_step(self, solver):
+        problem = link_problem([], [], rated=10**400)
+        assert solver(*problem) == per_step_schedule(*problem)
+
+
+class TestReplays:
+    """The per-step rule is replayed only when an input's own check fails, or
+    the total is not finite."""
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls, replay = [], scheduler._replay
+
+        def counted(*problem):
+            calls.append(problem)
+            return replay(*problem)
+
+        monkeypatch.setattr(scheduler, "_replay", counted)
+        return calls
+
+    VALID = {
+        "rated-float": link_problem([100.0, 50.0, 60.0], [50.0, 80.0, 60.0], r=0.0575),
+        "rated-int": link_problem([100.0, 50.0], [50.0, 80.0], rated=700),
+        "zero-capacity-steps": link_problem(
+            [100.0, 50.0, 70.0], [50.0, 80.0, 20.0], caps=[0.0, 700.0, -0.0]
+        ),
+        "negative-prices": link_problem([-20.0, -50.0], [-80.0, 10.0], r=0.02),
+        "positive-bias": link_problem([100.0, 50.0], [50.0, 80.0], bias=BiasPolicy(5.0)),
+    }
+    REFUSED = {
+        "bad-loss": link_problem([100.0], [50.0], r=1.0),
+        "bad-bias-object": link_problem([100.0], [50.0], bias=SimpleNamespace(r_b=-1.0)),
+        "negative-profile-value": link_problem([100.0, 50.0], [50.0, 80.0], caps=[5.0, -1.0]),
+        "nan-price": link_problem([100.0, math.nan], [50.0, 60.0]),
+        "spread-overflows-at-zero-capacity": link_problem(
+            [100.0, 1e308], [50.0, -1e308], caps=[700.0, 0.0]
+        ),
+    }
+
+    @pytest.mark.parametrize("problem", VALID.values(), ids=VALID)
+    def test_valid_input_never_replays(self, replays, problem):
+        assert schedule_link(*problem) == per_step_schedule(*problem)
+        schedule_portfolio(*_as_portfolio(*problem))
+        assert replays == []
+
+    def test_the_bundled_study_never_replays(self, replays, bundle):
+        network = bundle.network
+        schedule_portfolio(network)
+        for link in network.interconnectors:
+            schedule_link(*map(network.prices_for, link.endpoints()), link)
+        assert replays == []
+
+    @pytest.mark.parametrize(
+        "solve",
+        [schedule_link, lambda *problem: schedule_portfolio(*_as_portfolio(*problem))],
+        ids=["schedule_link", "schedule_portfolio"],
+    )
+    @pytest.mark.parametrize("problem", REFUSED.values(), ids=REFUSED)
+    def test_refused_input_replays_the_per_step_rule(self, replays, solve, problem):
+        with pytest.raises(ValueError) as want:
+            per_step_schedule(*problem)
+        with pytest.raises(ValueError) as got:
+            solve(*problem)
+        assert str(got.value) == str(want.value)
+        assert replays
 
 
 def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_h=1.0):
@@ -791,6 +861,60 @@ class TestExactIdentities:
             assert {t for t, q in zip(h.timesteps, h.quantities) if q} <= dispatched
             assert h.total_profit <= s.total_profit
         assert high.grand_total <= low.grand_total
+
+
+def _exact_lambda(p_a: float, p_b: float, r: float, r_b: float) -> Fraction:
+    """λ of one step in exact arithmetic, from the float inputs."""
+    p_a, p_b, r, r_b = map(Fraction, (p_a, p_b, r, r_b))
+    return max(p_a - p_b - r * p_a - r_b, p_b - p_a - r * p_b - r_b, Fraction(0))
+
+
+# The unit roundoff u = ε/2: with no underflow or overflow, a rounded +, - or *
+# returns (exact result) * (1 + δ) with |δ| <= u.
+_U = Fraction(1, 2**53)
+
+
+def _gamma(k: int) -> Fraction:
+    """γ_k = k·u / (1 - k·u): recursive summation of k + 1 terms errs by at most
+    γ_k times the sum of their magnitudes."""
+    return k * _U / (1 - k * _U)
+
+
+class TestExactReference:
+    # The margin a = fl(fl(fl(p_a - p_b) - fl(r·p_a)) - r_b) takes four roundings.
+    # With r < 1 they err by at most u·(|p_a| + |p_b|), u·|p_a|,
+    # u·(2|p_a| + |p_b|)(1 + u) and u·((2|p_a| + |p_b|)(1 + u)² + r_b), in all
+    # u·(6|p_a| + 3|p_b| + r_b)(1 + u)²; b likewise, p_a and p_b swapped. max is
+    # 1-Lipschitz in each argument, so λ errs by at most
+    # u·(6(|p_a| + |p_b|) + r_b)(1 + u)², under 4ε·(|p_a| + |p_b| + r_b).
+    # bounded_portfolios keeps every intermediate 0 or a normal float.
+    @settings(max_examples=200)
+    @given(bounded_portfolios())
+    def test_every_lambda_and_total_lies_within_its_rounding_bound(self, problem):
+        network, capacities, duration_h, r_b = problem
+        result = schedule_portfolio(network, capacities, BiasPolicy(r_b), duration_h)
+        for s in result.schedules:
+            link = network.link(s.interconnector_id)
+            col_a, col_b = (network.prices_for(e).prices for e in link.endpoints())
+            for lam, p_a, p_b in zip(s.lambdas, col_a, col_b, strict=True):
+                exact = _exact_lambda(p_a, p_b, link.loss_fraction, r_b)
+                size = 6 * (abs(Fraction(p_a)) + abs(Fraction(p_b))) + Fraction(r_b)
+                assert abs(Fraction(lam) - exact) <= _U * size * (1 + _U) ** 2
+            # the total sums the float profits, all >= 0, left to right
+            profits = list(map(Fraction, s.profits))
+            error = abs(Fraction(s.total_profit) - sum(profits))
+            assert error <= _gamma(max(len(profits) - 1, 0)) * sum(profits)
+
+    def test_the_bundled_totals_are_their_exact_values_rounded(self, bundle):
+        network = bundle.network
+        for s in schedule_portfolio(network).schedules:
+            link = network.link(s.interconnector_id)
+            col_a, col_b = (network.prices_for(e).prices for e in link.endpoints())
+            exact = sum(
+                Fraction(link.capacity_mw) * _exact_lambda(p_a, p_b, link.loss_fraction, 0.0)
+                for p_a, p_b in zip(col_a, col_b)
+            )
+            assert s.total_profit == float(exact)
 
 
 class TestLpOracle:
