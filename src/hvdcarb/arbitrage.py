@@ -15,18 +15,25 @@ optimal dispatch is bang-bang: either nothing or the full capacity.
 A bias (minimum margin in EUR/MWh) filters out low-return transactions
 that would otherwise cause the link to chatter at full power for cents.
 
-:func:`optimal_flow` is the one implementation of this per-step rule:
-:func:`marginal_value`, :func:`pairwise_profit` and
+A link runs one way per step. When both margins are positive (only when
+r > 0 and p_a + p_b < 0, where the loss charge pays), it takes the better
+one; a relaxation that let it run both ways at once would earn both.
+
+The column kernel ``_schedule_columns`` is the one implementation of this
+per-step rule: it decides :func:`optimal_flow`'s step and every schedule's
+columns, and its zero floor is +0.0 even where a margin is -0.0.
+:func:`optimal_flow` checks its inputs first and rejects a spread or a
+profit that overflows. :func:`marginal_value`, :func:`pairwise_profit` and
 :func:`pairwise_profit_biased` return fields of its decision and raise the
-``ValueError`` it raises for the same arguments. A dispatch whose profit
-overflows is rejected, as is a spread that overflows.
+``ValueError`` it raises for the same arguments.
 
 The package's scalar input rules are stated here, once each: a loss
 fraction lies in [0, 1) (``_check_loss``), a step length is finite and > 0
 (``_check_duration``), and a capacity, quantity, bias, length or profit is
 finite and >= 0 (``_check_nonnegative``). Every module and the command line
 call these checkers, each with its own name for the value, so messages
-differ only in that name.
+differ only in that name. They show the refused value through ``_shown``, so
+an int too long for ``str()`` gets a short message naming its input.
 """
 
 from __future__ import annotations
@@ -138,24 +145,34 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
     return p_to * (1 - r) > p_from
 
 
+def _shown(value) -> str:
+    """A refused value as a message shows it: ``str()``, or, for a number too long
+    for ``str()`` (an int past ``sys.get_int_max_str_digits()`` digits), its kind."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}{type(value).__name__} of over {sys.get_int_max_str_digits()} digits>"
+
+
 def _check_loss(value: float, name: str) -> None:
     """A loss fraction: in [0, 1)."""
     if not (0 <= value < 1):
-        raise ValueError(f"{name} must be in [0, 1), got {value}")
+        raise ValueError(f"{name} must be in [0, 1), got {_shown(value)}")
 
 
 def _check_duration(value: float, name: str) -> None:
-    """A step length in hours: finite and > 0."""
+    """A step length in hours: finite (<= the largest float) and > 0."""
     if not (value > 0):
-        raise ValueError(f"{name} must be > 0, got {value}")
-    if value == math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be > 0, got {_shown(value)}")
+    if not (value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
 
 
 def _check_nonnegative(value: float, name: str) -> None:
     """A capacity, quantity, bias, length or profit: finite (<= the largest float) and >= 0."""
     if not (0 <= value <= sys.float_info.max):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        raise ValueError(f"{name} must be finite and >= 0, got {_shown(value)}")
 
 
 def marginal_value(p_i: float, p_j: float, r: float) -> float:
@@ -225,31 +242,40 @@ def optimal_flow(
     _check_loss(r, "loss fraction")
     _check_nonnegative(r_b, "bias r_b")
     _check_duration(duration_h, "duration_h")
-    # per-MWh margins (deliver into a, deliver into b), before bias
-    m_to_a, m_to_b = p_a - p_b - r * p_a, p_b - p_a - r * p_b
-    # Finite prices can still overflow the spread, and an infinite margin
-    # would make an idle step's profit 0 * inf = nan.
-    if not (math.isfinite(m_to_a) and math.isfinite(m_to_b)):
+    # The kernel idles a step whose margin is nan and keeps an infinite one, and
+    # finite prices can still overflow the spread, so the margins are checked first.
+    if not (math.isfinite(p_a - p_b - r * p_a) and math.isfinite(p_b - p_a - r * p_b)):
         raise ValueError(
             f"price spread at t={timestep} is not finite: p_a={p_a}, p_b={p_b}"
         )
-    lam = max(m_to_a - r_b, m_to_b - r_b, 0.0)
-    if lam > 0 and x_max > 0:
-        direction = Direction.B_TO_A if m_to_a >= m_to_b else Direction.A_TO_B
-        quantity = float(x_max)
-    else:
-        direction = Direction.IDLE
-        quantity = 0.0
-    profit = quantity * duration_h * lam
-    if not math.isfinite(profit):
+    columns = _schedule_columns((p_a,), (p_b,), (float(x_max),), r, r_b, duration_h)
+    decision = FlowDecision(timestep, *(column[0] for column in columns))
+    if not math.isfinite(decision.profit):
         raise ValueError(
             f"profit at t={timestep} is not finite: p_a={p_a}, p_b={p_b}, "
             f"x_max={x_max}, duration_h={duration_h}"
         )
-    return FlowDecision(
-        timestep=timestep,
-        direction=direction,
-        quantity_mw=quantity,
-        marginal_value=lam,
-        profit=profit,
-    )
+    return decision
+
+
+def _schedule_columns(col_a, col_b, col_x, r: float, r_b: float, duration_h: float) -> tuple:
+    """Directions, quantities, lambdas and profits of a checked horizon: the
+    per-step rule, for :func:`optimal_flow` and every schedule's columns."""
+    into_a, into_b, idle = Direction.B_TO_A, Direction.A_TO_B, Direction.IDLE
+    columns = directions, quantities, lambdas, profits = [], [], [], []
+    for p_a, p_b, x in zip(col_a, col_b, col_x):
+        m_a, m_b = p_a - p_b - r * p_a, p_b - p_a - r * p_b
+        a, b = m_a - r_b, m_b - r_b
+        lam = b if b > a else a
+        if lam > 0.0 and x > 0.0:
+            # Ties on the pre-bias margins resolve into endpoint a.
+            directions.append(into_a if m_a >= m_b else into_b)
+            quantities.append(x)
+            lambdas.append(lam)
+            profits.append(x * duration_h * lam)
+        else:  # idle; lambda is floored to 0.0, from a margin of -0.0 or nan too
+            directions.append(idle)
+            quantities.append(0.0)
+            lambdas.append(lam if lam > 0.0 else 0.0)
+            profits.append(0.0)
+    return tuple(map(tuple, columns))

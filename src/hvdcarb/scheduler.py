@@ -8,8 +8,8 @@ x_t in [0, X_max^t] and values it at the step's marginal value
 (the tight bound of the epigraph constraints; any bias is subtracted
 inside the max so a zero bias recovers the unbiased problem). The
 objective sum x_t * lambda_t is separable across timesteps and linear in
-each x_t over a box, so the per-step bang-bang rule of
-:func:`hvdcarb.arbitrage.optimal_flow` attains the horizon optimum.
+each x_t over a box, so the per-step bang-bang rule, the column kernel
+``hvdcarb.arbitrage._schedule_columns``, attains the horizon optimum.
 
 How :func:`schedule_link` fills a :class:`Schedule`'s columns, and what it
 raises, is stated in its docstring. :func:`lp_oracle` re-solves the same
@@ -36,6 +36,7 @@ from .arbitrage import (
     FlowDecision,
     _check_duration,
     _check_nonnegative,
+    _schedule_columns,
     optimal_flow,
 )
 from .errors import AlignmentError
@@ -229,9 +230,9 @@ def schedule_link(
     applies at every step. Separability makes the per-step optimum the horizon
     optimum. Each input is checked by its own check, a price series once for
     every link that reads it, then the total is computed in one pass with the
-    expressions of :func:`~hvdcarb.arbitrage.optimal_flow`, which also
-    catches a spread that overflows; the per-step columns are built when
-    first read. Every value is bit-identical to deciding step by step.
+    column kernel's expressions, a pass that also catches a spread that
+    overflows; the kernel builds the per-step columns when they are first read.
+    Every value is bit-identical to deciding step by step.
 
     Raises:
         AlignmentError: the three sources break the horizon rule.
@@ -245,10 +246,10 @@ def schedule_link(
     problem = _prepare(prices_a, prices_b, link, capacity, bias, duration_h)
     horizon, col_a, col_b, col_x, r, r_b, _ = problem
     # The total sums x * duration_h * lambda over the steps with lambda > 0,
-    # left to right; where x == 0 a term is +-0.0, which changes no sum.
-    # Margins are never -0.0, so the zero floor of max(a, b, 0.0) only decides
-    # dispatch. A spread that overflows makes lambda inf and the total inf, or
-    # nan where x == 0, so _checked_total replays the steps.
+    # left to right; where x == 0 a term is +-0.0, which changes no sum. Only
+    # lambda > 0 adds, so neither the zero floor nor a margin of -0.0 (a loss of
+    # -0.0) changes a total. A spread that overflows makes lambda inf and the
+    # total inf, or nan where x == 0, so _checked_total replays the steps.
     total = 0.0
     for p_a, p_b, x in zip(col_a, col_b, col_x):
         a, b = p_a - p_b - r * p_a - r_b, p_b - p_a - r * p_b - r_b
@@ -263,30 +264,6 @@ def schedule_link(
         _inputs=problem[1:],
     )
     return schedule
-
-
-def _schedule_columns(
-    col_a: _Column, col_b: _Column, col_x: _Column, r: float, r_b: float, duration_h: float
-) -> tuple[tuple[Direction, ...], _Column, _Column, _Column]:
-    """Directions, quantities, lambdas and profits of a checked horizon."""
-    into_a, into_b, idle = Direction.B_TO_A, Direction.A_TO_B, Direction.IDLE
-    columns = directions, quantities, lambdas, profits = [], [], [], []
-    for p_a, p_b, x in zip(col_a, col_b, col_x):
-        m_a, m_b = p_a - p_b - r * p_a, p_b - p_a - r * p_b
-        a, b = m_a - r_b, m_b - r_b
-        lam = b if b > a else a
-        if lam > 0.0 and x > 0.0:
-            # Ties on the pre-bias margins resolve into endpoint a.
-            directions.append(into_a if m_a >= m_b else into_b)
-            quantities.append(x)
-            lambdas.append(lam)
-            profits.append(x * duration_h * lam)
-        else:
-            directions.append(idle)
-            quantities.append(0.0)
-            lambdas.append(lam if lam > 0.0 else 0.0)
-            profits.append(0.0)
-    return tuple(map(tuple, columns))
 
 
 def schedule_portfolio(
@@ -395,7 +372,7 @@ def lp_oracle(
     for p_a, p_b, x_max in zip(col_a, col_b, col_x):
         raw_to_a = p_a - p_b - r * p_a
         raw_to_b = p_b - p_a - r * p_b
-        lam = max(raw_to_a - r_b, raw_to_b - r_b, 0.0)
+        lam = max(0.0, raw_to_a - r_b, raw_to_b - r_b)  # the floor first: never -0.0
         # Enumerate the two box corners; keep the strictly better one.
         best_x = 0.0
         for x in (0.0, x_max):

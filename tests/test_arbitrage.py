@@ -5,6 +5,7 @@ import io
 import math
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -530,6 +531,10 @@ def _chain(c=0.0):
 
 _WHEEL = ("wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle", "-t", "1")
 
+# str() refuses an int past sys.get_int_max_str_digits() digits (4300 by default):
+# a message shows such a value by its kind.
+_TOO_LONG = f"int of over {sys.get_int_max_str_digits()} digits>"
+
 # Every entry point that applies a scalar rule, with the message it raises.
 _LOSS_CALLERS = [
     ("optimal_flow", lambda: _error(optimal_flow, 100.0, 50.0, 1.0, 700.0),
@@ -550,6 +555,8 @@ _LOSS_CALLERS = [
      "loss_rate_per_100km must be in [0, 1), got 1.0"),
     ("Interconnector.violations", lambda: _violation(_link(1.0)),
      "interconnector 'ab': loss_fraction must be in [0, 1), got 1.0"),
+    ("Interconnector.violations int too long for str", lambda: _violation(_link(-10**5000)),
+     f"interconnector 'ab': loss_fraction must be in [0, 1), got <negative {_TOO_LONG}"),
     ("cli --transit-loss",
      lambda: _cli_error(*_WHEEL, "--quantity", "10", "--transit-loss", "1"),
      "--transit-loss must be in [0, 1), got 1.0"),
@@ -564,6 +571,12 @@ _DURATION_CALLERS = [
      "duration_h must be > 0, got nan"),
     ("evaluate_wheel", lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, 1.0, math.inf),
      "duration_h must be finite, got inf"),
+    ("optimal_flow int too large for a float",
+     lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 700.0, 0.0, 10**400),
+     f"duration_h must be finite, got {10**400}"),
+    ("evaluate_wheel int too long for str",
+     lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, 1.0, 10**5000),
+     f"duration_h must be finite, got <{_TOO_LONG}"),
     ("schedule_link",
      lambda: _error(schedule_link, _prices("a"), _prices("b"), _link(), duration_h=-1.0),
      "duration_h must be > 0, got -1.0"),
@@ -592,6 +605,9 @@ _NONNEGATIVE_CALLERS = [
      "bias r_b must be finite and >= 0, got inf"),
     ("optimal_flow x_max", lambda: _error(optimal_flow, 100.0, 50.0, 0.0, -5),
      "x_max must be finite and >= 0, got -5"),
+    ("optimal_flow x_max int too long for str",
+     lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 10**5000),
+     f"x_max must be finite and >= 0, got <{_TOO_LONG}"),
     ("wheel_profit_123", lambda: _error(wheel_profit_123, 1, 3, 0.0, 0.0, 0.0, math.inf),
      "dispatch quantity must be finite and >= 0, got inf"),
     ("evaluate_wheel", lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, math.inf),
@@ -615,6 +631,9 @@ _NONNEGATIVE_CALLERS = [
     ("Interconnector.violations length",
      lambda: _violation(Interconnector("ab", "a", "b", 100.0, 0.0, -1.0)),
      "interconnector 'ab': length_km must be finite and >= 0, got -1.0"),
+    ("Interconnector.violations capacity int too long for str",
+     lambda: _violation(Interconnector("ab", "a", "b", 10**5000, 0.0)),
+     f"interconnector 'ab': capacity_mw must be finite and >= 0, got <{_TOO_LONG}"),
     ("CapacityProfile.violations", lambda: _violation(CapacityProfile("ab", ((1, math.nan),))),
      "capacity profile 'ab': x_max at t=1 must be finite and >= 0, got nan"),
     ("ledger reported_eur", lambda: _ledger_error("totals: {reported_eur: .inf}"),
@@ -656,3 +675,11 @@ class TestEachRuleHasOneChecker:
     @_callers(_NONNEGATIVE_CALLERS)
     def test_finite_and_nonnegative(self, case, message):
         assert case() == message
+
+    @_callers(
+        [caller for caller in _LOSS_CALLERS + _DURATION_CALLERS + _NONNEGATIVE_CALLERS
+         if caller[0].endswith("int too long for str")]
+    )
+    def test_an_int_too_long_for_str_gets_a_short_message(self, case, message):
+        # the input's name, the rule and the value's kind, in under 100 characters
+        assert _TOO_LONG in case() and len(case()) < 100

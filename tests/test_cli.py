@@ -115,6 +115,24 @@ class TestEvaluate:
         assert code == 0
         assert "direction: Idle" in out
 
+    def test_a_loss_of_minus_zero_prints_what_the_schedule_writes(self, capsys, tmp_path):
+        # with a loss of -0.0, prices -0.0 and 0.0 make the margin into a -0.0
+        network = Network(
+            (Region("a"), Region("b")),
+            (Interconnector("ab", "a", "b", 100.0, -0.0),),
+            (PriceSeries("a", ((0, -0.0), (1, 50.0))), PriceSeries("b", ((0, 0.0), (1, -0.0)))),
+        )
+        config, report = tmp_path / "network.yaml", tmp_path / "plan.csv"
+        save_network(network, config)
+        code, out, _ = run(capsys, "evaluate", "ab", "-t", "0", "--network", str(config))
+        assert code == 0
+        evaluated = dict(line.split(": ", 1) for line in out.splitlines())
+        assert run(capsys, "schedule", "--network", str(config), "--out", str(report))[0] == 0
+        with open(report, newline="", encoding="utf-8") as f:
+            (row,) = (row for row in csv.DictReader(f) if row["timestep"] == "0")
+        printed = evaluated["lambda_eur_mwh"], evaluated["profit_eur"]
+        assert printed == (row["lambda_eur_mwh"], row["profit_eur"]) == ("0.0", "0.0")
+
     def test_unknown_link_resolution_error(self, capsys):
         assert run(capsys, "evaluate", "nordlink") == (4, "", "error: unknown link 'nordlink'\n")
 

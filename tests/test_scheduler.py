@@ -342,6 +342,7 @@ def per_step_cases(test):
     """Hypothesis setup shared by the per-step tests of both solvers."""
     for problem in (
         link_problem([-20.0], [-20.0], r=0.5),  # tie: delivers into a
+        link_problem([-0.0, 50.0], [0.0, -0.0], r=-0.0),  # a margin of -0.0 floors to 0.0
         link_problem([100.0], [50.0], caps=[-0.0]),
         link_problem([98.0], [50.0], caps=[244.0], duration_h=0.3),
         link_problem([1e308], [-1e308], caps=[0.0]),  # spread overflows
@@ -495,7 +496,7 @@ def eager_schedule(prices_a, prices_b, link, capacity=None, bias=None, duration_
     )
     to_a = [p_a - p_b - r * p_a for p_a, p_b in zip(col_a, col_b)]
     to_b = [p_b - p_a - r * p_b for p_a, p_b in zip(col_a, col_b)]
-    lambdas = tuple([max(m_a - r_b, m_b - r_b, 0.0) for m_a, m_b in zip(to_a, to_b)])
+    lambdas = tuple([max(0.0, m_a - r_b, m_b - r_b) for m_a, m_b in zip(to_a, to_b)])
     # sum() compensates from Python 3.12, but only this test's outcome counts:
     # a finite sum has only finite terms on every interpreter (see
     # test_a_finite_sum_has_only_finite_terms), and a sum that is not finite
@@ -555,7 +556,7 @@ def edge_link_problems(draw):
     a, b, link, capacity, bias, duration_h = link_problem(
         p_a,
         p_b,
-        draw(st.sampled_from([0.0, 0.0575, 0.5]) | st.floats(0, 0.999)),
+        draw(st.sampled_from([0.0, -0.0, 0.0575, 0.5]) | st.floats(0, 0.999)),
         caps,
         draw(_edge_biases),
         draw(st.sampled_from([0.25, 1.0]) | st.floats(1e-3, 1e3)),
@@ -566,16 +567,24 @@ def edge_link_problems(draw):
     return a, b, link, capacity, bias, duration_h
 
 
+def edge_cases(test):
+    """Hypothesis setup shared by the edge tests of both solvers."""
+    for problem in (
+        link_problem([-20.0], [-20.0], r=0.5),  # tie: delivers into a
+        link_problem([-0.0, 0.0], [0.0, -0.0]),
+        link_problem([-0.0, 0.0], [0.0, -0.0], r=-0.0),  # a margin of -0.0
+        link_problem([100.0], [50.0], caps=[math.inf]),
+        link_problem([100.0], [50.0], rated=0.0, bias=BiasPolicy(5.0)),
+        link_problem([8.98e307], [-8.98e307], r=0.5),  # spread finite, profit not
+        link_problem([5e305, 5e305], [-5e305, -5e305]),  # steps finite, total not
+        link_problem([1.7e308], [-1.7e308], caps=[0.0]),  # spread overflows
+    ):
+        test = example(problem)(test)
+    return settings(max_examples=400)(given(edge_link_problems())(test))
+
+
 class TestDeferredColumnsMatchEagerKernel:
-    @settings(max_examples=400)
-    @given(edge_link_problems())
-    @example(link_problem([-20.0], [-20.0], r=0.5))  # tie: delivers into a
-    @example(link_problem([-0.0, 0.0], [0.0, -0.0]))
-    @example(link_problem([100.0], [50.0], caps=[math.inf]))
-    @example(link_problem([100.0], [50.0], rated=0.0, bias=BiasPolicy(5.0)))
-    @example(link_problem([8.98e307], [-8.98e307], r=0.5))  # spread finite, profit not
-    @example(link_problem([5e305, 5e305], [-5e305, -5e305]))  # steps finite, total not
-    @example(link_problem([1.7e308], [-1.7e308], caps=[0.0]))  # spread overflows
+    @edge_cases
     def test_every_column_and_total_by_repr(self, problem):
         try:
             expected = eager_schedule(*problem)
@@ -589,6 +598,17 @@ class TestDeferredColumnsMatchEagerKernel:
         for field in dataclasses.fields(Schedule):
             assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name))
         assert "_inputs" not in vars(got)
+
+    @edge_cases
+    def test_the_oracle_matches_by_repr(self, problem):
+        try:
+            expected = eager_schedule(*problem)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as err:
+                lp_oracle(*problem)
+            assert str(err.value) == str(exc)
+            return
+        assert repr(lp_oracle(*problem)) == repr(expected)
 
 
 def _deferred_problem():
