@@ -33,7 +33,8 @@ fraction lies in [0, 1) (``_check_loss``), a step length is finite and > 0
 finite and >= 0 (``_check_nonnegative``). Every module and the command line
 call these checkers, each with its own name for the value, so messages
 differ only in that name. They show the refused value through ``_shown``, so
-an int too long for ``str()`` gets a short message naming its input.
+an int too long for ``str()`` gets a short message naming its input. A price
+that is an int past float range is refused as not finite, and shown by its kind.
 """
 
 from __future__ import annotations
@@ -133,26 +134,35 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
     :func:`marginal_value` instead, which needs no ratio.
 
     Raises:
-        ValueError: either price is not finite and strictly positive.
+        ValueError: either price is not finite (as a float) and strictly positive.
     """
-    if not (0 < p_to < math.inf and 0 < p_from < math.inf):
+    if not (0 < p_to <= sys.float_info.max and 0 < p_from <= sys.float_info.max):
         raise ValueError(
-            "flow_condition is a ratio test and requires finite, strictly "
-            f"positive prices (got p_to={p_to}, p_from={p_from}); use "
-            "marginal_value for general prices"
+            "flow_condition is a ratio test and requires finite, strictly positive "
+            f"prices (got p_to={_shown(p_to, _FLOAT_DIGITS)}, "
+            f"p_from={_shown(p_from, _FLOAT_DIGITS)}); use marginal_value for general prices"
         )
     _check_loss(r, "loss fraction")
     return p_to * (1 - r) > p_from
 
 
-def _shown(value) -> str:
-    """A refused value as a message shows it: ``str()``, or, for a number too long
-    for ``str()`` (an int past ``sys.get_int_max_str_digits()`` digits), its kind."""
+# An int past float range has more digits than this.
+_FLOAT_DIGITS = sys.float_info.max_10_exp
+
+
+def _shown(value, digits: int = 0) -> str:
+    """A refused value as a message shows it: ``str()``, or its kind for a number too
+    long for ``str()`` (an int past ``sys.get_int_max_str_digits()`` digits) or, when
+    ``digits`` is given, for one that ``str()`` writes with more digits than that."""
     try:
-        return str(value)
+        shown = str(value)
     except ValueError:
-        sign = "negative " if value < 0 else ""
-        return f"<{sign}{type(value).__name__} of over {sys.get_int_max_str_digits()} digits>"
+        digits = sys.get_int_max_str_digits()
+    else:
+        if not digits or len(shown.lstrip("-")) <= digits:
+            return shown
+    sign = "negative " if value < 0 else ""
+    return f"<{sign}{type(value).__name__} of over {digits} digits>"
 
 
 def _check_loss(value: float, name: str) -> None:
@@ -235,7 +245,7 @@ def optimal_flow(
     Raises:
         ValueError: x_max or r_b not finite and >= 0, r outside [0, 1),
             duration_h not finite and > 0, a margin that is not finite
-            (the prices' spread overflows, or a price is not finite), or a
+            (the prices' spread overflows, or a price is not finite as a float), or a
             dispatch whose profit overflows.
     """
     _check_nonnegative(x_max, "x_max")
@@ -244,9 +254,14 @@ def optimal_flow(
     _check_duration(duration_h, "duration_h")
     # The kernel idles a step whose margin is nan and keeps an infinite one, and
     # finite prices can still overflow the spread, so the margins are checked first.
-    if not (math.isfinite(p_a - p_b - r * p_a) and math.isfinite(p_b - p_a - r * p_b)):
+    try:  # an int price past float range overflows here
+        finite = math.isfinite(p_a - p_b - r * p_a) and math.isfinite(p_b - p_a - r * p_b)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(
-            f"price spread at t={timestep} is not finite: p_a={p_a}, p_b={p_b}"
+            f"price spread at t={timestep} is not finite: "
+            f"p_a={_shown(p_a, _FLOAT_DIGITS)}, p_b={_shown(p_b, _FLOAT_DIGITS)}"
         )
     columns = _schedule_columns((p_a,), (p_b,), (float(x_max),), r, r_b, duration_h)
     decision = FlowDecision(timestep, *(column[0] for column in columns))

@@ -11,14 +11,16 @@ Formats (all stable):
   optional ``prices_csv`` reference resolved relative to the config file.
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
-* Reports: CSV (schema per result kind, below), a structured JSON
-  document carrying every per-timestep decision, or the ``plot-data`` CSV.
-  The structured writer renders the decision objects straight from the
-  schedule columns and is byte-identical to ``json.dumps(doc, indent=2)``
-  of the nested dicts. Every writer is a generator of fragments, each of
-  at most a fixed block of rows, so the command line writes a report as it
-  is rendered and never holds the whole document; :func:`write_report`
-  joins the same fragments into one string.
+* Reports: CSV (schema per result kind, below, a link id quoted only where
+  CSV needs it), a structured JSON document carrying every per-timestep
+  decision, or the ``plot-data`` CSV. ``json.dumps`` writes the structured
+  document around its decision arrays, which are rendered straight from the
+  schedule columns, so the whole is byte-identical to
+  ``json.dumps(doc, indent=2)`` of the nested dicts. Every writer is a
+  generator of fragments, each of at most a fixed block of rows (wheeling
+  JSON is one fragment), so the command line writes a report as it is
+  rendered and never holds the whole document; :func:`write_report` joins
+  the same fragments into one string.
 
 Writers are deterministic: identical inputs yield byte-identical output,
 and write -> load -> write is byte-identical. A loaded file is not always
@@ -496,7 +498,7 @@ def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
             return _schedule_csv(result.schedules)
         return _wheeling_csv(result)
     if fmt == "structured":
-        return _structured(result, "" if expected is None else _json(expected, "  "))
+        return _structured(result, expected)
     raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'structured')")
 
 
@@ -508,10 +510,18 @@ def _blocks(rows: Iterable[str], sep: str = "") -> Iterator[str]:
         lead = sep
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes a field, quoted only where CSV needs it, as
+    :func:`prices_to_csv` writes a region id."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text, ""))
+    return out.getvalue()[:-2]  # less the empty field's comma and the line end
+
+
 def _schedule_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
     yield SCHEDULE_CSV_HEADER + "\n"
     for s in schedules:
-        link_id = s.interconnector_id
+        link_id = _csv_field(s.interconnector_id)
         names = {d: d.value for d in set(s.directions)}
         columns = s.timesteps, s.directions, s.quantities, s.lambdas, s.profits
         yield from _blocks(
@@ -534,7 +544,7 @@ def _plot_csv(result: PortfolioResult) -> Iterator[str]:
     profit per step, the profit summed left to right from 0.0."""
     yield _PLOT_CSV_HEADER + "\n"
     for s in result.schedules:
-        link_id = s.interconnector_id
+        link_id = _csv_field(s.interconnector_id)
         running = islice(accumulate(s.profits, initial=0.0), 1, None)
         yield from _blocks(
             f"{t},{link_id},{lam!r},{quantity!r},{total!r}\n"
@@ -542,101 +552,88 @@ def _plot_csv(result: PortfolioResult) -> Iterator[str]:
         )
 
 
-# The structured report, as json.dumps(doc, indent=2) would write it. ``pad``
-# is the indentation of the line a value starts on.
+# The structured report: json.dumps(doc, indent=2) writes all but the decision
+# arrays, which are rendered from the schedule columns as json.dumps would.
 
 _DECISION_KEYS = ("timestep", "direction", "quantity_mw", "lambda_eur_mwh", "profit_eur")
 
 
-def _json(value, pad: str) -> str:
+def _json(value) -> str:
     import json  # here, so that reading files never imports it
 
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(value, indent=2)
 
 
-def _json_array(items: Iterable[str], pad: str) -> Iterator[str]:
-    """Fragments of an array whose indented, comma-separated items are the
-    fragments ``items``; no fragment means an empty array."""
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[\n" + first
-    yield from items
-    yield "\n" + pad + "]"
-
-
-def _json_column(column: Sequence, pad: str) -> Iterator[str]:
+def _json_column(column: Sequence) -> Iterator[str]:
     # json.dumps writes an int, or a float other than NaN and ±inf, as its
     # repr; bools and subclasses take the per-value path
     types = set(map(type, column))
     if types == {int} or (types == {float} and math.isfinite(sum(column))):
         return map(repr, column)
-    return map(_json, column, repeat(pad))
+    return map(_json, column)
 
 
-def _schedule_members(s: Schedule, pad: str) -> Iterator[str]:
-    """Fragments of a schedule object's members, on lines indented by ``pad``."""
+def _decisions(s: Schedule, pad: str) -> Iterator[str]:
+    """Fragments of a schedule's decision array, its key on a line indented by ``pad``."""
+    if not s.timesteps:
+        yield "[]"
+        return
     row, field = pad + "  ", pad + "    "
     members = ",\n".join(f'{field}"{key}": %s' for key in _DECISION_KEYS)
     template = f"{row}{{\n{members}\n{row}}}"
-    directions = {d: _json(d.value, field) for d in set(s.directions)}
+    directions = {d: _json(d.value) for d in set(s.directions)}
     columns = (
-        _json_column(s.timesteps, field),
+        _json_column(s.timesteps),
         map(directions.__getitem__, s.directions),
-        *(_json_column(c, field) for c in (s.quantities, s.lambdas, s.profits)),
+        *map(_json_column, (s.quantities, s.lambdas, s.profits)),
     )
-    yield (
-        f'{pad}"link_id": {_json(s.interconnector_id, pad)},\n'
-        f'{pad}"total_profit_eur": {_json(s.total_profit, pad)},\n'
-        f'{pad}"decisions": '
-    )
-    yield from _json_array(_blocks(map(template.__mod__, zip(*columns)), ",\n"), pad)
+    yield "[\n"
+    yield from _blocks(map(template.__mod__, zip(*columns)), ",\n")
+    yield f"\n{pad}]"
 
 
-def _portfolio_schedules(schedules: Sequence[Schedule]) -> Iterator[str]:
-    """Fragments of a portfolio's indented, comma-separated schedule objects."""
-    for i, s in enumerate(schedules):
-        yield ",\n    {\n" if i else "    {\n"
-        yield from _schedule_members(s, "      ")
-        yield "\n    }"
+def _structured(result, expected) -> Iterator[str]:
+    """The structured document's fragments: json.dumps's text, split at each
+    schedule's ``"decisions": []`` with the schedule's decision array in its place.
+    json.dumps escapes every quote inside a string, so that text unescaped is a
+    key, and the ledger comes after every schedule, so the split stops before it."""
 
+    def head(s: Schedule) -> dict:
+        return dict(link_id=s.interconnector_id, total_profit_eur=s.total_profit, decisions=[])
 
-def _structured(result, expected: str) -> Iterator[str]:
-    yield "{\n"
     if isinstance(result, Schedule):
-        yield '  "type": "schedule",\n'
-        yield from _schedule_members(result, "  ")
+        schedules, pad = (result,), "  "
+        doc = {"type": "schedule", **head(result)}
     elif isinstance(result, PortfolioResult):
-        yield (
-            '  "type": "portfolio",\n'
-            f'  "grand_total_eur": {_json(result.grand_total, "  ")},\n'
-            f'  "annualized_eur": {_json(result.annualized, "  ")},\n'
-            '  "schedules": '
-        )
-        yield from _json_array(_portfolio_schedules(result.schedules), "  ")
+        schedules, pad = result.schedules, "      "
+        doc = {
+            "type": "portfolio",
+            "grand_total_eur": result.grand_total,
+            "annualized_eur": result.annualized,
+            "schedules": list(map(head, schedules)),
+        }
     else:
-        scenarios = (
-            "    "
-            + _json(
-                {
-                    "scenario": r.scenario.value,
-                    "feasible": r.feasible,
-                    "gate_a_eur_mwh": r.gate_values[0],
-                    "gate_b_eur_mwh": r.gate_values[1],
-                    "dispatched_mw": r.dispatched_mw,
-                    "profit_eur": r.profit,
-                },
-                "    ",
-            )
+        schedules, pad = (), ""
+        scenarios = [
+            {
+                "scenario": r.scenario.value,
+                "feasible": r.feasible,
+                "gate_a_eur_mwh": r.gate_values[0],
+                "gate_b_eur_mwh": r.gate_values[1],
+                "dispatched_mw": r.dispatched_mw,
+                "profit_eur": r.profit,
+            }
             for r in result
-        )
-        yield '  "type": "wheeling",\n  "scenarios": '
-        yield from _json_array(_blocks(scenarios, ",\n"), "  ")
-    if expected:
-        yield ',\n  "expected": ' + expected
-    yield "\n}\n"
+        ]
+        doc = {"type": "wheeling", "scenarios": scenarios}
+    if expected is not None:
+        doc["expected"] = expected
+    first, *rest = (_json(doc) + "\n").split('"decisions": []', len(schedules))
+    yield first
+    for s, text in zip(schedules, rest):
+        yield '"decisions": '
+        yield from _decisions(s, pad)
+        yield text
 
 
 # ---------------------------------------------------------------------------

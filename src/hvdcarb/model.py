@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import filterfalse, islice
 
-from .arbitrage import _check_loss, _check_nonnegative
+from .arbitrage import _FLOAT_DIGITS, _check_loss, _check_nonnegative, _shown
 from .errors import AlignmentError, InvalidLossError
 
 __all__ = [
@@ -33,25 +33,22 @@ __all__ = [
 
 
 def _step_columns(
-    steps: Iterable[tuple[int, float]],
+    steps: Iterable[tuple[int, float]], name: str
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The timestep and value columns of ``(timestep, value)`` pairs.
-
-    Pairs that are all 2-tuples of an int and a float are split as they
-    are; anything else goes step by step, making timesteps ints and values
-    floats, and raises at the first timestep that is not an integer.
-    """
-    steps = tuple(steps)
-    if set(map(type, steps)) <= {tuple} and set(map(len, steps)) <= {2}:
-        timesteps, values = tuple(zip(*steps)) or ((), ())
-        if set(map(type, timesteps)) <= {int} and set(map(type, values)) <= {float}:
-            return timesteps, values
+    """The timestep and value columns of ``(timestep, value)`` pairs, as ints and
+    floats; raises at the first timestep that is not an integer, or the first
+    value past float range, naming it as ``name`` at its timestep."""
     timesteps, values = [], []
     for t, v in steps:
         if int(t) != t:
             raise ValueError(f"timestep {t!r} is not an integer")
         timesteps.append(int(t))
-        values.append(float(v))
+        try:
+            values.append(float(v))
+        except OverflowError as exc:
+            raise ValueError(
+                f"{name} at t={t} is past float range, got {_shown(v, _FLOAT_DIGITS)}"
+            ) from exc
     return tuple(timesteps), tuple(values)
 
 
@@ -105,7 +102,7 @@ class PriceSeries:
     prices: tuple[float, ...]
 
     def __init__(self, region_id: str, steps: Iterable[tuple[int, float]]):
-        timesteps, prices = _step_columns(steps)
+        timesteps, prices = _step_columns(steps, f"price series '{region_id}': price")
         self.__dict__.update(region_id=region_id, timesteps=timesteps, prices=prices)
 
     @classmethod
@@ -206,7 +203,8 @@ class CapacityProfile:
     values: tuple[float, ...]
 
     def __init__(self, interconnector_id: str, steps: Iterable[tuple[int, float]]):
-        timesteps, values = _step_columns(steps)
+        name = f"capacity profile '{interconnector_id}': x_max"
+        timesteps, values = _step_columns(steps, name)
         self.__dict__.update(
             interconnector_id=interconnector_id, timesteps=timesteps, values=values
         )

@@ -21,8 +21,8 @@ infeasible instance; :func:`evaluate_wheel` dispatches zero instead):
     Profit(1->3) = (p3*(1-r1)*(1-r2)*(1-c) - p1) * x
     Profit(3->1) = (p1*(1-r1)*(1-r2)*(1-c) - p3) * x
 
-A gate or profit that is not finite (a price that is not finite, or finite
-prices whose gate or profit overflows) raises a ``ValueError`` naming the
+A gate or profit that is not finite (a price that is not finite as a float,
+or prices whose gate or profit overflows) raises a ``ValueError`` naming the
 prices along the path. The 321 functions and :func:`evaluate_wheel` inherit
 the 123 ones' checks, which apply the rules of :mod:`hvdcarb.arbitrage`.
 """
@@ -33,7 +33,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arbitrage import _check_duration, _check_loss, _check_nonnegative
+from .arbitrage import (
+    _FLOAT_DIGITS,
+    _check_duration,
+    _check_loss,
+    _check_nonnegative,
+    _shown,
+)
 from .errors import CapacityError
 from .model import Interconnector
 
@@ -109,8 +115,13 @@ def wheel_gates_123(
             gate is not finite (a price is not, or the gate overflows).
     """
     _check_losses(r1, r2, c)
-    gates = (p3 * (1 - r2) * (1 - c) - p2, p2 * (1 - r1) - p1)
-    if not (math.isfinite(gates[0]) and math.isfinite(gates[1])):
+    try:  # an int price past float range overflows here
+        gates = (p3 * (1 - r2) * (1 - c) - p2, p2 * (1 - r1) - p1)
+        finite = math.isfinite(gates[0]) and math.isfinite(gates[1])
+    except OverflowError:
+        finite = False
+    if not finite:
+        p1, p2, p3 = (_shown(p, _FLOAT_DIGITS) for p in (p1, p2, p3))
         raise ValueError(
             f"wheeling gates are not finite: origin price {p1}, transit price "
             f"{p2}, destination price {p3}"
@@ -138,11 +149,15 @@ def wheel_profit_123(
     _check_losses(r1, r2, c)
     _check_nonnegative(x, "dispatch quantity")
     _check_duration(duration_h, "duration_h")
-    profit = (p3 * (1 - r1) * (1 - r2) * (1 - c) - p1) * x * duration_h
-    if not math.isfinite(profit):
+    try:  # an int price past float range overflows here
+        profit = (p3 * (1 - r1) * (1 - r2) * (1 - c) - p1) * x * duration_h
+        finite = math.isfinite(profit)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(
-            f"wheeling profit is not finite: origin price {p1}, destination "
-            f"price {p3}"
+            f"wheeling profit is not finite: origin price {_shown(p1, _FLOAT_DIGITS)}, "
+            f"destination price {_shown(p3, _FLOAT_DIGITS)}"
         )
     return profit
 

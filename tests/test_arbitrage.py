@@ -38,6 +38,7 @@ from hvdcarb import (
     wheel_gates_123,
     wheel_gates_321,
     wheel_profit_123,
+    wheel_profit_321,
 )
 from hvdcarb import dataio
 from hvdcarb.cli import main
@@ -683,3 +684,45 @@ class TestEachRuleHasOneChecker:
     def test_an_int_too_long_for_str_gets_a_short_message(self, case, message):
         # the input's name, the rule and the value's kind, in under 100 characters
         assert _TOO_LONG in case() and len(case()) < 100
+
+
+# Every entry point that reads a price or capacity as a float, called with the
+# value ``v``, and the words its message puts before that value.
+_FLOAT_CALLERS = [
+    ("PriceSeries", lambda v: PriceSeries("a", ((1, 2.0), (2, v))),
+     "price series 'a': price at t=2 is past float range, got "),
+    ("CapacityProfile", lambda v: CapacityProfile("ab", ((1, v),)),
+     "capacity profile 'ab': x_max at t=1 is past float range, got "),
+    ("optimal_flow", lambda v: optimal_flow(v, 5.0, 0.0, 100.0), "p_a="),
+    ("optimal_flow p_b", lambda v: optimal_flow(5.0, v, 0.0575, 100.0), "p_b="),
+    ("marginal_value", lambda v: marginal_value(v, 5.0, 0.0575), "p_a="),
+    ("pairwise_profit", lambda v: pairwise_profit(5.0, v, 0.0, 100.0), "p_b="),
+    ("pairwise_profit_biased", lambda v: pairwise_profit_biased(v, 5.0, 0.0, 100.0, 1.0), "p_a="),
+    ("flow_condition", lambda v: flow_condition(v, 50.0, 0.0), "p_to="),
+    ("flow_condition p_from", lambda v: flow_condition(50.0, v, 0.0), "p_from="),
+    ("wheel_gates_123", lambda v: wheel_gates_123(v, 2.0, 3.0, 0.0, 0.0, 0.0), "origin price "),
+    ("wheel_gates_123 ints", lambda v: wheel_gates_123(1, 2, v, 0, 0, 0), "destination price "),
+    ("wheel_gates_321", lambda v: wheel_gates_321(1.0, v, 3.0, 0.0, 0.0, 0.0), "transit price "),
+    ("wheel_profit_123", lambda v: wheel_profit_123(v, 3.0, 0.0, 0.0, 0.0, 1.0), "origin price "),
+    ("wheel_profit_123 ints", lambda v: wheel_profit_123(1, v, 0, 0, 0, 1), "destination price "),
+    # the 3 -> 1 wheel originates in area 3
+    ("wheel_profit_321", lambda v: wheel_profit_321(1.0, v, 0.0, 0.0, 0.0, 1.0), "origin price "),
+    ("evaluate_wheel", lambda v: evaluate_wheel(_chain(), 1.0, 2.0, v, 1.0), "destination price "),
+]
+
+
+class TestAnIntPastFloatRange:
+    """A price or capacity that is an int past float range is refused with a
+    ValueError naming the input and showing the value by its kind, not with the
+    OverflowError of float()."""
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000], ids=["big", "negative", "long"])
+    @pytest.mark.parametrize(
+        "call, name", [pytest.param(call, name, id=id_) for id_, call, name in _FLOAT_CALLERS]
+    )
+    def test_is_refused_by_name(self, call, name, value):
+        message = _error(call, value)
+        # str() refuses 10**5000, so its kind counts to the interpreter's digit limit
+        digits = sys.float_info.max_10_exp if value < 10**4000 else sys.get_int_max_str_digits()
+        assert f"{name}<{'negative ' if value < 0 else ''}int of over {digits} digits>" in message
+        assert len(message) < 200

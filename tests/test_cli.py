@@ -821,6 +821,34 @@ class TestStreamedReports:
         assert (tmp_path / "plot.csv").read_text(encoding="utf-8") == out
 
 
+class TestLinkIdsInCsvReports:
+    """The schedule and plot-data CSVs write a link id as csv.writer writes a field:
+    quoted, its quotes doubled, only where CSV needs it."""
+
+    @pytest.mark.parametrize("command", ["schedule", "plot-data"])
+    @pytest.mark.parametrize("link_id", ['x,"y"', "x,y", 'say "hi"', "ab"])
+    def test_every_row_has_the_headers_fields(self, capsys, tmp_path, command, link_id):
+        network = over_steps(
+            Network(
+                (Region("a"), Region("b")),
+                (Interconnector(link_id, "a", "b", 100.0, 0.01),),
+            ),
+            3,
+        )
+        save_network(network, tmp_path / "network.yaml")
+        out = tmp_path / "report.csv"
+        argv = ["--network", str(tmp_path / "network.yaml"), "--out", str(out)]
+        code, _, _ = run(capsys, command, *argv)
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as stream:
+            header, *rows = csv.reader(stream)
+        assert len(rows) == 3
+        assert {len(row) for row in rows} == {len(header)}
+        assert {row[header.index("link_id")] for row in rows} == {link_id}
+        if link_id == "ab":  # a plain id is written as it is
+            assert out.read_text(encoding="utf-8").splitlines()[1].startswith("0,ab,")
+
+
 def _streaming_peak(bundle, tmp_path, steps: int) -> tuple[int, int]:
     """tracemalloc's peak while a 4-link structured report over ``steps`` steps is
     streamed to a file, with its columns built beforehand, and the file's size."""

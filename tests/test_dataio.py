@@ -480,6 +480,27 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="mapping"):
             load_network(config)
 
+    @pytest.mark.parametrize(
+        "doc, regions, links",
+        [
+            ("{}", (), ()),
+            ("links: []\n", (), ()),
+            ("regions:\n- id: a\n", ("a",), ()),
+            ("links: null\nregions: [{id: a}, {id: b}]\n", ("a", "b"), ()),
+        ],
+        ids=["empty", "no-regions", "no-links", "null-links"],
+    )
+    def test_a_missing_list_is_empty(self, doc, regions, links):
+        # a config without a regions or links list (or with null) has none
+        net = load_network(io.StringIO(doc))
+        assert tuple(r.id for r in net.regions) == regions
+        assert tuple(link.id for link in net.interconnectors) == links
+
+    def test_links_without_regions_are_reported(self):
+        doc = "links:\n- {id: ab, from: a, to: b, capacity_mw: 5, loss_fraction: 0.0}\n"
+        with pytest.raises(ValidationError, match="endpoint 'a' is not a declared region"):
+            load_network(io.StringIO(doc))
+
     def test_stream_without_base_dir_cannot_resolve_prices(self):
         with pytest.raises(ParseError, match="base_dir"):
             load_network(io.StringIO("regions: []\nlinks: []\nprices_csv: p.csv\n"))
@@ -835,6 +856,31 @@ class TestStructuredReportMatchesJsonDumps:
         results = evaluate_wheel(make_chain(), 50, 75, 100, 100)
         want = reference_structured_report(results)
         assert write_report(results, "structured") == want
+
+    @pytest.mark.parametrize(
+        "link_id", ['"decisions": []', 'x"decisions": []', "decisions", '"decisions": [],\n']
+    )
+    def test_ids_and_ledger_keys_that_spell_the_decisions_key(self, link_id):
+        # the report splits json.dumps's text at each schedule's "decisions": []
+        ledger = {
+            '"decisions": []': [],
+            'x"decisions': [],
+            "decisions": [],
+            "links": {link_id: {"decisions": [], link_id: []}},
+        }
+        full = Schedule(link_id, (1,), (Direction.A_TO_B,), (2.0,), (3.0,), (6.0,), 6.0)
+        empty = Schedule(link_id, (), (), (), (), (), 0.0)
+        results = (
+            full,
+            empty,
+            PortfolioResult((full, empty, full), 12.0, 1.0),
+            evaluate_wheel(make_chain(), 50, 75, 100, 100),
+        )
+        for result in results:
+            for expected in (None, ledger):
+                assert write_report(result, "structured", expected) == (
+                    reference_structured_report(result, expected)
+                )
 
 
 class TestNonUtf8Input:

@@ -418,6 +418,13 @@ class TestValidateNetwork:
         )
         assert any("duplicate interconnector id" in v for v in validate_network(net))
 
+    def test_duplicate_price_series(self):
+        # reported once per repeat; the lookup, like with_prices, keeps the first
+        first, repeat = PriceSeries("a", ((1, 1.0),)), PriceSeries("a", ((1, 2.0),))
+        net = Network((Region("a"),), (), (first, repeat, repeat))
+        assert validate_network(net) == ["duplicate price series for region 'a'"] * 2
+        assert net.prices_for("a") is first
+
     def test_linked_region_without_prices(self):
         net = Network(
             (Region("a"), Region("b")),

@@ -207,6 +207,14 @@ class TestEvaluateWheel:
         with pytest.raises(ValueError, match="does not connect"):
             WheelingChain("one", "two", "three", far, far, 0.0)
 
+    def test_second_link_must_join_the_transit_and_destination_areas(self):
+        # a first link that joins areas 1 and 2 leaves the second link's test to fail
+        first = Interconnector("l12", "one", "two", 100.0, 0.0)
+        stray = Interconnector("l13", "one", "three", 100.0, 0.0)
+        with pytest.raises(ValueError) as err:
+            WheelingChain("one", "two", "three", first, stray, 0.0)
+        assert str(err.value) == "link 'l13' does not connect 'two' and 'three'"
+
     @pytest.mark.parametrize(
         "cap1, cap2, r2, leg",
         [
