@@ -32,9 +32,9 @@ fraction lies in [0, 1) (``_check_loss``), a step length is finite and > 0
 (``_check_duration``), and a capacity, quantity, bias, length or profit is
 finite and >= 0 (``_check_nonnegative``). Every module and the command line
 call these checkers, each with its own name for the value, so messages
-differ only in that name. They show the refused value through ``_shown``, so
-an int too long for ``str()`` gets a short message naming its input. A price
-that is an int past float range is refused as not finite, and shown by its kind.
+differ only in that name. They show the refused value through ``_shown``, which
+shows an int with more digits than float range has by its kind, so the message
+stays short. A price that is an int past float range is refused as not finite.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
     if not (0 < p_to <= sys.float_info.max and 0 < p_from <= sys.float_info.max):
         raise ValueError(
             "flow_condition is a ratio test and requires finite, strictly positive "
-            f"prices (got p_to={_shown(p_to, _FLOAT_DIGITS)}, "
-            f"p_from={_shown(p_from, _FLOAT_DIGITS)}); use marginal_value for general prices"
+            f"prices (got p_to={_shown(p_to)}, p_from={_shown(p_from)}); "
+            "use marginal_value for general prices"
         )
     _check_loss(r, "loss fraction")
     return p_to * (1 - r) > p_from
@@ -150,16 +150,17 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
 _FLOAT_DIGITS = sys.float_info.max_10_exp
 
 
-def _shown(value, digits: int = 0) -> str:
-    """A refused value as a message shows it: ``str()``, or its kind for a number too
-    long for ``str()`` (an int past ``sys.get_int_max_str_digits()`` digits) or, when
-    ``digits`` is given, for one that ``str()`` writes with more digits than that."""
+def _shown(value) -> str:
+    """A refused value as a message shows it: ``str()``, or its kind for a number
+    with more digits than float range has, or than ``str()`` can write (an int past
+    ``sys.get_int_max_str_digits()`` digits)."""
     try:
         shown = str(value)
     except ValueError:
         digits = sys.get_int_max_str_digits()
     else:
-        if not digits or len(shown.lstrip("-")) <= digits:
+        digits = _FLOAT_DIGITS
+        if len(shown.lstrip("-")) <= digits:
             return shown
     sign = "negative " if value < 0 else ""
     return f"<{sign}{type(value).__name__} of over {digits} digits>"
@@ -261,7 +262,7 @@ def optimal_flow(
     if not finite:
         raise ValueError(
             f"price spread at t={timestep} is not finite: "
-            f"p_a={_shown(p_a, _FLOAT_DIGITS)}, p_b={_shown(p_b, _FLOAT_DIGITS)}"
+            f"p_a={_shown(p_a)}, p_b={_shown(p_b)}"
         )
     columns = _schedule_columns((p_a,), (p_b,), (float(x_max),), r, r_b, duration_h)
     decision = FlowDecision(timestep, *(column[0] for column in columns))

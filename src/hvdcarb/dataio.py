@@ -5,14 +5,16 @@ Formats (all stable):
 * Price CSV: header ``timestep,region_id,price_eur_mwh``, one row per
   (timestep, region), UTF-8, decimal point. Timesteps must be strictly
   increasing within each region. Fields may be quoted or padded with
-  whitespace; :func:`load_prices` reads a plain file as whole columns, and
-  :func:`prices_to_csv` quotes a region id only where CSV needs it.
+  whitespace. A line ends where csv ends one, at ``\\n``, ``\\r\\n`` or ``\\r``
+  (``\\x85`` or ``\\u2028`` is text). :func:`load_prices` reads a plain file as
+  whole columns. Every CSV writer here quotes an id, doubling its quotes, when
+  it holds a comma, a quote, ``\\r`` or ``\\n``, the same on every interpreter.
 * Network config: YAML with a ``regions`` list, a ``links`` list, and an
   optional ``prices_csv`` reference resolved relative to the config file.
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
-* Reports: CSV (schema per result kind, below, a link id quoted only where
-  CSV needs it), a structured JSON document carrying every per-timestep
+* Reports: CSV (schema per result kind, below, a link id quoted as a region
+  id is), a structured JSON document carrying every per-timestep
   decision, or the ``plot-data`` CSV. ``json.dumps`` writes the structured
   document around its decision arrays, which are rendered straight from the
   schedule columns, so the whole is byte-identical to
@@ -98,8 +100,8 @@ def _name(source: Source) -> str:
 
 def _read_text(source: Source) -> str:
     stream = hasattr(source, "read")
-    try:
-        return source.read() if stream else Path(source).read_text(encoding="utf-8")
+    try:  # a file's bytes decoded, so that its line ends reach csv as written
+        return source.read() if stream else Path(source).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{_name(source)}: not UTF-8 text: {exc}") from exc
 
@@ -134,32 +136,37 @@ def load_prices(source: Source) -> dict[str, PriceSeries]:
         DuplicateRowError: a (timestep, region) pair repeats.
     """
     text = _read_text(source)
-    series = _load_price_columns(text)
-    if series is None:
-        try:
-            series = _load_price_rows(text.splitlines())
-        except ParseError as exc:  # keeps its type and line
-            exc.args = (f"{_name(source)}: {exc}",)
-            raise
+    # The header is the first line as csv ends one: at "\n", "\r\n" or "\r".
+    header, end, body = text.partition("\n")
+    if "\r" in header:
+        header, _, rest = header.partition("\r")
+        body = rest + end + body if rest else body
+    try:
+        if header.strip() != PRICE_CSV_HEADER:
+            got = header.strip() if text else "<empty file>"
+            raise ParseError(f"expected header '{PRICE_CSV_HEADER}', got {got!r}", line=1)
+        series = _load_price_columns(body)
+        if series is None:
+            series = _load_price_rows(body)
+    except ParseError as exc:  # keeps its type and line
+        exc.args = (f"{_name(source)}: {exc}",)
+        raise
     return series
 
 
-def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
-    """Per-region series read as whole columns, or None for the row-by-row reader."""
-    body = text.splitlines()
-    if not body or body[0].strip() != PRICE_CSV_HEADER:
+def _load_price_columns(body: str) -> dict[str, PriceSeries] | None:
+    """The body's series read as whole columns, or None for the row-by-row reader."""
+    # csv interprets quotes, NUL and the breaks only str.splitlines ends a line at,
+    # and refuses over-long fields; a blank line has no comma.
+    if any(map(body.__contains__, '"\0\v\f\x1c\x1d\x1e\x85\u2028\u2029')):
         return None
-    del body[0]
-    if not body:
-        return {}
-    # Quotes and NUL are the csv module's to interpret, over-long fields
-    # its to refuse, and a blank line has no comma.
-    if '"' in text or "\0" in text or set(map(str.count, body, repeat(","))) != {2}:
+    lines = body.splitlines()
+    if set(map(str.count, lines, repeat(","))) != {2}:
         return None
-    if max(map(len, body)) > csv.field_size_limit():
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
-    joined = ",".join(body)
-    del body  # the line strings, before the fields take their place
+    joined = ",".join(lines)
+    del lines  # the line strings, before the fields take their place
     fields = joined.split(",")
     del joined
     regions = list(map(str.strip, fields[1::3]))
@@ -204,17 +211,11 @@ def _load_price_columns(text: str) -> dict[str, PriceSeries] | None:
     return series
 
 
-def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
-    """The price file read row by row; raises the error of its first bad row,
-    naming the last line that csv read for it."""
-    if not lines or lines[0].strip() != PRICE_CSV_HEADER:
-        raise ParseError(
-            f"expected header '{PRICE_CSV_HEADER}', got "
-            f"{lines[0].strip() if lines else '<empty file>'!r}",
-            line=1,
-        )
+def _load_price_rows(body: str) -> dict[str, PriceSeries]:
+    """The body, after the header's line, read row by row; raises the error of
+    its first bad row, naming the last line that csv read for it."""
     steps: dict[str, list[tuple[int, float]]] = {}
-    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
+    reader = csv.reader(io.StringIO(body, newline=""))
     try:
         for row in reader:
             lineno = reader.line_num + 1
@@ -258,12 +259,11 @@ def _load_price_rows(lines: list[str]) -> dict[str, PriceSeries]:
 
 def prices_to_csv(series: Iterable[PriceSeries]) -> str:
     """Render price series back to the CSV format, deterministically."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    out.write(PRICE_CSV_HEADER + "\n")
+    rows = [PRICE_CSV_HEADER + "\n"]
     for s in series:
-        writer.writerows(zip(s.timesteps, repeat(s.region_id), s.prices))
-    return out.getvalue()
+        region_id = _csv_field(s.region_id)
+        rows += (f"{t},{region_id},{price!r}\n" for t, price in zip(s.timesteps, s.prices))
+    return "".join(rows)
 
 
 def save_prices(series: Iterable[PriceSeries], path: str | Path) -> None:
@@ -511,11 +511,11 @@ def _blocks(rows: Iterable[str], sep: str = "") -> Iterator[str]:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes a field, quoted only where CSV needs it, as
-    :func:`prices_to_csv` writes a region id."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((text, ""))
-    return out.getvalue()[:-2]  # less the empty field's comma and the line end
+    """``text`` as every CSV writer here writes an id: quoted, its quotes doubled,
+    if it holds a comma, a quote or a line end (``\\r`` or ``\\n``), else bare."""
+    if any(map(text.__contains__, ',"\r\n')):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _schedule_csv(schedules: Sequence[Schedule]) -> Iterator[str]:

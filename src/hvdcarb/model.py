@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import filterfalse, islice
 
-from .arbitrage import _FLOAT_DIGITS, _check_loss, _check_nonnegative, _shown
+from .arbitrage import _check_loss, _check_nonnegative, _shown
 from .errors import AlignmentError, InvalidLossError
 
 __all__ = [
@@ -40,14 +40,18 @@ def _step_columns(
     value past float range, naming it as ``name`` at its timestep."""
     timesteps, values = [], []
     for t, v in steps:
-        if int(t) != t:
+        try:
+            step = int(t)
+        except (OverflowError, ValueError):  # inf, nan, a string that is no int
+            step = None
+        if step != t:
             raise ValueError(f"timestep {t!r} is not an integer")
-        timesteps.append(int(t))
+        timesteps.append(step)
         try:
             values.append(float(v))
         except OverflowError as exc:
             raise ValueError(
-                f"{name} at t={t} is past float range, got {_shown(v, _FLOAT_DIGITS)}"
+                f"{name} at t={t} is past float range, got {_shown(v)}"
             ) from exc
     return tuple(timesteps), tuple(values)
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .arbitrage import (
-    _FLOAT_DIGITS,
     _check_duration,
     _check_loss,
     _check_nonnegative,
@@ -121,7 +120,7 @@ def wheel_gates_123(
     except OverflowError:
         finite = False
     if not finite:
-        p1, p2, p3 = (_shown(p, _FLOAT_DIGITS) for p in (p1, p2, p3))
+        p1, p2, p3 = (_shown(p) for p in (p1, p2, p3))
         raise ValueError(
             f"wheeling gates are not finite: origin price {p1}, transit price "
             f"{p2}, destination price {p3}"
@@ -156,8 +155,8 @@ def wheel_profit_123(
         finite = False
     if not finite:
         raise ValueError(
-            f"wheeling profit is not finite: origin price {_shown(p1, _FLOAT_DIGITS)}, "
-            f"destination price {_shown(p3, _FLOAT_DIGITS)}"
+            f"wheeling profit is not finite: origin price {_shown(p1)}, "
+            f"destination price {_shown(p3)}"
         )
     return profit
 

@@ -533,8 +533,10 @@ def _chain(c=0.0):
 _WHEEL = ("wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle", "-t", "1")
 
 # str() refuses an int past sys.get_int_max_str_digits() digits (4300 by default):
-# a message shows such a value by its kind.
+# a message shows such a value by its kind, as it does an int with more digits
+# than float range has.
 _TOO_LONG = f"int of over {sys.get_int_max_str_digits()} digits>"
+_TOO_BIG = f"<int of over {sys.float_info.max_10_exp} digits>"
 
 # Every entry point that applies a scalar rule, with the message it raises.
 _LOSS_CALLERS = [
@@ -574,7 +576,7 @@ _DURATION_CALLERS = [
      "duration_h must be finite, got inf"),
     ("optimal_flow int too large for a float",
      lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 700.0, 0.0, 10**400),
-     f"duration_h must be finite, got {10**400}"),
+     f"duration_h must be finite, got {_TOO_BIG}"),
     ("evaluate_wheel int too long for str",
      lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, 1.0, 10**5000),
      f"duration_h must be finite, got <{_TOO_LONG}"),
@@ -619,7 +621,7 @@ _NONNEGATIVE_CALLERS = [
      "hourly_profit must be finite and >= 0, got inf"),
     ("extrapolate_annual int too large for a float",
      lambda: _error(extrapolate_annual, 10**400),
-     f"hourly_profit must be finite and >= 0, got {10**400}"),
+     f"hourly_profit must be finite and >= 0, got {_TOO_BIG}"),
     ("extrapolate_annual result", lambda: _error(extrapolate_annual, 1e306),
      "annual profit must be finite and >= 0, got inf"),
     ("loss_from_length", lambda: _error(loss_from_length, math.inf, 0.0),
@@ -643,7 +645,7 @@ _NONNEGATIVE_CALLERS = [
      "'annual': 'claim_exceeds_eur' must be finite and >= 0, got -1"),
     ("ledger int too large for a float",
      lambda: _ledger_error(f"totals: {{reported_eur: {10**400}}}"),
-     f"'totals': 'reported_eur' must be finite and >= 0, got {10**400}"),
+     f"'totals': 'reported_eur' must be finite and >= 0, got {_TOO_BIG}"),
     ("cli --bias", lambda: _cli_error("evaluate", "celtic", "--bias", "inf"),
      "bias r_b must be finite and >= 0, got inf"),
     ("cli --quantity", lambda: _cli_error(*_WHEEL, "--quantity", "inf"),

@@ -822,11 +822,12 @@ class TestStreamedReports:
 
 
 class TestLinkIdsInCsvReports:
-    """The schedule and plot-data CSVs write a link id as csv.writer writes a field:
-    quoted, its quotes doubled, only where CSV needs it."""
+    """The schedule and plot-data CSVs write a link id as prices_to_csv writes a
+    region id: quoted, its quotes doubled, where it holds a comma, a quote or a
+    line end."""
 
     @pytest.mark.parametrize("command", ["schedule", "plot-data"])
-    @pytest.mark.parametrize("link_id", ['x,"y"', "x,y", 'say "hi"', "ab"])
+    @pytest.mark.parametrize("link_id", ['x,"y"', "x,y", 'say "hi"', "a\rb", "ab"])
     def test_every_row_has_the_headers_fields(self, capsys, tmp_path, command, link_id):
         network = over_steps(
             Network(

@@ -112,18 +112,20 @@ class TestLoadPrices:
 
 
 def row_by_row_prices(text: str) -> dict[str, tuple[tuple[int, ...], tuple[float, ...]]]:
-    """Reference reader: the price CSV parsed and checked one row at a time."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PRICE_CSV_HEADER:
+    """Reference reader: the price CSV parsed and checked one row at a time, its
+    lines ended as csv ends them, each row named by the line on which it ends."""
+    stream = io.StringIO(text, newline="")
+    header = stream.readline().strip()
+    if not text or header != PRICE_CSV_HEADER:
         raise ParseError(
             f"expected header '{PRICE_CSV_HEADER}', got "
-            f"{lines[0].strip() if lines else '<empty file>'!r}",
+            f"{header if text else '<empty file>'!r}",
             line=1,
         )
     steps: dict[str, list[tuple[int, float]]] = {}
-    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
-    for offset, row in enumerate(reader):
-        lineno = offset + 2
+    reader = csv.reader(stream)
+    for row in reader:
+        lineno = reader.line_num + 1
         if not row:
             continue
         if len(row) != 3:
@@ -193,7 +195,8 @@ def price_csv_texts(draw):
         i = draw(st.integers(0, max(len(rows) - 1, 0)))
         kind = draw(
             st.sampled_from(
-                ["timestep", "price", "region", "fields", "quote", "blank", "swap", "repeat"]
+                ["timestep", "price", "region", "fields", "quote", "break", "formfeed",
+                 "blank", "swap", "repeat"]
             )
         )
         if kind == "blank" or not rows:
@@ -211,6 +214,10 @@ def price_csv_texts(draw):
         elif kind == "quote":
             k = draw(st.integers(0, 2))
             row[k] = f'"{row[k]}"'
+        elif kind == "break":  # a quoted id holding a line break
+            row[1] = '"' + row[1] + draw(st.sampled_from(["\r", "\r\n", "\x85"])) + 'x"'
+        elif kind == "formfeed":  # a line break to str.splitlines, but not to csv
+            row[2] += "\x0c" + ",".join(rows[draw(st.integers(0, len(rows) - 1))])
         elif kind == "swap":
             j = draw(st.integers(0, len(rows) - 1))
             lines[i], lines[j] = lines[j], lines[i]
@@ -258,6 +265,13 @@ class TestBulkIngestMatchesRowByRow:
     @example(_csv("0,a,1.0,2"))
     @example(_csv("0,a,1.0,2", "a,3.0"))  # 4 + 2 fields: 6 in total
     @example(_csv("0,a\x00b,1.0"))
+    @example(_csv('0,"a\rx",1.0', "1,a,2.0"))  # csv's line breaks, inside quotes
+    @example(_csv('0,"a\r\nx",1.0', "1,a,cheap"))
+    @example(_csv('0,"a\x85x",1.0'))
+    @example(_csv("0,a\x85x,1.0", "0,a\u2028x,1.0"))  # splitlines' breaks, bare
+    @example(_csv("0,a,1.0\x0c1,a,2.0"))
+    @example(PRICE_CSV_HEADER + "\x0c\n0,a,1.0\n")
+    @example(PRICE_CSV_HEADER + "\r0,a,1.0\n1,a,2.0\r\n")
     @example(_csv())
     @example("")
     @example("t,region,price\n0,a,1.0\n")
@@ -546,15 +560,18 @@ class TestRoundTrips:
 
     @given(
         st.lists(
-            # csv quotes these; the reader strips surrounding whitespace, and turns
-            # "\r" and the other line breaks of str.splitlines into "\n"
-            st.text('ab,"\n x', min_size=1, max_size=5).filter(lambda s: s == s.strip()),
+            # csv quotes a comma, a quote, "\r" or "\n"; the reader strips
+            # surrounding whitespace
+            st.text('ab,"\n x\r\x0c\x85\u2028', min_size=1, max_size=5).filter(
+                lambda s: s == s.strip()
+            ),
             min_size=1,
             max_size=4,
             unique=True,
         )
     )
     @example(["a,b", 'q"x', "c\nd", 'e,"\nf'])
+    @example(["a\rb", "a\r\nb", "a\x0cb", "a\x85b", "a\u2028b", 'a,"b'])
     def test_ids_that_csv_quotes_round_trip(self, tmp_path_factory, ids):
         network = Network(
             tuple(map(Region, ids)),
@@ -578,6 +595,19 @@ class TestRoundTrips:
         # round-trips only if no linked region demands prices; here it fails
         with pytest.raises(ValidationError):
             load_network(tmp_path / "net.yaml")
+
+
+class TestCsvField:
+    @given(st.text().filter(lambda text: "\0" not in text))
+    @example("a\rb")
+    @example('a,"b')
+    @example("")
+    def test_quotes_as_csv_writer_does_when_it_ends_lines_with_crlf(self, text):
+        # "\r" and "\n" both in its line end, csv.writer quotes either on every
+        # interpreter; only NUL, which 3.10's writer refuses, is left out
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow((text, ""))
+        assert dataio._csv_field(text) == out.getvalue()[: -len(",\r\n")]
 
 
 class TestWriteReport:

@@ -87,7 +87,8 @@ def steps_by_loop(steps):
     """Reference normalisation of (timestep, value) steps, one step at a time."""
     out = []
     for t, v in steps:
-        if int(t) != t:
+        # a string, inf and nan are refused as 1.5 is; None is int()'s TypeError
+        if isinstance(t, str) or (t is not None and not math.isfinite(t)) or int(t) != t:
             raise ValueError(f"timestep {t!r} is not an integer")
         out.append((int(t), float(v)))
     return tuple(out)
@@ -175,6 +176,13 @@ class TestColumnStorage:
             assert outcome(lambda: cls("x", steps).steps) == expected
             assert outcome(lambda: cls("x", iter(steps)).steps) == expected
             assert outcome(lambda: cls("x", (step for step in steps)).steps) == expected
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, "x", 1.5])
+    def test_a_timestep_that_is_not_an_integer_is_refused_by_one_message(self, t):
+        for cls in (PriceSeries, CapacityProfile):
+            with pytest.raises(ValueError) as err:
+                cls("x", ((t, 1.0),))
+            assert str(err.value) == f"timestep {t!r} is not an integer"
 
     def test_columns_build_through_a_strict_zip(self):
         series = PriceSeries("x", zip([1, 2.0], [10, 20.5], strict=True))

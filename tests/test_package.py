@@ -2,6 +2,8 @@
 and its version, stated once."""
 
 import pickle
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -54,6 +56,28 @@ def test_pyproject_takes_the_version_from_the_package():
         warnings.simplefilter("ignore")  # setuptools 65 calls this reader beta
         config = read_configuration(pyproject)
     assert config["project"]["version"] == hvdcarb.__version__
+
+
+def test_a_failing_hypothesis_test_is_reported_and_the_run_goes_on(tmp_path):
+    # Under the suite's warning filters, hypothesis's failure report must not turn
+    # into an INTERNALERROR that hides the falsifying example and ends the run.
+    (tmp_path / "test_child.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_child.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in child.stdout + child.stderr
+    assert "Falsifying example" in child.stdout
+    assert "1 failed, 1 passed" in child.stdout
 
 
 def test_every_error_survives_pickling():

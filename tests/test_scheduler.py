@@ -416,7 +416,7 @@ class TestRatedCapacityPastFloatRange:
         problem = link_problem([10.0, 20.0], [5.0, 50.0], rated=10**400)
         with pytest.raises(ValueError) as want:
             optimal_flow(10.0, 5.0, 0.0, 10**400)
-        assert str(want.value).startswith("x_max must be finite and >= 0, got 1000")
+        assert str(want.value) == "x_max must be finite and >= 0, got <int of over 308 digits>"
         with pytest.raises(ValueError) as got:
             solve(*problem)
         assert str(got.value) == str(want.value)
