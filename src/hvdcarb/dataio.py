@@ -7,26 +7,25 @@ Formats (all stable):
   increasing within each region. Fields may be quoted or padded with
   whitespace. A line ends where csv ends one, at ``\\n``, ``\\r\\n`` or ``\\r``
   (``\\x85`` or ``\\u2028`` is text). :func:`load_prices` reads a plain file as
-  whole columns. Every CSV writer here quotes an id, doubling its quotes, when
-  it holds a comma, a quote, ``\\r`` or ``\\n``, the same on every interpreter.
+  whole columns.
 * Network config: YAML with a ``regions`` list, a ``links`` list, and an
   optional ``prices_csv`` reference resolved relative to the config file.
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
-* Reports: CSV (schema per result kind, below, a link id quoted as a region
-  id is), a structured JSON document carrying every per-timestep
-  decision, or the ``plot-data`` CSV. ``json.dumps`` writes the structured
-  document around its decision arrays, which are rendered straight from the
-  schedule columns, so the whole is byte-identical to
-  ``json.dumps(doc, indent=2)`` of the nested dicts. Every writer is a
-  generator of fragments, each of at most a fixed block of rows (wheeling
-  JSON is one fragment), so the command line writes a report as it is
-  rendered and never holds the whole document; :func:`write_report` joins
+* Reports: CSV (schema per result kind, below), a structured JSON document
+  carrying every per-timestep decision, or the ``plot-data`` CSV.
+  ``json.dumps`` writes the structured document around its decision arrays,
+  which are rendered straight from the schedule columns, so the whole is
+  byte-identical to ``json.dumps(doc, indent=2)`` of the nested dicts. Every
+  writer is a generator of fragments, each of at most a fixed block of rows
+  (wheeling JSON is one fragment), so the command line writes a report as it
+  is rendered and never holds the whole document; :func:`write_report` joins
   the same fragments into one string.
 
 Writers are deterministic: identical inputs yield byte-identical output,
 and write -> load -> write is byte-identical. A loaded file is not always
 written back as it was: the price writer lists each region's rows in turn.
+Ids are written bare: the id rule (:func:`validate_network`) admits none that CSV quotes.
 """
 
 from __future__ import annotations
@@ -261,8 +260,7 @@ def prices_to_csv(series: Iterable[PriceSeries]) -> str:
     """Render price series back to the CSV format, deterministically."""
     rows = [PRICE_CSV_HEADER + "\n"]
     for s in series:
-        region_id = _csv_field(s.region_id)
-        rows += (f"{t},{region_id},{price!r}\n" for t, price in zip(s.timesteps, s.prices))
+        rows += (f"{t},{s.region_id},{price!r}\n" for t, price in zip(s.timesteps, s.prices))
     return "".join(rows)
 
 
@@ -510,22 +508,13 @@ def _blocks(rows: Iterable[str], sep: str = "") -> Iterator[str]:
         lead = sep
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as every CSV writer here writes an id: quoted, its quotes doubled,
-    if it holds a comma, a quote or a line end (``\\r`` or ``\\n``), else bare."""
-    if any(map(text.__contains__, ',"\r\n')):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _schedule_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
     yield SCHEDULE_CSV_HEADER + "\n"
     for s in schedules:
-        link_id = _csv_field(s.interconnector_id)
         names = {d: d.value for d in set(s.directions)}
         columns = s.timesteps, s.directions, s.quantities, s.lambdas, s.profits
         yield from _blocks(
-            f"{t},{link_id},{names[d]},{quantity!r},{lam!r},{profit!r}\n"
+            f"{t},{s.interconnector_id},{names[d]},{quantity!r},{lam!r},{profit!r}\n"
             for t, d, quantity, lam, profit in zip(*columns)
         )
 
@@ -544,10 +533,9 @@ def _plot_csv(result: PortfolioResult) -> Iterator[str]:
     profit per step, the profit summed left to right from 0.0."""
     yield _PLOT_CSV_HEADER + "\n"
     for s in result.schedules:
-        link_id = _csv_field(s.interconnector_id)
         running = islice(accumulate(s.profits, initial=0.0), 1, None)
         yield from _blocks(
-            f"{t},{link_id},{lam!r},{quantity!r},{total!r}\n"
+            f"{t},{s.interconnector_id},{lam!r},{quantity!r},{total!r}\n"
             for t, quantity, lam, total in zip(s.timesteps, s.quantities, s.lambdas, running)
         )
 

@@ -69,6 +69,16 @@ def _broken(check, value: float, name: str) -> list[str]:
     return []
 
 
+def _id_violations(kind: str, value) -> list[str]:
+    """The id rule, as a one-item list naming ``kind``'s id, or [] if it holds: an id
+    is a non-empty printable ``str``, equal to its ``strip()``, without ``,`` or ``"``."""
+    if isinstance(value, str) and value and value.isprintable() and value == value.strip():
+        if "," not in value and '"' not in value:
+            return []
+    rule = "non-empty printable text, no edge whitespace, no ',' or '\"'"
+    return [f"{kind} id {value!r} breaks the id rule: {rule}"]
+
+
 def _order_violations(owner: str, ts: tuple[int, ...]) -> list[str]:
     return [
         f"{owner}: timesteps not strictly increasing at t={t1}"
@@ -181,7 +191,7 @@ class Interconnector:
 
     def violations(self) -> list[str]:
         name = f"interconnector '{self.id}'"
-        out = [] if self.id else ["interconnector with empty id"]
+        out = _id_violations("interconnector", self.id)
         out += _broken(_check_nonnegative, self.capacity_mw, f"{name}: capacity_mw")
         out += _broken(_check_loss, self.loss_fraction, f"{name}: loss_fraction")
         if self.endpoint_a == self.endpoint_b:
@@ -317,9 +327,8 @@ def validate_network(network: Network) -> list[str]:
 
     seen_regions: set[str] = set()
     for r in network.regions:
-        if not r.id:
-            report.append("region with empty id")
-        elif r.id in seen_regions:
+        report += _id_violations("region", r.id)
+        if r.id in seen_regions:
             report.append(f"duplicate region id '{r.id}'")
         seen_regions.add(r.id)
 
@@ -348,8 +357,10 @@ def validate_network(network: Network) -> list[str]:
             )
 
     # Every region touched by a link needs prices, and the priced horizons of
-    # linked regions must coincide (they define the analysis horizon).
-    linked = sorted({e for link in network.interconnectors for e in link.endpoints()})
+    # linked regions must coincide (they define the analysis horizon). An endpoint
+    # that is no str names no valid region, which is reported above.
+    endpoints = (e for link in network.interconnectors for e in link.endpoints())
+    linked = sorted({e for e in endpoints if isinstance(e, str)})
     horizons: dict[str, tuple[int, ...]] = {}
     for region_id in linked:
         if region_id in seen_series:

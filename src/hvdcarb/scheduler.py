@@ -145,8 +145,8 @@ def _prepare(
     Returns the argument tuple of :func:`_replay`: the horizon, the columns
     p_a, p_b and x_max aligned with it, the loss r, the bias r_b and the step
     duration. When an input's own check fails, it replays the per-step rule
-    first, which raises at the first failing step, or passes (a link with an
-    empty id, say, breaks no per-step rule).
+    first, which raises at the first failing step, or passes (a link whose id
+    breaks the id rule, ``a,b`` say, breaks no per-step rule).
     """
     _check_duration(duration_h, "duration_h")
     if not link.connects(prices_a.region_id, prices_b.region_id):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -87,3 +88,25 @@ def one_link_network(horizon_a, horizon_b) -> Network:
             PriceSeries("b", tuple((t, 1.0) for t in horizon_b)),
         ),
     )
+
+
+# Region ids with whitespace at an edge, which both price readers strip.
+EDGE_WHITESPACE_IDS = [" a", "a ", "\ta", "\x1fa", "a\xa0"]
+
+
+def write_config_declaring(directory, region_id: str):
+    """A hand-written config, and its price file, declaring regions ``region_id``
+    and b joined by link ab; both files write the id as it is. Returns the
+    config's path."""
+    (directory / "prices.csv").write_text(
+        f"timestep,region_id,price_eur_mwh\n0,{region_id},1.0\n0,b,2.0\n", encoding="utf-8"
+    )
+    quoted = json.dumps(region_id)  # a YAML double-quoted scalar
+    config = directory / "network.yaml"
+    config.write_text(
+        f"regions:\n- id: {quoted}\n- id: b\nlinks:\n"
+        f"- {{id: ab, from: {quoted}, to: b, capacity_mw: 1.0, loss_fraction: 0.0}}\n"
+        "prices_csv: prices.csv\n",
+        encoding="utf-8",
+    )
+    return config

@@ -25,7 +25,14 @@ from hvdcarb.cli import main
 from hvdcarb.dataio import PRICE_CSV_HEADER, default_data_dir, write_report
 from hvdcarb.scheduler import schedule_portfolio
 from hvdcarb.wheeling import WheelingChain, evaluate_wheel
-from conftest import DISJOINT_YEARS, one_link_network, over_steps, tiny_network
+from conftest import (
+    DISJOINT_YEARS,
+    EDGE_WHITESPACE_IDS,
+    one_link_network,
+    over_steps,
+    tiny_network,
+    write_config_declaring,
+)
 from fuzz_corpus import PRICE_MUTATIONS
 
 pytestmark = pytest.mark.usefixtures("clean_env")
@@ -822,13 +829,12 @@ class TestStreamedReports:
 
 
 class TestLinkIdsInCsvReports:
-    """The schedule and plot-data CSVs write a link id as prices_to_csv writes a
-    region id: quoted, its quotes doubled, where it holds a comma, a quote or a
-    line end."""
+    """A link id that CSV would quote breaks the id rule, so the schedule and
+    plot-data commands refuse it before they write a row; a valid id is written
+    bare."""
 
-    @pytest.mark.parametrize("command", ["schedule", "plot-data"])
-    @pytest.mark.parametrize("link_id", ['x,"y"', "x,y", 'say "hi"', "a\rb", "ab"])
-    def test_every_row_has_the_headers_fields(self, capsys, tmp_path, command, link_id):
+    @staticmethod
+    def config(tmp_path, link_id):
         network = over_steps(
             Network(
                 (Region("a"), Region("b")),
@@ -837,17 +843,36 @@ class TestLinkIdsInCsvReports:
             3,
         )
         save_network(network, tmp_path / "network.yaml")
+        return str(tmp_path / "network.yaml")
+
+    @pytest.mark.parametrize("command", ["schedule", "plot-data"])
+    @pytest.mark.parametrize("link_id", ["x,y", 'say "hi"', "a\rb"])
+    def test_an_id_csv_would_quote_is_refused(self, capsys, tmp_path, command, link_id):
+        code, out, err = run(capsys, command, "--network", self.config(tmp_path, link_id))
+        assert (code, out) == (3, "")
+        assert f"interconnector id {link_id!r} breaks the id rule" in err
+
+    @pytest.mark.parametrize("command", ["schedule", "plot-data"])
+    def test_a_valid_id_is_written_bare(self, capsys, tmp_path, command):
         out = tmp_path / "report.csv"
-        argv = ["--network", str(tmp_path / "network.yaml"), "--out", str(out)]
+        argv = ["--network", self.config(tmp_path, "ab"), "--out", str(out)]
         code, _, _ = run(capsys, command, *argv)
         assert code == 0
         with open(out, newline="", encoding="utf-8") as stream:
             header, *rows = csv.reader(stream)
         assert len(rows) == 3
         assert {len(row) for row in rows} == {len(header)}
-        assert {row[header.index("link_id")] for row in rows} == {link_id}
-        if link_id == "ab":  # a plain id is written as it is
-            assert out.read_text(encoding="utf-8").splitlines()[1].startswith("0,ab,")
+        assert {row[header.index("link_id")] for row in rows} == {"ab"}
+        assert out.read_text(encoding="utf-8").splitlines()[1].startswith("0,ab,")
+
+
+@pytest.mark.parametrize("region_id", EDGE_WHITESPACE_IDS)
+def test_a_region_id_with_edge_whitespace_is_refused(capsys, tmp_path, region_id):
+    # both price readers strip the id field, so such an id could not be read back
+    config = write_config_declaring(tmp_path, region_id)
+    code, out, err = run(capsys, "schedule", "--network", str(config))
+    assert (code, out) == (3, "")
+    assert f"region id {region_id!r} breaks the id rule" in err
 
 
 def _streaming_peak(bundle, tmp_path, steps: int) -> tuple[int, int]:

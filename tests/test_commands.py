@@ -107,6 +107,7 @@ DATA_DIRS = {
         "prices.csv", lambda text: text.replace("1,scotland,120.0", "1,scotland,abc")
     ),
     "to-7": ("network.yaml", lambda text: text.replace("to: scotland", "to: 7", 1)),
+    "padded-id": ("network.yaml", lambda text: text.replace("id: ireland", 'id: " ireland"', 1)),
     "to-aliases": (
         "network.yaml",
         lambda text: text.replace("to: scotland", f"to: [{', '.join(ALIAS_LEVELS)}]", 1),
@@ -138,6 +139,7 @@ def write_data_dirs(directory: Path) -> None:
         (["schedule", "--out", "x"], "to-7", 2, "'to'"),
         (["schedule", "--out", "x"], "to-aliases", 2, "'to'"),
         (["case-ireland", "--out", "x"], "negative-capacity", 3, "capacity_mw"),
+        (["schedule", "--out", "x"], "padded-id", 3, "region id ' ireland'"),
         (["case-ireland", "--out", "x"], "price-not-a-number", 2, "line 3: price 'abc'"),
         (["schedule", "--out", "missing/x"], None, 2, "missing/x"),
         (["wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle",
@@ -147,7 +149,8 @@ def write_data_dirs(directory: Path) -> None:
     ids=["flag-not-read", "abbreviated-flag", "empty-horizon", "unknown-region",
          "ledger-date", "ledger-int-too-large", "ledger-alias-chain", "ledger-alias-value",
          "ledger-nan-computed", "config-int-too-long", "config-link-to-7",
-         "config-link-to-aliases", "config-negative-capacity", "price-not-a-number",
+         "config-link-to-aliases", "config-negative-capacity", "config-padded-region-id",
+         "price-not-a-number",
          "schedule-out-in-missing-dir", "wheel-out-in-missing-dir",
          "case-ireland-out-in-missing-dir"],
 )

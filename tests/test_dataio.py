@@ -31,6 +31,7 @@ from hvdcarb import (
     load_prices,
     save_network,
     schedule_portfolio,
+    validate_network,
     write_report,
 )
 from hvdcarb import dataio, model
@@ -40,7 +41,7 @@ from hvdcarb.dataio import (
     network_to_yaml,
     prices_to_csv,
 )
-from conftest import over_steps, tiny_network
+from conftest import EDGE_WHITESPACE_IDS, over_steps, tiny_network, write_config_declaring
 from fuzz_corpus import CONFIG_MUTATIONS, PARSE_ERRORS, PRICE_MUTATIONS, mutated_config
 from test_wheeling import make_chain
 
@@ -560,24 +561,30 @@ class TestRoundTrips:
 
     @given(
         st.lists(
-            # csv quotes a comma, a quote, "\r" or "\n"; the reader strips
-            # surrounding whitespace
-            st.text('ab,"\n x\r\x0c\x85\u2028', min_size=1, max_size=5).filter(
-                lambda s: s == s.strip()
+            # any id the id rule admits: printable text, non-ASCII letters and
+            # interior spaces included
+            st.text(
+                st.one_of(st.sampled_from("aÉ ir-"), st.characters(exclude_categories=["Cs"])),
+                min_size=1,
+                max_size=8,
+            ).filter(
+                lambda s: s.isprintable() and s == s.strip() and not set(s) & {",", '"'}
             ),
-            min_size=1,
+            min_size=2,
             max_size=4,
             unique=True,
         )
     )
-    @example(["a,b", 'q"x', "c\nd", 'e,"\nf'])
-    @example(["a\rb", "a\r\nb", "a\x0cb", "a\x85b", "a\u2028b", 'a,"b'])
-    def test_ids_that_csv_quotes_round_trip(self, tmp_path_factory, ids):
+    @example(["Éire", "north ireland"])
+    @example(["ireland", "northern_ireland", "scotland"])
+    @example(["yes", "1", "1:20", "null", "- a", "#x", "a: b"])  # YAML quotes these
+    def test_valid_ids_round_trip(self, tmp_path_factory, ids):
         network = Network(
             tuple(map(Region, ids)),
-            (),
+            (Interconnector(ids[0] + ids[1], ids[0], ids[1], 100.0, 0.01),),
             tuple(PriceSeries(rid, ((0, 1.5), (1, -2.25))) for rid in ids),
         )
+        assert validate_network(network) == []
         first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
         save_network(network, first / "network.yaml")
         reloaded = load_network(first / "network.yaml")
@@ -585,6 +592,14 @@ class TestRoundTrips:
         save_network(reloaded, second / "network.yaml")
         for name in ("network.yaml", "prices.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("region_id", EDGE_WHITESPACE_IDS)
+    def test_a_config_declaring_an_id_with_edge_whitespace_is_refused(
+        self, tmp_path, region_id
+    ):
+        config = write_config_declaring(tmp_path, region_id)
+        with pytest.raises(ValidationError, match=re.escape(f"region id {region_id!r}")):
+            load_network(config)
 
     def test_network_without_prices(self, tmp_path):
         net = Network(tiny_network().regions, tiny_network().interconnectors, ())
@@ -595,19 +610,6 @@ class TestRoundTrips:
         # round-trips only if no linked region demands prices; here it fails
         with pytest.raises(ValidationError):
             load_network(tmp_path / "net.yaml")
-
-
-class TestCsvField:
-    @given(st.text().filter(lambda text: "\0" not in text))
-    @example("a\rb")
-    @example('a,"b')
-    @example("")
-    def test_quotes_as_csv_writer_does_when_it_ends_lines_with_crlf(self, text):
-        # "\r" and "\n" both in its line end, csv.writer quotes either on every
-        # interpreter; only NUL, which 3.10's writer refuses, is left out
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\r\n").writerow((text, ""))
-        assert dataio._csv_field(text) == out.getvalue()[: -len(",\r\n")]
 
 
 class TestWriteReport:

@@ -1,6 +1,7 @@
 """Domain types, loss model, and network validation."""
 
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -17,11 +18,13 @@ from hvdcarb import (
     Network,
     PriceSeries,
     Region,
+    WheelingChain,
     loss_from_length,
     schedule_portfolio,
     validate_network,
 )
 from hvdcarb.model import _shared_horizon
+from conftest import EDGE_WHITESPACE_IDS
 
 
 class TestLossFromLength:
@@ -373,6 +376,42 @@ def test_checking_shared_series_reads_each_once_whatever_the_links():
     # pass over the two price columns (x_max is a plain tuple).
     steps = 50
     assert checked_reads(16, steps) - checked_reads(1, steps) == 15 * 2 * steps
+
+
+ID_RULE = "breaks the id rule: non-empty printable text, no edge whitespace, no ',' or '\"'"
+NOT_NAMES = ["", " ", "a\nb", "a\rb", "a\0b", "a\x85b", "a\u2028b", "x,y", 'say "hi"']
+
+
+class TestIdRule:
+    @pytest.mark.parametrize("rid", [*EDGE_WHITESPACE_IDS, *NOT_NAMES])
+    def test_a_region_id_that_is_no_name_is_a_violation(self, rid):
+        assert validate_network(Network((Region(rid),))) == [f"region id {rid!r} {ID_RULE}"]
+
+    @pytest.mark.parametrize("link_id", [*EDGE_WHITESPACE_IDS, *NOT_NAMES])
+    def test_a_link_id_that_is_no_name_is_a_violation(self, link_id):
+        link = Interconnector(link_id, "a", "b", 100.0, 0.0)
+        assert link.violations() == [f"interconnector id {link_id!r} {ID_RULE}"]
+        with pytest.raises(ValueError, match=re.escape(f"{link_id!r} {ID_RULE}")):
+            WheelingChain("a", "b", "c", link, Interconnector("bc", "b", "c", 1.0, 0.0))
+
+    def test_int_ids_are_violations(self):
+        network = Network(
+            (Region(5), Region(6)),
+            (Interconnector(7, 5, 6, 100.0, 0.0),),
+            (PriceSeries(5, ((1, 1.0),)), PriceSeries(6, ((1, 2.0),))),
+        )
+        assert validate_network(network) == [
+            f"region id 5 {ID_RULE}", f"region id 6 {ID_RULE}", f"interconnector id 7 {ID_RULE}"
+        ]
+
+    def test_int_and_str_ids_mixed_are_violations(self):
+        # the linked regions are sorted to word the horizon rule's sources
+        network = Network(
+            (Region(5), Region("a")),
+            (Interconnector("l", 5, "a", 100.0, 0.0),),
+            (PriceSeries(5, ((1, 1.0),)), PriceSeries("a", ((1, 2.0),))),
+        )
+        assert validate_network(network) == [f"region id 5 {ID_RULE}"]
 
 
 class TestValidateNetwork:

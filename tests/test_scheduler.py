@@ -883,6 +883,58 @@ class TestExactIdentities:
         assert high.grand_total <= low.grand_total
 
 
+_MIRRORED = {
+    Direction.A_TO_B: Direction.B_TO_A,
+    Direction.B_TO_A: Direction.A_TO_B,
+    Direction.IDLE: Direction.IDLE,
+}
+
+
+class TestEndpointSwap:
+    # Swapping a link's endpoints swaps the kernel's pre-bias margins m_a and m_b,
+    # and _schedule_columns takes their max after the same subtraction of r_b, so
+    # every λ, quantity, profit and total is the same float by construction. The
+    # direction goes into the endpoint of the larger margin, and a tie goes into
+    # endpoint a whichever region that is, so only a tie is not mirrored.
+    @settings(max_examples=300)
+    @given(bounded_portfolios())
+    @example(  # equal negative prices: both margins are 1.0, and the link dispatches
+        (
+            Network(
+                (Region("a"), Region("b")),
+                (Interconnector("ab", "a", "b", 100.0, 0.1),),
+                (PriceSeries("a", ((0, -10.0),)), PriceSeries("b", ((0, -10.0),))),
+            ),
+            {},
+            1.0,
+            0.0,
+        )
+    )
+    def test_swapping_endpoints_mirrors_directions_and_keeps_every_value(self, problem):
+        network, capacities, duration_h, r_b = problem
+        swapped = Network(
+            network.regions,
+            tuple(
+                dataclasses.replace(link, endpoint_a=link.endpoint_b, endpoint_b=link.endpoint_a)
+                for link in network.interconnectors
+            ),
+            network.price_series,
+        )
+        base = schedule_portfolio(network, capacities, BiasPolicy(r_b), duration_h)
+        other = schedule_portfolio(swapped, capacities, BiasPolicy(r_b), duration_h)
+        assert base.grand_total.hex() == other.grand_total.hex()
+        for s, o in zip(base.schedules, other.schedules, strict=True):
+            for column in ("quantities", "lambdas", "profits"):
+                assert _bits(getattr(o, column)) == _bits(getattr(s, column))
+            assert o.total_profit.hex() == s.total_profit.hex()
+            link = network.link(s.interconnector_id)
+            r = link.loss_fraction
+            col_a, col_b = (network.prices_for(e).prices for e in link.endpoints())
+            for d, d_swapped, p_a, p_b in zip(s.directions, o.directions, col_a, col_b):
+                tie = p_a - p_b - r * p_a == p_b - p_a - r * p_b
+                assert d_swapped == (d if tie else _MIRRORED[d])
+
+
 def _exact_lambda(p_a: float, p_b: float, r: float, r_b: float) -> Fraction:
     """λ of one step in exact arithmetic, from the float inputs."""
     p_a, p_b, r, r_b = map(Fraction, (p_a, p_b, r, r_b))
