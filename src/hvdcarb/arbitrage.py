@@ -151,18 +151,18 @@ _FLOAT_DIGITS = sys.float_info.max_10_exp
 
 
 def _shown(value) -> str:
-    """A refused value as a message shows it: ``str()``, or its kind for a number
-    with more digits than float range has, or than ``str()`` can write (an int past
-    ``sys.get_int_max_str_digits()`` digits)."""
+    """A refused value (or id) as a message shows it: ``str()``, or its kind for a
+    value with more digits than float range has, or than ``str()`` can write (an int
+    past ``sys.get_int_max_str_digits()`` digits, or a list holding one)."""
     try:
         shown = str(value)
     except ValueError:
-        digits = sys.get_int_max_str_digits()
+        negative, digits = isinstance(value, int) and value < 0, sys.get_int_max_str_digits()
     else:
-        digits = _FLOAT_DIGITS
+        negative, digits = shown.startswith("-"), _FLOAT_DIGITS
         if len(shown.lstrip("-")) <= digits:
             return shown
-    sign = "negative " if value < 0 else ""
+    sign = "negative " if negative else ""
     return f"<{sign}{type(value).__name__} of over {digits} digits>"
 
 

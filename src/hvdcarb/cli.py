@@ -14,16 +14,16 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .arbitrage import BiasPolicy, Direction, _check_duration, _check_loss, optimal_flow
+# load_prices, write_report and validate_network are not called here;
+# perfbench/tracer.py wraps each of them on cli by name.
 from .dataio import (
-    _check_valid,
     _plot_csv,
-    _read_network,
     _report,
     default_data_dir,
     load_case_study,
     load_network,
     load_prices,
-    write_report,  # not called here; perfbench/tracer.py wraps cli.write_report by name
+    write_report,
 )
 from .errors import HvdcArbError, ParseError, ResolutionError
 from .model import Network, validate_network
@@ -194,13 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_run_network(args) -> Network:
     path = args.network if args.network is not None else default_data_dir() / "network.yaml"
-    if args.prices is None:
-        network = load_network(path)
-    else:  # the prices file the config names is not read
-        network = _read_network(path, None)[0].with_prices(load_prices(args.prices).values())
-        # validated here, once, as load_network validates the config's own
-        # prices: before --from/--to, which keep valid series valid
-        _check_valid(validate_network(network), f"{path} and {args.prices}: inputs are invalid")
+    network = load_network(path, args.prices)  # validated before --from/--to, which keep it valid
     if args.t_from is not None or args.t_to is not None:
         network = network.with_prices(
             s.restricted(args.t_from, args.t_to) for s in network.price_series

@@ -9,7 +9,8 @@ Formats (all stable):
   (``\\x85`` or ``\\u2028`` is text). :func:`load_prices` reads a plain file as
   whole columns.
 * Network config: YAML with a ``regions`` list, a ``links`` list, and an
-  optional ``prices_csv`` reference resolved relative to the config file.
+  optional ``prices_csv`` reference resolved relative to the config file,
+  which the caller's ``prices`` replaces (:func:`load_network`).
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
 * Reports: CSV (schema per result kind, below), a structured JSON document
@@ -324,38 +325,23 @@ def _entries(doc: dict, name: str, keys: set, required: tuple, file: str) -> Ite
         yield entry
 
 
-def load_network(source: Source, base_dir: str | Path | None = None) -> Network:
-    """Load and validate a network config, including referenced prices.
+def load_network(source: Source, prices: Source | None = None) -> Network:
+    """Load and validate a network config with its prices.
 
-    ``base_dir`` anchors the ``prices_csv`` reference; it defaults to the
-    config file's directory and is required when loading from a stream
-    that references prices.
+    The prices are those of the config's ``prices_csv`` reference, resolved
+    relative to the config file, unless ``prices`` (a path or a stream) is
+    given: it replaces the reference, which is then not read. A config read
+    from a stream has no directory, so a reference in it needs ``prices``.
 
     Raises:
-        ParseError: the document does not match the schema.
+        ParseError: the document does not match the schema, or a stream's
+            reference is given no ``prices``.
         ConfigConflictError: a link's declared and length-derived losses
             disagree.
         ValidationError: the loaded network violates a model invariant;
-            the message names the config and lists every violation.
+            the message names the config (and ``prices``, if given) and lists
+            every violation.
     """
-    network, prices_csv = _read_network(source, base_dir)
-    if prices_csv is not None:
-        network = network.with_prices(load_prices(prices_csv).values())
-    _check_valid(validate_network(network), f"{_name(source)}: network config is invalid")
-    return network
-
-
-def _check_valid(report: list[str], heading: str) -> None:
-    """Raise a ValidationError listing ``report``'s violations under ``heading``."""
-    if report:
-        raise ValidationError(f"{heading}:\n" + "\n".join(f"- {v}" for v in report))
-
-
-def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network, Path | None]:
-    """The config's regions and links, unvalidated, and its resolved ``prices_csv``.
-    Every error it raises names the config file once."""
-    if base_dir is None and not hasattr(source, "read"):
-        base_dir = Path(source).parent
     file = _name(source)
     doc = _mapping(_read_yaml(source), _TOP_KEYS, f"{file}: config root")
 
@@ -380,19 +366,24 @@ def _read_network(source: Source, base_dir: str | Path | None) -> tuple[Network,
                 length_km=length,
             )
         )
+    network = Network(tuple(regions), tuple(links))
 
     ref = doc.get("prices_csv")
-    if ref is not None:
-        if not isinstance(ref, str):
-            raise ParseError(
-                f"{file}: 'prices_csv' must be a path string, got {_SHOWN.repr(ref)}"
-            )
-        if base_dir is None:
-            raise ParseError(
-                f"{file}: config references a prices_csv but no base_dir was given"
-            )
-        ref = Path(base_dir) / ref
-    return Network(tuple(regions), tuple(links)), ref
+    if ref is not None and not isinstance(ref, str):
+        raise ParseError(f"{file}: 'prices_csv' must be a path string, got {_SHOWN.repr(ref)}")
+    heading = f"{file}: network config is invalid"
+    if prices is not None:
+        heading = f"{file} and {_name(prices)}: inputs are invalid"
+    elif ref is not None:
+        if hasattr(source, "read"):
+            raise ParseError(f"{file}: a stream's prices_csv cannot be resolved; pass prices")
+        prices = Path(source).parent / ref
+    if prices is not None:
+        network = network.with_prices(load_prices(prices).values())
+    report = validate_network(network)
+    if report:
+        raise ValidationError(f"{heading}:\n" + "\n".join(f"- {v}" for v in report))
+    return network
 
 
 def _resolve_loss(entry: dict, length: float | None, context: str) -> float:

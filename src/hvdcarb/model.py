@@ -69,6 +69,23 @@ def _broken(check, value: float, name: str) -> list[str]:
     return []
 
 
+def _id(value) -> str:
+    """An id as a message names it: a ``str`` as it is, and any other value, which
+    breaks the id rule, through ``_shown``, so that an int past ``str()``'s digit
+    limit is named, not raised on."""
+    return value if isinstance(value, str) else _shown(value)
+
+
+def _key(value):
+    """``value`` as a member of a set or map of ids: itself, or, if it is unhashable
+    (an id that breaks the id rule), a new object, which equals no other id."""
+    try:
+        hash(value)
+    except TypeError:
+        return object()
+    return value
+
+
 def _id_violations(kind: str, value) -> list[str]:
     """The id rule, as a one-item list naming ``kind``'s id, or [] if it holds: an id
     is a non-empty printable ``str``, equal to its ``strip()``, without ``,`` or ``"``."""
@@ -76,7 +93,8 @@ def _id_violations(kind: str, value) -> list[str]:
         if "," not in value and '"' not in value:
             return []
     rule = "non-empty printable text, no edge whitespace, no ',' or '\"'"
-    return [f"{kind} id {value!r} breaks the id rule: {rule}"]
+    shown = repr(value) if isinstance(value, str) else _shown(value)
+    return [f"{kind} id {shown} breaks the id rule: {rule}"]
 
 
 def _order_violations(owner: str, ts: tuple[int, ...]) -> list[str]:
@@ -116,7 +134,7 @@ class PriceSeries:
     prices: tuple[float, ...]
 
     def __init__(self, region_id: str, steps: Iterable[tuple[int, float]]):
-        timesteps, prices = _step_columns(steps, f"price series '{region_id}': price")
+        timesteps, prices = _step_columns(steps, f"price series '{_id(region_id)}': price")
         self.__dict__.update(region_id=region_id, timesteps=timesteps, prices=prices)
 
     @classmethod
@@ -159,12 +177,13 @@ class PriceSeries:
             and math.isfinite(sum(prices))
         ):
             return ()
-        out = _order_violations(f"price series '{self.region_id}'", ts)
+        name = f"price series '{_id(self.region_id)}'"
+        out = _order_violations(name, ts)
         for t, p in zip(ts, prices):
             if not math.isfinite(p):
-                out.append(f"price series '{self.region_id}': non-finite price at t={t}")
+                out.append(f"{name}: non-finite price at t={t}")
             if t < 0:
-                out.append(f"price series '{self.region_id}': negative timestep {t}")
+                out.append(f"{name}: negative timestep {t}")
         return tuple(out)
 
 
@@ -190,12 +209,12 @@ class Interconnector:
         return {self.endpoint_a, self.endpoint_b} == {region_x, region_y}
 
     def violations(self) -> list[str]:
-        name = f"interconnector '{self.id}'"
+        name = f"interconnector '{_id(self.id)}'"
         out = _id_violations("interconnector", self.id)
         out += _broken(_check_nonnegative, self.capacity_mw, f"{name}: capacity_mw")
         out += _broken(_check_loss, self.loss_fraction, f"{name}: loss_fraction")
         if self.endpoint_a == self.endpoint_b:
-            out.append(f"{name}: both endpoints are '{self.endpoint_a}'")
+            out.append(f"{name}: both endpoints are '{_id(self.endpoint_a)}'")
         if self.length_km is not None:
             out += _broken(_check_nonnegative, self.length_km, f"{name}: length_km")
         return out
@@ -217,7 +236,7 @@ class CapacityProfile:
     values: tuple[float, ...]
 
     def __init__(self, interconnector_id: str, steps: Iterable[tuple[int, float]]):
-        name = f"capacity profile '{interconnector_id}': x_max"
+        name = f"capacity profile '{_id(interconnector_id)}': x_max"
         timesteps, values = _step_columns(steps, name)
         self.__dict__.update(
             interconnector_id=interconnector_id, timesteps=timesteps, values=values
@@ -235,7 +254,7 @@ class CapacityProfile:
             and math.isfinite(sum(values))
         ):
             return []
-        name = f"capacity profile '{self.interconnector_id}'"
+        name = f"capacity profile '{_id(self.interconnector_id)}'"
         out = _order_violations(name, ts)
         for t, x in zip(ts, values):
             out += _broken(_check_nonnegative, x, f"{name}: x_max at t={t}")
@@ -246,7 +265,7 @@ def _first_wins(items: Iterable, key: str) -> dict:
     """``items`` by their ``key`` attribute; the first item of a repeated key wins."""
     index = {}
     for item in items:
-        index.setdefault(getattr(item, key), item)
+        index.setdefault(_key(getattr(item, key)), item)
     return index
 
 
@@ -328,32 +347,35 @@ def validate_network(network: Network) -> list[str]:
     seen_regions: set[str] = set()
     for r in network.regions:
         report += _id_violations("region", r.id)
-        if r.id in seen_regions:
-            report.append(f"duplicate region id '{r.id}'")
-        seen_regions.add(r.id)
+        key = _key(r.id)
+        if key in seen_regions:
+            report.append(f"duplicate region id '{_id(r.id)}'")
+        seen_regions.add(key)
 
     seen_links: set[str] = set()
     for link in network.interconnectors:
         report.extend(link.violations())
-        if link.id in seen_links:
-            report.append(f"duplicate interconnector id '{link.id}'")
-        seen_links.add(link.id)
+        key = _key(link.id)
+        if key in seen_links:
+            report.append(f"duplicate interconnector id '{_id(link.id)}'")
+        seen_links.add(key)
         for endpoint in link.endpoints():
-            if endpoint not in seen_regions:
+            if _key(endpoint) not in seen_regions:
                 report.append(
-                    f"interconnector '{link.id}': endpoint '{endpoint}' is not a "
-                    f"declared region"
+                    f"interconnector '{_id(link.id)}': endpoint '{_id(endpoint)}' is not "
+                    f"a declared region"
                 )
 
     seen_series: set[str] = set()
     for series in network.price_series:
         report.extend(series.violations())
-        if series.region_id in seen_series:
-            report.append(f"duplicate price series for region '{series.region_id}'")
-        seen_series.add(series.region_id)
-        if series.region_id not in seen_regions:
+        key = _key(series.region_id)
+        if key in seen_series:
+            report.append(f"duplicate price series for region '{_id(series.region_id)}'")
+        seen_series.add(key)
+        if key not in seen_regions:
             report.append(
-                f"price series references unknown region '{series.region_id}'"
+                f"price series references unknown region '{_id(series.region_id)}'"
             )
 
     # Every region touched by a link needs prices, and the priced horizons of

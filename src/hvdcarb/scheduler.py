@@ -42,7 +42,7 @@ from .arbitrage import (
 from .errors import AlignmentError
 from .model import (
     CapacityProfile, Interconnector, Network, PriceSeries,
-    _shared_horizon, _strictly_increasing,
+    _broken, _shared_horizon, _strictly_increasing,
 )
 
 __all__ = [
@@ -180,12 +180,12 @@ def _prepare(
     x_max = capacity.values if capacity else (link.capacity_mw,) * len(horizon)
     col_a, col_b, r = prices_a.prices, prices_b.prices, link.loss_fraction
     # Each input's own check; a bias may be any object with an r_b, so its
-    # rule is stated here.
+    # checker is applied here.
     if (
         link.violations()
         or capacity is not None and capacity.violations()
         or faulty_prices
-        or not 0 <= r_b < math.inf
+        or _broken(_check_nonnegative, r_b, "bias r_b")
     ):
         _replay(horizon, col_a, col_b, x_max, r, r_b, duration_h)
     if capacity is None and horizon:

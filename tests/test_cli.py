@@ -169,19 +169,26 @@ class TestSchedule:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0].startswith("timestep,link_id")
 
-    def test_only_replaced_prices_are_validated_again(self, capsys, tmp_path, monkeypatch):
+    def test_a_run_validates_its_inputs_once(self, capsys, tmp_path, monkeypatch):
+        # once, with or without --prices, and before --from/--to restricts the series
         calls = []
-        validate = cli.validate_network
+        validate = dataio.validate_network
         monkeypatch.setattr(
-            cli, "validate_network", lambda network: calls.append(network) or validate(network)
+            dataio,
+            "validate_network",
+            lambda network: calls.append(len(network.price_series[0].timesteps))
+            or validate(network),
         )
         code, out, _ = run(capsys, "schedule", "--from", "1", "--to", "1")
-        assert (code, calls) == (0, [])
+        assert (code, calls) == (0, [1])
         assert "grand_total_eur: 63289.0\n" in out
         prices = tmp_path / "prices.csv"
-        shutil.copy(default_data_dir() / "prices.csv", prices)
-        code, out, _ = run(capsys, "schedule", "--prices", str(prices), "--from", "1")
-        assert (code, len(calls)) == (0, 1)
+        prices.write_text(
+            (default_data_dir() / "prices.csv").read_text()
+            + "".join(f"2,{r},1.0\n" for r in ("ireland", "scotland", "wales", "france"))
+        )
+        code, out, _ = run(capsys, "schedule", "--prices", str(prices), "--from", "1", "--to", "1")
+        assert (code, calls) == (0, [1, 2])
         assert "grand_total_eur: 63289.0\n" in out
 
     def test_prices_are_validated_before_the_horizon_is_restricted(self, capsys, tmp_path):

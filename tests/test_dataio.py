@@ -516,20 +516,54 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="endpoint 'a' is not a declared region"):
             load_network(io.StringIO(doc))
 
-    def test_stream_without_base_dir_cannot_resolve_prices(self):
-        with pytest.raises(ParseError, match="base_dir"):
-            load_network(io.StringIO("regions: []\nlinks: []\nprices_csv: p.csv\n"))
+    STREAM_CONFIG = (
+        "regions:\n- id: a\n- id: b\n"
+        "links:\n- id: ab\n  from: a\n  to: b\n  capacity_mw: 5\n"
+        "  loss_fraction: 0.0\n"
+        "prices_csv: p.csv\n"
+    )
+    STREAM_PRICES = PRICE_CSV_HEADER + "\n1,a,10.0\n1,b,20.0\n"
 
-    def test_stream_with_base_dir(self, tmp_path):
-        (tmp_path / "p.csv").write_text(PRICE_CSV_HEADER + "\n1,a,10.0\n1,b,20.0\n")
-        doc = (
-            "regions:\n- id: a\n- id: b\n"
-            "links:\n- id: ab\n  from: a\n  to: b\n  capacity_mw: 5\n"
-            "  loss_fraction: 0.0\n"
-            "prices_csv: p.csv\n"
-        )
-        net = load_network(io.StringIO(doc), base_dir=tmp_path)
+    def test_a_streams_reference_needs_prices(self):
+        config = io.StringIO(self.STREAM_CONFIG)
+        config.name = "net.yaml"
+        with pytest.raises(ParseError) as err:
+            load_network(config)
+        assert str(err.value) == "net.yaml: a stream's prices_csv cannot be resolved; pass prices"
+
+    def test_a_stream_is_given_prices_as_a_path(self, tmp_path):
+        (tmp_path / "q.csv").write_text(self.STREAM_PRICES)
+        net = load_network(io.StringIO(self.STREAM_CONFIG), tmp_path / "q.csv")
         assert net.prices_for("b").price_at(1) == 20.0
+
+    def test_a_stream_is_given_prices_as_a_stream(self):
+        net = load_network(io.StringIO(self.STREAM_CONFIG), io.StringIO(self.STREAM_PRICES))
+        assert [s.prices for s in net.price_series] == [(10.0,), (20.0,)]
+
+    def test_given_prices_replace_a_reference_that_is_never_read(self, tmp_path):
+        # the config names p.csv, which does not exist
+        config = tmp_path / "net.yaml"
+        config.write_text(self.STREAM_CONFIG)
+        with pytest.raises(FileNotFoundError, match="p.csv"):
+            load_network(config)
+        net = load_network(config, io.StringIO(self.STREAM_PRICES))
+        assert net.prices_for("a").price_at(1) == 10.0
+
+    def test_given_prices_are_named_in_the_violation_heading(self, tmp_path):
+        config = tmp_path / "net.yaml"
+        config.write_text(self.STREAM_CONFIG)
+        (tmp_path / "q.csv").write_text(PRICE_CSV_HEADER + "\n1,a,10.0\n")
+        with pytest.raises(ValidationError) as err:
+            load_network(config, tmp_path / "q.csv")
+        heading = f"{config} and {tmp_path / 'q.csv'}: inputs are invalid:\n"
+        assert str(err.value) == heading + (
+            "- region 'b' has an interconnector but no price series"
+        )
+
+    def test_the_reference_is_checked_when_prices_are_given(self):
+        config = io.StringIO("regions: []\nprices_csv: 5\n")
+        with pytest.raises(ParseError, match="'prices_csv' must be a path string, got 5"):
+            load_network(config, io.StringIO(PRICE_CSV_HEADER + "\n"))
 
 
 class TestRoundTrips:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -412,6 +413,87 @@ class TestIdRule:
             (PriceSeries(5, ((1, 1.0),)), PriceSeries("a", ((1, 2.0),))),
         )
         assert validate_network(network) == [f"region id 5 {ID_RULE}"]
+
+
+# Ids that str() refuses (an int past its digit limit) or that cannot be hashed:
+# each is reported in bounded form, never raised on.
+NOT_STR_IDS = {
+    "long-int": (10**5000, f"<int of over {sys.get_int_max_str_digits()} digits>"),
+    "list": (["a"], "['a']"),
+}
+
+
+class TestIdsThatAreNoStr:
+    @pytest.fixture(params=NOT_STR_IDS.values(), ids=NOT_STR_IDS.keys())
+    def bad(self, request):
+        return request.param
+
+    @staticmethod
+    def priced(*region_ids):
+        return tuple(PriceSeries(rid, ((1, 1.0),)) for rid in region_ids)
+
+    def test_as_a_region_id(self, bad):
+        value, shown = bad
+        assert validate_network(Network((Region(value),))) == [f"region id {shown} {ID_RULE}"]
+
+    def test_as_a_link_id(self, bad):
+        value, shown = bad
+        link = Interconnector(value, "a", "b", 1.0, 0.0)
+        network = Network((Region("a"), Region("b")), (link,), self.priced("a", "b"))
+        assert validate_network(network) == [f"interconnector id {shown} {ID_RULE}"]
+
+    def test_as_an_endpoint(self, bad):
+        value, shown = bad
+        links = (
+            Interconnector("ab", "a", value, 1.0, 0.0),
+            Interconnector("x", value, value, 1.0, 0.0),
+        )
+        network = Network((Region("a"),), links, self.priced("a"))
+        assert validate_network(network) == [
+            f"interconnector 'ab': endpoint '{shown}' is not a declared region",
+            f"interconnector 'x': both endpoints are '{shown}'",
+            f"interconnector 'x': endpoint '{shown}' is not a declared region",
+            f"interconnector 'x': endpoint '{shown}' is not a declared region",
+        ]
+
+    def test_as_a_series_region_id(self, bad):
+        value, shown = bad
+        link = Interconnector("ab", "a", "b", 1.0, 0.0)
+        network = Network((Region("a"), Region("b")), (link,), self.priced("a", value, "b"))
+        assert validate_network(network) == [
+            f"price series references unknown region '{shown}'"
+        ]
+
+    def test_constructors_and_their_messages(self, bad):
+        value, shown = bad
+        series = PriceSeries(value, ((1, math.nan),))
+        profile = CapacityProfile(value, ((1, -1.0),))
+        assert series.violations() == [f"price series '{shown}': non-finite price at t=1"]
+        assert profile.violations() == [
+            f"capacity profile '{shown}': x_max at t=1 must be finite and >= 0, got -1.0"
+        ]
+        for cls, name in ((PriceSeries, "price series"), (CapacityProfile, "capacity profile")):
+            with pytest.raises(ValueError, match=re.escape(f"{name} '{shown}': ")):
+                cls(value, ((1, 10**400),))
+
+    def test_a_repeated_long_int_is_a_duplicate(self):
+        value, shown = NOT_STR_IDS["long-int"]
+        network = Network(
+            (Region(value), Region(value)),
+            (Interconnector(value, value, "b", 1.0, 0.0),) * 2,
+            self.priced(value, value),
+        )
+        assert validate_network(network) == [
+            f"region id {shown} {ID_RULE}",
+            f"region id {shown} {ID_RULE}",
+            f"duplicate region id '{shown}'",
+            f"interconnector id {shown} {ID_RULE}",
+            f"interconnector '{shown}': endpoint 'b' is not a declared region",
+            f"interconnector id {shown} {ID_RULE}",
+            f"duplicate interconnector id '{shown}'",
+            f"interconnector '{shown}': endpoint 'b' is not a declared region",
+            f"duplicate price series for region '{shown}'",
+        ]
 
 
 class TestValidateNetwork:

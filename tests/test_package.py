@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__``, republished by the package,
 and its version, stated once."""
 
+import importlib.util
 import pickle
 import subprocess
 import sys
@@ -99,3 +100,18 @@ def test_every_error_survives_pickling():
         for attribute in ("line", "missing", "binding_link"):
             assert getattr(copy, attribute, None) == getattr(exc, attribute, None)
     assert lazy.missing == {"a": (3,), "b": (1,)}
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_where_it_looks(monkeypatch):
+    # perfbench/tracer.py replaces each target through obj.__dict__[attr]; a name
+    # moved or no longer imported would fail only a traced benchmark run
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # the tracer imports libdriver beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", perfbench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.Recorder().targets()
+    assert len(targets) == 20
+    for obj, attr, _ in targets:
+        assert attr in obj.__dict__, (obj, attr)

@@ -314,7 +314,7 @@ _biases = st.one_of(
     st.none(),
     st.sampled_from([0.0, 5.0, 50.0]).map(BiasPolicy),
     st.floats(0, 100).map(BiasPolicy),
-    st.sampled_from([-1.0, math.nan, math.inf]).map(lambda r_b: SimpleNamespace(r_b=r_b)),
+    st.sampled_from([-1.0, math.nan, math.inf, 10**400]).map(lambda r_b: SimpleNamespace(r_b=r_b)),
 )
 
 
@@ -425,6 +425,24 @@ class TestRatedCapacityPastFloatRange:
     def test_an_empty_horizon_decides_no_step(self, solver):
         problem = link_problem([], [], rated=10**400)
         assert solver(*problem) == per_step_schedule(*problem)
+
+
+class TestBiasPastFloatRange:
+    # BiasPolicy refuses r_b = 10**400; a duck-typed bias reaches the solvers,
+    # which apply BiasPolicy's checker, not a restatement of its rule.
+    @pytest.mark.parametrize(
+        "solve",
+        [schedule_link, lp_oracle, lambda *problem: schedule_portfolio(*_as_portfolio(*problem))],
+        ids=["schedule_link", "lp_oracle", "schedule_portfolio"],
+    )
+    def test_is_refused_with_the_checkers_error(self, solve):
+        problem = link_problem([10.0, 20.0], [5.0, 50.0], bias=SimpleNamespace(r_b=10**400))
+        with pytest.raises(ValueError) as want:
+            BiasPolicy(10**400)
+        assert str(want.value) == "bias r_b must be finite and >= 0, got <int of over 308 digits>"
+        with pytest.raises(ValueError) as got:
+            solve(*problem)
+        assert str(got.value) == str(want.value)
 
 
 class TestReplays:
