@@ -151,9 +151,9 @@ _FLOAT_DIGITS = sys.float_info.max_10_exp
 
 
 def _shown(value) -> str:
-    """A refused value (or id) as a message shows it: ``str()``, or its kind for a
-    value with more digits than float range has, or than ``str()`` can write (an int
-    past ``sys.get_int_max_str_digits()`` digits, or a list holding one)."""
+    """A refused value as a message shows it: ``str()``, or its kind for a value
+    with more digits than float range has, or than ``str()`` can write (an int past
+    ``sys.get_int_max_str_digits()`` digits)."""
     try:
         shown = str(value)
     except ValueError:

@@ -309,8 +309,8 @@ def _mapping(value, keys: set | None, context: str) -> dict:
 
 def _entries(doc: dict, name: str, keys: set, required: tuple, file: str) -> Iterator[dict]:
     """The entries of the config's ``name`` list, each checked before it is yielded:
-    a mapping, no key outside ``keys``, and a string at each ``required`` key.
-    A ParseError names the config ``file``."""
+    a mapping, no key outside ``keys``, and a string at each ``required`` key and
+    at ``name``, if the entry has one. A ParseError names the config ``file``."""
     entries = doc.get(name)
     if entries is None:
         return
@@ -319,7 +319,7 @@ def _entries(doc: dict, name: str, keys: set, required: tuple, file: str) -> Ite
     kind = f"{file}: {name[:-1]} entry"  # a region or a link entry
     for entry in entries:
         _mapping(entry, keys, kind)
-        for key in required:
+        for key in required + (("name",) if "name" in entry else ()):
             if not isinstance(entry.get(key), str):
                 raise ParseError(f"{kind} {_SHOWN.repr(entry)}: '{key}' must be a string")
         yield entry
@@ -346,7 +346,7 @@ def load_network(source: Source, prices: Source | None = None) -> Network:
     doc = _mapping(_read_yaml(source), _TOP_KEYS, f"{file}: config root")
 
     regions = [
-        Region(entry["id"], str(entry.get("name", "")))
+        Region(entry["id"], entry.get("name", ""))
         for entry in _entries(doc, "regions", _REGION_KEYS, ("id",), file)
     ]
     links = []

@@ -4,15 +4,19 @@ Units follow European market conventions: power in MW, energy in MWh,
 prices in EUR/MWh, loss fractions dimensionless in [0, 1). One timestep
 defaults to one hour, so MW dispatched for a step equals MWh.
 
-All types are immutable value objects. Construction never raises on a
-broken domain invariant; :func:`validate_network` reports violations as
-data so that loaders and callers decide how to fail.
+All types are immutable value objects. Construction refuses a value of the
+wrong kind: an id or name that is not a ``str`` (``TypeError``), a timestep
+that is not an int ``str()`` can write, or a value past float range
+(``ValueError``). It never raises on a broken domain invariant, such as an id
+that breaks the id rule; :func:`validate_network` reports violations as data
+so that loaders and callers decide how to fail.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -32,27 +36,48 @@ __all__ = [
 ]
 
 
+def _require_str(kind: str, value) -> None:
+    """Raise ``TypeError`` naming ``kind`` and the type, never the value, unless
+    ``value`` is a ``str``: an id or name is text."""
+    if not isinstance(value, str):
+        raise TypeError(f"{kind} must be a str, got {type(value).__name__}")
+
+
 def _step_columns(
-    steps: Iterable[tuple[int, float]], name: str
+    steps: Iterable[tuple[int, float]], owner: str, what: str
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """The timestep and value columns of ``(timestep, value)`` pairs, as ints and
-    floats; raises at the first timestep that is not an integer, or the first
-    value past float range, naming it as ``name`` at its timestep."""
+    floats; raises a ``ValueError`` naming ``owner`` at the first timestep that is
+    not an integer or that ``str()`` cannot write, or at the first value (called
+    ``what``) that is not a number or is past float range."""
     timesteps, values = [], []
     for t, v in steps:
         try:
             step = int(t)
-        except (OverflowError, ValueError):  # inf, nan, a string that is no int
+        except (OverflowError, TypeError, ValueError):  # inf, nan, None, "x", a list
             step = None
-        if step != t:
-            raise ValueError(f"timestep {t!r} is not an integer")
+        if step is None or step != t:
+            raise ValueError(f"{owner}: timestep {_shown(t)} is not an integer")
         timesteps.append(step)
         try:
             values.append(float(v))
         except OverflowError as exc:
             raise ValueError(
-                f"{name} at t={t} is past float range, got {_shown(v)}"
+                f"{owner}: {what} at t={_shown(t)} is past float range, got {_shown(v)}"
             ) from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{owner}: {what} at t={_shown(t)} is not a number, got {_shown(v)}"
+            ) from exc
+    # Whole-column test; str() runs per step only past it.
+    if timesteps and not (-sys.maxsize <= min(timesteps) and max(timesteps) <= sys.maxsize):
+        for t in timesteps:
+            try:
+                str(t)
+            except ValueError:
+                raise ValueError(
+                    f"{owner}: timestep {_shown(t)} has more digits than str() writes"
+                ) from None
     return tuple(timesteps), tuple(values)
 
 
@@ -69,32 +94,14 @@ def _broken(check, value: float, name: str) -> list[str]:
     return []
 
 
-def _id(value) -> str:
-    """An id as a message names it: a ``str`` as it is, and any other value, which
-    breaks the id rule, through ``_shown``, so that an int past ``str()``'s digit
-    limit is named, not raised on."""
-    return value if isinstance(value, str) else _shown(value)
-
-
-def _key(value):
-    """``value`` as a member of a set or map of ids: itself, or, if it is unhashable
-    (an id that breaks the id rule), a new object, which equals no other id."""
-    try:
-        hash(value)
-    except TypeError:
-        return object()
-    return value
-
-
-def _id_violations(kind: str, value) -> list[str]:
+def _id_violations(kind: str, value: str) -> list[str]:
     """The id rule, as a one-item list naming ``kind``'s id, or [] if it holds: an id
-    is a non-empty printable ``str``, equal to its ``strip()``, without ``,`` or ``"``."""
-    if isinstance(value, str) and value and value.isprintable() and value == value.strip():
+    is non-empty printable text, equal to its ``strip()``, without ``,`` or ``"``."""
+    if value and value.isprintable() and value == value.strip():
         if "," not in value and '"' not in value:
             return []
     rule = "non-empty printable text, no edge whitespace, no ',' or '\"'"
-    shown = repr(value) if isinstance(value, str) else _shown(value)
-    return [f"{kind} id {shown} breaks the id rule: {rule}"]
+    return [f"{kind} id {value!r} breaks the id rule: {rule}"]
 
 
 def _order_violations(owner: str, ts: tuple[int, ...]) -> list[str]:
@@ -111,6 +118,10 @@ class Region:
 
     id: str
     name: str = ""
+
+    def __post_init__(self):
+        _require_str("region id", self.id)
+        _require_str("region name", self.name)
 
 
 @dataclass(frozen=True, init=False)
@@ -134,7 +145,8 @@ class PriceSeries:
     prices: tuple[float, ...]
 
     def __init__(self, region_id: str, steps: Iterable[tuple[int, float]]):
-        timesteps, prices = _step_columns(steps, f"price series '{_id(region_id)}': price")
+        _require_str("price series region_id", region_id)
+        timesteps, prices = _step_columns(steps, f"price series '{region_id}'", "price")
         self.__dict__.update(region_id=region_id, timesteps=timesteps, prices=prices)
 
     @classmethod
@@ -177,7 +189,7 @@ class PriceSeries:
             and math.isfinite(sum(prices))
         ):
             return ()
-        name = f"price series '{_id(self.region_id)}'"
+        name = f"price series '{self.region_id}'"
         out = _order_violations(name, ts)
         for t, p in zip(ts, prices):
             if not math.isfinite(p):
@@ -202,6 +214,11 @@ class Interconnector:
     loss_fraction: float
     length_km: float | None = None
 
+    def __post_init__(self):
+        _require_str("interconnector id", self.id)
+        _require_str("interconnector endpoint_a", self.endpoint_a)
+        _require_str("interconnector endpoint_b", self.endpoint_b)
+
     def endpoints(self) -> tuple[str, str]:
         return (self.endpoint_a, self.endpoint_b)
 
@@ -209,12 +226,12 @@ class Interconnector:
         return {self.endpoint_a, self.endpoint_b} == {region_x, region_y}
 
     def violations(self) -> list[str]:
-        name = f"interconnector '{_id(self.id)}'"
+        name = f"interconnector '{self.id}'"
         out = _id_violations("interconnector", self.id)
         out += _broken(_check_nonnegative, self.capacity_mw, f"{name}: capacity_mw")
         out += _broken(_check_loss, self.loss_fraction, f"{name}: loss_fraction")
         if self.endpoint_a == self.endpoint_b:
-            out.append(f"{name}: both endpoints are '{_id(self.endpoint_a)}'")
+            out.append(f"{name}: both endpoints are '{self.endpoint_a}'")
         if self.length_km is not None:
             out += _broken(_check_nonnegative, self.length_km, f"{name}: length_km")
         return out
@@ -236,8 +253,9 @@ class CapacityProfile:
     values: tuple[float, ...]
 
     def __init__(self, interconnector_id: str, steps: Iterable[tuple[int, float]]):
-        name = f"capacity profile '{_id(interconnector_id)}': x_max"
-        timesteps, values = _step_columns(steps, name)
+        _require_str("capacity profile interconnector_id", interconnector_id)
+        owner = f"capacity profile '{interconnector_id}'"
+        timesteps, values = _step_columns(steps, owner, "x_max")
         self.__dict__.update(
             interconnector_id=interconnector_id, timesteps=timesteps, values=values
         )
@@ -254,7 +272,7 @@ class CapacityProfile:
             and math.isfinite(sum(values))
         ):
             return []
-        name = f"capacity profile '{_id(self.interconnector_id)}'"
+        name = f"capacity profile '{self.interconnector_id}'"
         out = _order_violations(name, ts)
         for t, x in zip(ts, values):
             out += _broken(_check_nonnegative, x, f"{name}: x_max at t={t}")
@@ -265,7 +283,7 @@ def _first_wins(items: Iterable, key: str) -> dict:
     """``items`` by their ``key`` attribute; the first item of a repeated key wins."""
     index = {}
     for item in items:
-        index.setdefault(_key(getattr(item, key)), item)
+        index.setdefault(getattr(item, key), item)
     return index
 
 
@@ -347,42 +365,35 @@ def validate_network(network: Network) -> list[str]:
     seen_regions: set[str] = set()
     for r in network.regions:
         report += _id_violations("region", r.id)
-        key = _key(r.id)
-        if key in seen_regions:
-            report.append(f"duplicate region id '{_id(r.id)}'")
-        seen_regions.add(key)
+        if r.id in seen_regions:
+            report.append(f"duplicate region id '{r.id}'")
+        seen_regions.add(r.id)
 
     seen_links: set[str] = set()
     for link in network.interconnectors:
         report.extend(link.violations())
-        key = _key(link.id)
-        if key in seen_links:
-            report.append(f"duplicate interconnector id '{_id(link.id)}'")
-        seen_links.add(key)
+        if link.id in seen_links:
+            report.append(f"duplicate interconnector id '{link.id}'")
+        seen_links.add(link.id)
         for endpoint in link.endpoints():
-            if _key(endpoint) not in seen_regions:
+            if endpoint not in seen_regions:
                 report.append(
-                    f"interconnector '{_id(link.id)}': endpoint '{_id(endpoint)}' is not "
+                    f"interconnector '{link.id}': endpoint '{endpoint}' is not "
                     f"a declared region"
                 )
 
     seen_series: set[str] = set()
     for series in network.price_series:
         report.extend(series.violations())
-        key = _key(series.region_id)
-        if key in seen_series:
-            report.append(f"duplicate price series for region '{_id(series.region_id)}'")
-        seen_series.add(key)
-        if key not in seen_regions:
-            report.append(
-                f"price series references unknown region '{_id(series.region_id)}'"
-            )
+        if series.region_id in seen_series:
+            report.append(f"duplicate price series for region '{series.region_id}'")
+        seen_series.add(series.region_id)
+        if series.region_id not in seen_regions:
+            report.append(f"price series references unknown region '{series.region_id}'")
 
     # Every region touched by a link needs prices, and the priced horizons of
-    # linked regions must coincide (they define the analysis horizon). An endpoint
-    # that is no str names no valid region, which is reported above.
-    endpoints = (e for link in network.interconnectors for e in link.endpoints())
-    linked = sorted({e for e in endpoints if isinstance(e, str)})
+    # linked regions must coincide (they define the analysis horizon).
+    linked = sorted({e for link in network.interconnectors for e in link.endpoints()})
     horizons: dict[str, tuple[int, ...]] = {}
     for region_id in linked:
         if region_id in seen_series:

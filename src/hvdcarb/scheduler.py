@@ -42,7 +42,7 @@ from .arbitrage import (
 from .errors import AlignmentError
 from .model import (
     CapacityProfile, Interconnector, Network, PriceSeries,
-    _broken, _shared_horizon, _strictly_increasing,
+    _broken, _require_str, _shared_horizon, _strictly_increasing,
 )
 
 __all__ = [
@@ -88,6 +88,7 @@ class Schedule:
     total_profit: float
 
     def __post_init__(self):
+        _require_str("schedule interconnector_id", self.interconnector_id)
         n = len(self.timesteps)
         columns = (self.directions, self.quantities, self.lambdas, self.profits)
         if any(len(column) != n for column in columns):

@@ -40,7 +40,7 @@ from .arbitrage import (
     _shown,
 )
 from .errors import CapacityError
-from .model import Interconnector
+from .model import Interconnector, _require_str
 
 __all__ = [
     "WheelScenario",
@@ -76,6 +76,8 @@ class WheelingChain:
     transit_loss_c: float = 0.0
 
     def __post_init__(self):
+        for area in ("area1", "area2", "area3"):
+            _require_str(f"wheeling chain {area}", getattr(self, area))
         _check_loss(self.transit_loss_c, "transit_loss_c")
         for link in (self.link12, self.link23):
             violations = link.violations()

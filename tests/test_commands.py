@@ -91,6 +91,23 @@ ALIAS_LEVELS = ["&a0 [1,1,1,1,1,1,1,1,1]"] + [
 ]
 ALIAS_CHAIN = "".join(f"note{i}: {level}\n" for i, level in enumerate(ALIAS_LEVELS))
 
+# 200 regions in a chain, each priced at its own timestep only: every linked
+# region misses the other 199 timesteps.
+CHAIN = 200
+CHAIN_CONFIG = "".join(
+    ["regions:\n", *(f"- id: r{i}\n" for i in range(CHAIN)), "links:\n"]
+    + [f"- {{id: l{i}, from: r{i}, to: r{i + 1}, capacity_mw: 1.0, loss_fraction: 0.0}}\n"
+       for i in range(CHAIN - 1)]
+    + ["prices_csv: prices.csv\n"]
+)
+CHAIN_PRICES = "timestep,region_id,price_eur_mwh\n" + "".join(
+    f"{i},r{i},1.0\n" for i in range(CHAIN)
+)
+REPEATED_IDS = (
+    "- id: ireland\nlinks:\n"
+    "- {id: moyle, from: ireland, to: scotland, capacity_mw: 1.0, loss_fraction: 0.0}\n"
+)
+
 # Case-study copies, by directory: the file each rewrites, and its new text
 # from the bundled one.
 DATA_DIRS = {
@@ -108,6 +125,9 @@ DATA_DIRS = {
     ),
     "to-7": ("network.yaml", lambda text: text.replace("to: scotland", "to: 7", 1)),
     "padded-id": ("network.yaml", lambda text: text.replace("id: ireland", 'id: " ireland"', 1)),
+    "repeated-ids": ("network.yaml", lambda text: text.replace("links:\n", REPEATED_IDS, 1)),
+    "null-name": ("network.yaml", lambda text: text.replace("name: Ireland", "name: null", 1)),
+    "chain": ("network.yaml", lambda text: CHAIN_CONFIG),
     "to-aliases": (
         "network.yaml",
         lambda text: text.replace("to: scotland", f"to: [{', '.join(ALIAS_LEVELS)}]", 1),
@@ -120,6 +140,8 @@ def write_data_dirs(directory: Path) -> None:
     for name, (file, rewrite) in DATA_DIRS.items():
         shutil.copytree(bundled, directory / name)
         (directory / name / file).write_text(rewrite((bundled / file).read_text()))
+    # the chain's own prices, which its config references
+    (directory / "chain" / "prices.csv").write_text(CHAIN_PRICES)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +162,10 @@ def write_data_dirs(directory: Path) -> None:
         (["schedule", "--out", "x"], "to-aliases", 2, "'to'"),
         (["case-ireland", "--out", "x"], "negative-capacity", 3, "capacity_mw"),
         (["schedule", "--out", "x"], "padded-id", 3, "region id ' ireland'"),
+        (["schedule", "--out", "x"], "repeated-ids", 3,
+         "duplicate region id 'ireland'\n- duplicate interconnector id 'moyle'"),
+        (["schedule", "--out", "x"], "chain", 3, "and 195 more sources"),
+        (["schedule", "--out", "x"], "null-name", 2, "'name' must be a string"),
         (["case-ireland", "--out", "x"], "price-not-a-number", 2, "line 3: price 'abc'"),
         (["schedule", "--out", "missing/x"], None, 2, "missing/x"),
         (["wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle",
@@ -150,6 +176,7 @@ def write_data_dirs(directory: Path) -> None:
          "ledger-date", "ledger-int-too-large", "ledger-alias-chain", "ledger-alias-value",
          "ledger-nan-computed", "config-int-too-long", "config-link-to-7",
          "config-link-to-aliases", "config-negative-capacity", "config-padded-region-id",
+         "config-repeated-ids", "prices-200-disjoint-horizons", "config-null-name",
          "price-not-a-number",
          "schedule-out-in-missing-dir", "wheel-out-in-missing-dir",
          "case-ireland-out-in-missing-dir"],

@@ -516,6 +516,18 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="endpoint 'a' is not a declared region"):
             load_network(io.StringIO(doc))
 
+    @pytest.mark.parametrize("name", ["null", "yes", "[1, 2]", "5"])
+    def test_a_region_name_that_is_no_string_is_refused(self, tmp_path, name):
+        config = tmp_path / "net.yaml"
+        config.write_text(f"regions:\n- {{id: a, name: {name}}}\n")
+        with pytest.raises(ParseError) as err:
+            load_network(config)
+        message = str(err.value)
+        assert message.startswith(f"{config}: region entry {{'id': 'a', 'name': ")
+        assert message.endswith("}: 'name' must be a string")
+        config.write_text("regions:\n- {id: a, name: 'yes'}\n")
+        assert load_network(config).regions == (Region("a", "yes"),)
+
     STREAM_CONFIG = (
         "regions:\n- id: a\n- id: b\n"
         "links:\n- id: ab\n  from: a\n  to: b\n  capacity_mw: 5\n"

@@ -19,13 +19,20 @@ from hvdcarb import (
     Network,
     PriceSeries,
     Region,
+    Schedule,
     WheelingChain,
     loss_from_length,
+    schedule_link,
     schedule_portfolio,
     validate_network,
 )
 from hvdcarb.model import _shared_horizon
 from conftest import EDGE_WHITESPACE_IDS
+
+# str() writes an int of at most this many digits; an int past float range has more
+# than FLOAT_DIGITS.
+STR_DIGITS = sys.get_int_max_str_digits()
+FLOAT_DIGITS = sys.float_info.max_10_exp
 
 
 class TestLossFromLength:
@@ -87,14 +94,18 @@ class TestPriceSeries:
         assert any("non-finite" in v for v in s.violations())
 
 
-def steps_by_loop(steps):
+def steps_by_loop(steps, owner="price series 'x'", what="price"):
     """Reference normalisation of (timestep, value) steps, one step at a time."""
     out = []
     for t, v in steps:
-        # a string, inf and nan are refused as 1.5 is; None is int()'s TypeError
-        if isinstance(t, str) or (t is not None and not math.isfinite(t)) or int(t) != t:
-            raise ValueError(f"timestep {t!r} is not an integer")
-        out.append((int(t), float(v)))
+        # a string, None, inf and nan are refused as 1.5 is
+        if isinstance(t, str) or t is None or not math.isfinite(t) or int(t) != t:
+            raise ValueError(f"{owner}: timestep {t} is not an integer")
+        try:
+            value = float(v)
+        except (TypeError, ValueError):  # None, "x"
+            raise ValueError(f"{owner}: {what} at t={t} is not a number, got {v}") from None
+        out.append((int(t), value))
     return tuple(out)
 
 
@@ -175,18 +186,49 @@ class TestColumnStorage:
     @example([(True, False), (2, True)])
     @example([(1, 10), (2, 20)])
     def test_steps_normalise_as_before(self, steps):
-        expected = outcome(steps_by_loop, steps)
-        for cls in (PriceSeries, CapacityProfile):
+        for cls, owner, what in (
+            (PriceSeries, "price series 'x'", "price"),
+            (CapacityProfile, "capacity profile 'x'", "x_max"),
+        ):
+            expected = outcome(steps_by_loop, steps, owner, what)
             assert outcome(lambda: cls("x", steps).steps) == expected
             assert outcome(lambda: cls("x", iter(steps)).steps) == expected
             assert outcome(lambda: cls("x", (step for step in steps)).steps) == expected
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, "x", 1.5])
     def test_a_timestep_that_is_not_an_integer_is_refused_by_one_message(self, t):
-        for cls in (PriceSeries, CapacityProfile):
+        for cls, owner in ((PriceSeries, "price series"), (CapacityProfile, "capacity profile")):
             with pytest.raises(ValueError) as err:
                 cls("x", ((t, 1.0),))
-            assert str(err.value) == f"timestep {t!r} is not an integer"
+            assert str(err.value) == f"{owner} 'x': timestep {t} is not an integer"
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ((1, "abc"), "price at t=1 is not a number, got abc"),
+            ((1, None), "price at t=1 is not a number, got None"),
+            ((2, "x" * 5000),
+             f"price at t=2 is not a number, got <str of over {FLOAT_DIGITS} digits>"),
+            ((["a"], 1.0), "timestep ['a'] is not an integer"),
+            (([10**5000], 1.0), f"timestep <list of over {STR_DIGITS} digits> is not an integer"),
+        ],
+        ids=["text-price", "none-price", "long-text-price", "list-timestep", "long-list-timestep"],
+    )
+    def test_a_step_that_int_or_float_refuses_is_named(self, step, message):
+        with pytest.raises(ValueError) as err:
+            PriceSeries("a", ((0, 1.0), step))
+        assert str(err.value) == f"price series 'a': {message}"
+
+    @pytest.mark.parametrize("t", [10**5000, -(10**5000)], ids=["long", "negative-long"])
+    def test_a_timestep_that_str_cannot_write_is_refused(self, t):
+        shown = f"<{'negative ' if t < 0 else ''}int of over {STR_DIGITS} digits>"
+        for cls, owner in ((PriceSeries, "price series"), (CapacityProfile, "capacity profile")):
+            with pytest.raises(ValueError) as err:
+                cls("x", ((1, 1.0), (t, 2.0)))
+            message = f"{owner} 'x': timestep {shown} has more digits than str() writes"
+            assert str(err.value) == message
+        # past sys.maxsize, a timestep that str() writes is kept
+        assert PriceSeries("x", ((10**4000, 1.0),)).timesteps == (10**4000,)
 
     def test_columns_build_through_a_strict_zip(self):
         series = PriceSeries("x", zip([1, 2.0], [10, 20.5], strict=True))
@@ -395,105 +437,46 @@ class TestIdRule:
         with pytest.raises(ValueError, match=re.escape(f"{link_id!r} {ID_RULE}")):
             WheelingChain("a", "b", "c", link, Interconnector("bc", "b", "c", 1.0, 0.0))
 
-    def test_int_ids_are_violations(self):
-        network = Network(
-            (Region(5), Region(6)),
-            (Interconnector(7, 5, 6, 100.0, 0.0),),
-            (PriceSeries(5, ((1, 1.0),)), PriceSeries(6, ((1, 2.0),))),
-        )
-        assert validate_network(network) == [
-            f"region id 5 {ID_RULE}", f"region id 6 {ID_RULE}", f"interconnector id 7 {ID_RULE}"
-        ]
 
-    def test_int_and_str_ids_mixed_are_violations(self):
-        # the linked regions are sorted to word the horizon rule's sources
-        network = Network(
-            (Region(5), Region("a")),
-            (Interconnector("l", 5, "a", 100.0, 0.0),),
-            (PriceSeries(5, ((1, 1.0),)), PriceSeries("a", ((1, 2.0),))),
-        )
-        assert validate_network(network) == [f"region id 5 {ID_RULE}"]
+AB = Interconnector("ab", "a", "b", 1.0, 0.0)
+BC = Interconnector("bc", "b", "c", 1.0, 0.0)
 
-
-# Ids that str() refuses (an int past its digit limit) or that cannot be hashed:
-# each is reported in bounded form, never raised on.
-NOT_STR_IDS = {
-    "long-int": (10**5000, f"<int of over {sys.get_int_max_str_digits()} digits>"),
-    "list": (["a"], "['a']"),
+# Each field that holds an id or a name, by the name its TypeError gives it, and a
+# construction that puts the value ``v`` in it.
+TEXT_FIELDS = {
+    "region id": lambda v: Region(v),
+    "region name": lambda v: Region("a", v),
+    "interconnector id": lambda v: Interconnector(v, "a", "b", 1.0, 0.0),
+    "interconnector endpoint_a": lambda v: Interconnector("ab", v, "b", 1.0, 0.0),
+    "interconnector endpoint_b": lambda v: Interconnector("ab", "a", v, 1.0, 0.0),
+    "price series region_id": lambda v: PriceSeries(v, ((1, 1.0),)),
+    "capacity profile interconnector_id": lambda v: CapacityProfile(v, ((1, 1.0),)),
+    "schedule interconnector_id": lambda v: Schedule(v, (), (), (), (), (), 0.0),
+    "wheeling chain area1": lambda v: WheelingChain(v, "b", "c", AB, BC),
+    "wheeling chain area2": lambda v: WheelingChain("a", v, "c", AB, BC),
+    "wheeling chain area3": lambda v: WheelingChain("a", "b", v, AB, BC),
 }
+NOT_STR = {"int": 5, "long-int": 10**5000, "list": ["a"], "none": None}
 
 
-class TestIdsThatAreNoStr:
-    @pytest.fixture(params=NOT_STR_IDS.values(), ids=NOT_STR_IDS.keys())
-    def bad(self, request):
-        return request.param
+@pytest.mark.parametrize("value", NOT_STR.values(), ids=NOT_STR.keys())
+@pytest.mark.parametrize("field", TEXT_FIELDS)
+def test_an_id_or_name_that_is_no_str_is_refused_at_construction(field, value):
+    # the message names the field and the type, never the value
+    with pytest.raises(TypeError) as err:
+        TEXT_FIELDS[field](value)
+    assert str(err.value) == f"{field} must be a str, got {type(value).__name__}"
 
-    @staticmethod
-    def priced(*region_ids):
-        return tuple(PriceSeries(rid, ((1, 1.0),)) for rid in region_ids)
 
-    def test_as_a_region_id(self, bad):
-        value, shown = bad
-        assert validate_network(Network((Region(value),))) == [f"region id {shown} {ID_RULE}"]
-
-    def test_as_a_link_id(self, bad):
-        value, shown = bad
-        link = Interconnector(value, "a", "b", 1.0, 0.0)
-        network = Network((Region("a"), Region("b")), (link,), self.priced("a", "b"))
-        assert validate_network(network) == [f"interconnector id {shown} {ID_RULE}"]
-
-    def test_as_an_endpoint(self, bad):
-        value, shown = bad
-        links = (
-            Interconnector("ab", "a", value, 1.0, 0.0),
-            Interconnector("x", value, value, 1.0, 0.0),
+def test_a_list_id_fails_at_construction_not_at_use():
+    with pytest.raises(TypeError, match="^region id must be a str, got list$"):
+        Network((Region(["a"]),)).with_prices([])
+    with pytest.raises(TypeError, match="^interconnector endpoint_b must be a str, got list$"):
+        schedule_link(
+            Interconnector("ab", "a", ["b"], 1.0, 0.0),
+            PriceSeries("a", ((1, 1.0),)),
+            PriceSeries("b", ((1, 2.0),)),
         )
-        network = Network((Region("a"),), links, self.priced("a"))
-        assert validate_network(network) == [
-            f"interconnector 'ab': endpoint '{shown}' is not a declared region",
-            f"interconnector 'x': both endpoints are '{shown}'",
-            f"interconnector 'x': endpoint '{shown}' is not a declared region",
-            f"interconnector 'x': endpoint '{shown}' is not a declared region",
-        ]
-
-    def test_as_a_series_region_id(self, bad):
-        value, shown = bad
-        link = Interconnector("ab", "a", "b", 1.0, 0.0)
-        network = Network((Region("a"), Region("b")), (link,), self.priced("a", value, "b"))
-        assert validate_network(network) == [
-            f"price series references unknown region '{shown}'"
-        ]
-
-    def test_constructors_and_their_messages(self, bad):
-        value, shown = bad
-        series = PriceSeries(value, ((1, math.nan),))
-        profile = CapacityProfile(value, ((1, -1.0),))
-        assert series.violations() == [f"price series '{shown}': non-finite price at t=1"]
-        assert profile.violations() == [
-            f"capacity profile '{shown}': x_max at t=1 must be finite and >= 0, got -1.0"
-        ]
-        for cls, name in ((PriceSeries, "price series"), (CapacityProfile, "capacity profile")):
-            with pytest.raises(ValueError, match=re.escape(f"{name} '{shown}': ")):
-                cls(value, ((1, 10**400),))
-
-    def test_a_repeated_long_int_is_a_duplicate(self):
-        value, shown = NOT_STR_IDS["long-int"]
-        network = Network(
-            (Region(value), Region(value)),
-            (Interconnector(value, value, "b", 1.0, 0.0),) * 2,
-            self.priced(value, value),
-        )
-        assert validate_network(network) == [
-            f"region id {shown} {ID_RULE}",
-            f"region id {shown} {ID_RULE}",
-            f"duplicate region id '{shown}'",
-            f"interconnector id {shown} {ID_RULE}",
-            f"interconnector '{shown}': endpoint 'b' is not a declared region",
-            f"interconnector id {shown} {ID_RULE}",
-            f"duplicate interconnector id '{shown}'",
-            f"interconnector '{shown}': endpoint 'b' is not a declared region",
-            f"duplicate price series for region '{shown}'",
-        ]
 
 
 class TestValidateNetwork:
