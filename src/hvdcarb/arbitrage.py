@@ -32,15 +32,21 @@ fraction lies in [0, 1) (``_check_loss``), a step length is finite and > 0
 (``_check_duration``), and a capacity, quantity, bias, length or profit is
 finite and >= 0 (``_check_nonnegative``). Every module and the command line
 call these checkers, each with its own name for the value, so messages
-differ only in that name. They show the refused value through ``_shown``, which
-shows an int with more digits than float range has by its kind, so the message
-stays short. A price that is an int past float range is refused as not finite.
+differ only in that name. A price that is an int past float range is refused as
+not finite.
+
+Every message in the package shows a refused input value through ``_shown``: its
+``repr`` two levels deep, six items a level (four of a dict) and 30 characters of
+text, an int written out up to float range's 308 digits and past them by its kind
+(``<negative int of over 308 digits>``). So a message stays short, however long or
+deeply nested the value.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import reprlib
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -150,20 +156,18 @@ def flow_condition(p_to: float, p_from: float, r: float) -> bool:
 _FLOAT_DIGITS = sys.float_info.max_10_exp
 
 
-def _shown(value) -> str:
-    """A refused value as a message shows it: ``str()``, or its kind for a value
-    with more digits than float range has, or than ``str()`` can write (an int past
-    ``sys.get_int_max_str_digits()`` digits)."""
-    try:
-        shown = str(value)
-    except ValueError:
-        negative, digits = isinstance(value, int) and value < 0, sys.get_int_max_str_digits()
-    else:
-        negative, digits = shown.startswith("-"), _FLOAT_DIGITS
-        if len(shown.lstrip("-")) <= digits:
-            return shown
-    sign = "negative " if negative else ""
-    return f"<{sign}{type(value).__name__} of over {digits} digits>"
+class _Shown(reprlib.Repr):
+    """How a message shows a refused value, by the rule the module docstring states."""
+
+    def repr_int(self, value, level):
+        if abs(value) < 10**_FLOAT_DIGITS:
+            return str(value)
+        return f"<{'negative ' if value < 0 else ''}int of over {_FLOAT_DIGITS} digits>"
+
+
+_SHOWN = _Shown()
+_SHOWN.maxlevel = 2
+_shown = _SHOWN.repr
 
 
 def _check_loss(value: float, name: str) -> None:

@@ -36,7 +36,6 @@ import io
 import math
 import operator
 import os
-import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
@@ -44,7 +43,7 @@ from pathlib import Path
 
 import yaml
 
-from .arbitrage import _check_nonnegative
+from .arbitrage import _check_nonnegative, _shown
 from .errors import (
     ConfigConflictError,
     DuplicateRowError,
@@ -89,8 +88,6 @@ if TYPE_CHECKING:  # an alias for annotations; typing is not imported at run tim
 
 # libyaml's safe loader when PyYAML has it: the same documents, read faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_SHOWN = reprlib.Repr()  # a value in a message: two levels deep, six items a level
-_SHOWN.maxlevel = 2
 
 
 def _name(source: Source) -> str:
@@ -144,7 +141,7 @@ def load_prices(source: Source) -> dict[str, PriceSeries]:
     try:
         if header.strip() != PRICE_CSV_HEADER:
             got = header.strip() if text else "<empty file>"
-            raise ParseError(f"expected header '{PRICE_CSV_HEADER}', got {got!r}", line=1)
+            raise ParseError(f"expected header '{PRICE_CSV_HEADER}', got {_shown(got)}", line=1)
         series = _load_price_columns(body)
         if series is None:
             series = _load_price_rows(body)
@@ -214,7 +211,7 @@ def _load_price_columns(body: str) -> dict[str, PriceSeries] | None:
 def _load_price_rows(body: str) -> dict[str, PriceSeries]:
     """The body, after the header's line, read row by row; raises the error of
     its first bad row, naming the last line that csv read for it."""
-    steps: dict[str, list[tuple[int, float]]] = {}
+    columns: dict[str, tuple[list[int], list[float]]] = {}
     reader = csv.reader(io.StringIO(body, newline=""))
     try:
         for row in reader:
@@ -227,34 +224,37 @@ def _load_price_rows(body: str) -> dict[str, PriceSeries]:
             try:
                 t = int(raw_t)
             except ValueError:
-                raise ParseError(f"timestep {raw_t!r} is not an integer", line=lineno)
+                raise ParseError(f"timestep {_shown(raw_t)} is not an integer", line=lineno)
             if t < 0:
-                raise ParseError(f"timestep {t} is negative", line=lineno)
+                raise ParseError(f"timestep {_shown(t)} is negative", line=lineno)
             if not region_id:
                 raise ParseError("empty region_id", line=lineno)
             try:
                 price = float(raw_price)
             except ValueError:
-                raise ParseError(f"price {raw_price!r} is not a number", line=lineno)
+                raise ParseError(f"price {_shown(raw_price)} is not a number", line=lineno)
             if not math.isfinite(price):
-                raise ParseError(f"price {raw_price!r} is not finite", line=lineno)
-            series = steps.setdefault(region_id, [])
-            if series:
-                last_t = series[-1][0]
+                raise ParseError(f"price {_shown(raw_price)} is not finite", line=lineno)
+            timesteps, prices = columns.setdefault(region_id, ([], []))
+            if timesteps:
+                last_t = timesteps[-1]
                 if t == last_t:
                     raise DuplicateRowError(
-                        f"duplicate timestep {t} for region '{region_id}'", line=lineno
+                        f"duplicate timestep {_shown(t)} for region '{region_id}'", line=lineno
                     )
                 if t < last_t:
                     raise ParseError(
-                        f"timestep {t} for region '{region_id}' is out of order "
-                        f"(last was {last_t})",
+                        f"timestep {_shown(t)} for region '{region_id}' is out of order "
+                        f"(last was {_shown(last_t)})",
                         line=lineno,
                     )
-            series.append((t, price))
+            timesteps.append(t)
+            prices.append(price)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise ParseError(str(exc), line=reader.line_num + 1) from exc
-    return {rid: PriceSeries(rid, tuple(s)) for rid, s in steps.items()}
+    return {
+        rid: PriceSeries._checked(rid, tuple(ts), tuple(ps)) for rid, (ts, ps) in columns.items()
+    }
 
 
 def prices_to_csv(series: Iterable[PriceSeries]) -> str:
@@ -294,14 +294,14 @@ def _number(mapping: dict, key: str, context: str) -> float | int | None:
         return None
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{context}: '{key}' must be a number, got {_SHOWN.repr(value)}")
+        raise ParseError(f"{context}: '{key}' must be a number, got {_shown(value)}")
     return value
 
 
 def _mapping(value, keys: set | None, context: str) -> dict:
     """``value``, which must be a mapping with no key outside ``keys`` (if given)."""
     if not isinstance(value, dict):
-        raise ParseError(f"{context} must be a mapping, got {_SHOWN.repr(value)}")
+        raise ParseError(f"{context} must be a mapping, got {_shown(value)}")
     if keys is not None and not keys.issuperset(value):
         raise ParseError(f"{context}: unknown keys {sorted(set(value) - keys, key=str)}")
     return value
@@ -321,7 +321,7 @@ def _entries(doc: dict, name: str, keys: set, required: tuple, file: str) -> Ite
         _mapping(entry, keys, kind)
         for key in required + (("name",) if "name" in entry else ()):
             if not isinstance(entry.get(key), str):
-                raise ParseError(f"{kind} {_SHOWN.repr(entry)}: '{key}' must be a string")
+                raise ParseError(f"{kind} {_shown(entry)}: '{key}' must be a string")
         yield entry
 
 
@@ -370,7 +370,7 @@ def load_network(source: Source, prices: Source | None = None) -> Network:
 
     ref = doc.get("prices_csv")
     if ref is not None and not isinstance(ref, str):
-        raise ParseError(f"{file}: 'prices_csv' must be a path string, got {_SHOWN.repr(ref)}")
+        raise ParseError(f"{file}: 'prices_csv' must be a path string, got {_shown(ref)}")
     heading = f"{file}: network config is invalid"
     if prices is not None:
         heading = f"{file} and {_name(prices)}: inputs are invalid"
@@ -488,7 +488,7 @@ def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
         return _wheeling_csv(result)
     if fmt == "structured":
         return _structured(result, expected)
-    raise ValueError(f"unknown report format {fmt!r} (use 'csv' or 'structured')")
+    raise ValueError(f"unknown report format {_shown(fmt)} (use 'csv' or 'structured')")
 
 
 def _blocks(rows: Iterable[str], sep: str = "") -> Iterator[str]:
@@ -658,7 +658,7 @@ def _load_ledger(path: Path) -> dict:
     entries = {f"{path}: '{key}'": ledger.get(key, {}) for key in ("totals", "annual")}
     for link_id, entry in _mapping(ledger.get("links", {}), None, f"{path}: 'links'").items():
         if not isinstance(link_id, str):
-            raise ParseError(f"{path}: 'links': link id {link_id!r} must be a string")
+            raise ParseError(f"{path}: 'links': link id {_shown(link_id)} must be a string")
         entries[f"{path}: link '{link_id}'"] = entry
     for context, entry in entries.items():
         for key in _mapping(entry, _LEDGER_ENTRY_KEYS, context):

@@ -101,12 +101,12 @@ def _id_violations(kind: str, value: str) -> list[str]:
         if "," not in value and '"' not in value:
             return []
     rule = "non-empty printable text, no edge whitespace, no ',' or '\"'"
-    return [f"{kind} id {value!r} breaks the id rule: {rule}"]
+    return [f"{kind} id {_shown(value)} breaks the id rule: {rule}"]
 
 
 def _order_violations(owner: str, ts: tuple[int, ...]) -> list[str]:
     return [
-        f"{owner}: timesteps not strictly increasing at t={t1}"
+        f"{owner}: timesteps not strictly increasing at t={_shown(t1)}"
         for t0, t1 in zip(ts, ts[1:])
         if t1 <= t0
     ]
@@ -173,7 +173,8 @@ class PriceSeries:
             for t, p in zip(self.timesteps, self.prices)
             if (start is None or t >= start) and (end is None or t <= end)
         ]
-        return PriceSeries(self.region_id, tuple(kept))
+        timesteps, prices = zip(*kept) if kept else ((), ())
+        return PriceSeries._checked(self.region_id, timesteps, prices)
 
     def violations(self) -> list[str]:
         return list(self._violations)
@@ -195,7 +196,7 @@ class PriceSeries:
             if not math.isfinite(p):
                 out.append(f"{name}: non-finite price at t={t}")
             if t < 0:
-                out.append(f"{name}: negative timestep {t}")
+                out.append(f"{name}: negative timestep {_shown(t)}")
         return tuple(out)
 
 
@@ -438,7 +439,7 @@ def _shared_horizon(sources: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
             more += 1
             continue
         # the walk stops at the fifth gap, having passed at most len(covered) steps
-        listed = str(list(islice(filterfalse(covered.__contains__, ordered), 5)))
+        listed = _shown(list(islice(filterfalse(covered.__contains__, ordered), 5)))
         if count > 5:
             listed = f"{listed[:-1]}, ...] ({count} in all)"
         detail.append(f"{name} missing timesteps {listed}")

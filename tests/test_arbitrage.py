@@ -11,18 +11,22 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvdcarb import (
+    AlignmentError,
     BiasPolicy,
     CapacityProfile,
     Direction,
     FlowDecision,
+    HvdcArbError,
     Interconnector,
     Network,
     ParseError,
     PriceSeries,
+    Region,
     Schedule,
     WheelingChain,
     evaluate_wheel,
@@ -35,6 +39,7 @@ from hvdcarb import (
     pairwise_profit_biased,
     schedule_link,
     schedule_portfolio,
+    validate_network,
     wheel_gates_123,
     wheel_gates_321,
     wheel_profit_123,
@@ -42,6 +47,7 @@ from hvdcarb import (
 )
 from hvdcarb import dataio
 from hvdcarb.cli import main
+from hvdcarb.model import _shared_horizon
 
 prices = st.floats(min_value=-50, max_value=200)
 positive_prices = st.floats(min_value=0.1, max_value=200)
@@ -532,11 +538,10 @@ def _chain(c=0.0):
 
 _WHEEL = ("wheel", "france", "ireland", "scotland", "--via", "celtic", "moyle", "-t", "1")
 
-# str() refuses an int past sys.get_int_max_str_digits() digits (4300 by default):
-# a message shows such a value by its kind, as it does an int with more digits
-# than float range has.
-_TOO_LONG = f"int of over {sys.get_int_max_str_digits()} digits>"
-_TOO_BIG = f"<int of over {sys.float_info.max_10_exp} digits>"
+# A message shows an int with more digits than float range has by its kind, also
+# one too long for str() (past sys.get_int_max_str_digits() digits, 4300 by default).
+_KIND = f"int of over {sys.float_info.max_10_exp} digits>"
+_TOO_BIG = f"<{_KIND}"
 
 # Every entry point that applies a scalar rule, with the message it raises.
 _LOSS_CALLERS = [
@@ -559,7 +564,7 @@ _LOSS_CALLERS = [
     ("Interconnector.violations", lambda: _violation(_link(1.0)),
      "interconnector 'ab': loss_fraction must be in [0, 1), got 1.0"),
     ("Interconnector.violations int too long for str", lambda: _violation(_link(-10**5000)),
-     f"interconnector 'ab': loss_fraction must be in [0, 1), got <negative {_TOO_LONG}"),
+     f"interconnector 'ab': loss_fraction must be in [0, 1), got <negative {_KIND}"),
     ("cli --transit-loss",
      lambda: _cli_error(*_WHEEL, "--quantity", "10", "--transit-loss", "1"),
      "--transit-loss must be in [0, 1), got 1.0"),
@@ -579,7 +584,7 @@ _DURATION_CALLERS = [
      f"duration_h must be finite, got {_TOO_BIG}"),
     ("evaluate_wheel int too long for str",
      lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, 1.0, 10**5000),
-     f"duration_h must be finite, got <{_TOO_LONG}"),
+     f"duration_h must be finite, got {_TOO_BIG}"),
     ("schedule_link",
      lambda: _error(schedule_link, _prices("a"), _prices("b"), _link(), duration_h=-1.0),
      "duration_h must be > 0, got -1.0"),
@@ -610,7 +615,7 @@ _NONNEGATIVE_CALLERS = [
      "x_max must be finite and >= 0, got -5"),
     ("optimal_flow x_max int too long for str",
      lambda: _error(optimal_flow, 100.0, 50.0, 0.0, 10**5000),
-     f"x_max must be finite and >= 0, got <{_TOO_LONG}"),
+     f"x_max must be finite and >= 0, got {_TOO_BIG}"),
     ("wheel_profit_123", lambda: _error(wheel_profit_123, 1, 3, 0.0, 0.0, 0.0, math.inf),
      "dispatch quantity must be finite and >= 0, got inf"),
     ("evaluate_wheel", lambda: _error(evaluate_wheel, _chain(), 1, 2, 3, math.inf),
@@ -636,7 +641,7 @@ _NONNEGATIVE_CALLERS = [
      "interconnector 'ab': length_km must be finite and >= 0, got -1.0"),
     ("Interconnector.violations capacity int too long for str",
      lambda: _violation(Interconnector("ab", "a", "b", 10**5000, 0.0)),
-     f"interconnector 'ab': capacity_mw must be finite and >= 0, got <{_TOO_LONG}"),
+     f"interconnector 'ab': capacity_mw must be finite and >= 0, got {_TOO_BIG}"),
     ("CapacityProfile.violations", lambda: _violation(CapacityProfile("ab", ((1, math.nan),))),
      "capacity profile 'ab': x_max at t=1 must be finite and >= 0, got nan"),
     ("ledger reported_eur", lambda: _ledger_error("totals: {reported_eur: .inf}"),
@@ -685,7 +690,7 @@ class TestEachRuleHasOneChecker:
     )
     def test_an_int_too_long_for_str_gets_a_short_message(self, case, message):
         # the input's name, the rule and the value's kind, in under 100 characters
-        assert _TOO_LONG in case() and len(case()) < 100
+        assert _KIND in case() and len(case()) < 100
 
 
 # Every entry point that reads a price or capacity as a float, called with the
@@ -724,7 +729,96 @@ class TestAnIntPastFloatRange:
     )
     def test_is_refused_by_name(self, call, name, value):
         message = _error(call, value)
-        # str() refuses 10**5000, so its kind counts to the interpreter's digit limit
-        digits = sys.float_info.max_10_exp if value < 10**4000 else sys.get_int_max_str_digits()
-        assert f"{name}<{'negative ' if value < 0 else ''}int of over {digits} digits>" in message
+        assert f"{name}<{'negative ' if value < 0 else ''}{_KIND}" in message
         assert len(message) < 200
+
+
+def _nested(depth: int) -> list:
+    """A list nested ``depth`` levels deep whose two children are one list: small
+    in memory and as YAML (anchors), but with 2**depth leaves written out."""
+    value: list = []
+    for _ in range(depth):
+        value = [value, value]
+    return value
+
+
+def _config_error(doc: dict) -> str:
+    """The message of the error that loading the config ``doc`` raises."""
+    with pytest.raises(HvdcArbError) as err:
+        dataio.load_network(io.StringIO(yaml.safe_dump(doc)))
+    return str(err.value)
+
+
+def _price_csv_error(header: str = dataio.PRICE_CSV_HEADER, row: str = "") -> str:
+    """The message of the ParseError of a price CSV of ``header`` and ``row``."""
+    with pytest.raises(ParseError) as err:
+        dataio.load_prices(io.StringIO(f"{header}\n{row}\n"))
+    return str(err.value)
+
+
+def _horizon_error(sources: dict) -> str:
+    """The message of the AlignmentError of the horizon rule over ``sources``."""
+    with pytest.raises(AlignmentError) as err:
+        _shared_horizon(sources)
+    return str(err.value)
+
+
+def _link_entry(**fields) -> dict:
+    """A link entry between undeclared regions, with ``fields`` in place of its own."""
+    return {"id": "ab", "from": "a", "to": "b", "capacity_mw": 1, "loss_fraction": 0, **fields}
+
+
+# A long text, an int past float range (as a number, as one that str() writes, which
+# a config or a timestep can hold, or as the digits a text field holds), and a list
+# nested 60 levels deep with shared children.
+_VALUES = {
+    "text": "x" * 5000,
+    "int": -(10**5000),
+    "str-int": -(10**4000),
+    "digits": "-1" + "0" * 5000,
+    "nested": _nested(60),
+}
+
+# Each site that shows a refused value, and the values its input can hold.
+_SHOWING_SITES = [
+    ("capacity_mw", lambda v: _config_error({"links": [_link_entry(capacity_mw=v)]}),
+     ["text", "str-int", "nested"]),
+    ("region entry", lambda v: _config_error({"regions": [v]}), ["text", "str-int", "nested"]),
+    ("link endpoint", lambda v: _config_error({"links": [_link_entry(**{"from": v})]}),
+     ["str-int", "nested"]),
+    ("prices_csv", lambda v: _config_error({"prices_csv": v}), ["str-int", "nested"]),
+    ("region id", lambda v: "\n".join(validate_network(Network((Region(" " + v),)))),
+     ["text"]),
+    ("price CSV header", lambda v: _price_csv_error(header=v), ["text", "digits"]),
+    ("price CSV timestep", lambda v: _price_csv_error(row=f"{v},a,1.0"), ["text", "digits"]),
+    ("price CSV price", lambda v: _price_csv_error(row=f"0,a,{v}"), ["text", "digits"]),
+    ("ledger link id", lambda v: _ledger_error(yaml.safe_dump({"links": {v: {}}})), ["str-int"]),
+    ("report format", lambda v: _error(dataio.write_report, [], v), ["text", "int", "nested"]),
+    ("series price", lambda v: _error(PriceSeries, "a", ((0, 1.0), (1, v))),
+     ["text", "int", "nested"]),
+    ("series timestep", lambda v: _error(PriceSeries, "a", ((0, 1.0), (v, 1.0))),
+     ["text", "int", "nested"]),
+    ("series violations",
+     lambda v: "\n".join(PriceSeries("a", ((0, 1.0), (v, 1.0))).violations()), ["str-int"]),
+    ("horizon", lambda v: _horizon_error({"a": (0, v), "b": (0,)}), ["str-int"]),
+]
+
+
+class TestARefusedValueIsShownBounded:
+    """Every message that shows a refused value shows it through one rule: short,
+    and worded in bounded time, however long, large or deeply nested the value."""
+
+    @pytest.mark.parametrize(
+        "site, kind",
+        [
+            pytest.param(site, kind, id=f"{name}-{kind}")
+            for name, site, kinds in _SHOWING_SITES
+            for kind in kinds
+        ],
+    )
+    def test_message_is_short(self, site, kind):
+        message = site(_VALUES[kind])
+        assert len(message) < 300, message[:300]
+        # an int past float range, and nothing else, is shown by its kind
+        shown_by_kind = set(re.findall(r"\w+ of over \d+ digits>", message))
+        assert shown_by_kind == ({_KIND} if kind.endswith("int") else set())
