@@ -221,6 +221,14 @@ def _prices_at(network: Network, requested: int | None, regions) -> tuple[int, l
     return t, prices
 
 
+def _resolved(lookup, key: str, kind: str):
+    """``lookup(key)``, or the resolution error naming the unknown ``kind``."""
+    try:
+        return lookup(key)
+    except KeyError:
+        raise ResolutionError(f"unknown {kind} '{key}'")
+
+
 def _emit(args, fragments: Iterable[str], summary: Iterable[str] = ()) -> None:
     """Print the summary's lines, then write a report's fragments as they are
     rendered: to ``--out`` or to the current ``sys.stdout``. ``--out`` is opened
@@ -237,10 +245,7 @@ def _emit(args, fragments: Iterable[str], summary: Iterable[str] = ()) -> None:
 
 def _cmd_evaluate(args) -> int:
     network = _load_run_network(args)
-    try:
-        link = network.link(args.link)
-    except KeyError:
-        raise ResolutionError(f"unknown link '{args.link}'")
+    link = _resolved(network.link, args.link, "link")
     t, prices = _prices_at(network, args.timestep, link.endpoints())
     decision = optimal_flow(
         *prices,
@@ -284,15 +289,8 @@ def _cmd_schedule(args) -> int:
 def _cmd_wheel(args) -> int:
     network = _load_run_network(args)
     for area in (args.area1, args.area2, args.area3):
-        try:
-            network.region(area)
-        except KeyError:
-            raise ResolutionError(f"unknown region '{area}'")
-    try:
-        link12 = network.link(args.via[0])
-        link23 = network.link(args.via[1])
-    except KeyError as exc:
-        raise ResolutionError(f"unknown link {exc}")
+        _resolved(network.region, area, "region")
+    link12, link23 = (_resolved(network.link, key, "link") for key in args.via)
     # WheelingChain raises ValueError for a bad loss and for a broken path;
     # checking the loss first leaves only the path to the resolution error.
     _check_loss(args.transit_loss, "--transit-loss")

@@ -13,15 +13,16 @@ Formats (all stable):
   which the caller's ``prices`` replaces (:func:`load_network`).
   A link carries either ``loss_fraction`` directly or ``length_km`` plus
   ``loss_rate_per_100km``; giving both is accepted only when they agree.
-* Reports: CSV (schema per result kind, below), a structured JSON document
-  carrying every per-timestep decision, or the ``plot-data`` CSV.
-  ``json.dumps`` writes the structured document around its decision arrays,
-  which are rendered straight from the schedule columns, so the whole is
-  byte-identical to ``json.dumps(doc, indent=2)`` of the nested dicts. Every
-  writer is a generator of fragments, each of at most a fixed block of rows
-  (wheeling JSON is one fragment), so the command line writes a report as it
-  is rendered and never holds the whole document; :func:`write_report` joins
-  the same fragments into one string.
+* Reports: CSV, a structured JSON document carrying every per-timestep
+  decision, or the ``plot-data`` CSV. A row's JSON keys are its CSV header's
+  fields: a decision's are the schedule CSV's without ``link_id``, a wheeling
+  scenario's the wheeling CSV's. ``json.dumps`` writes the structured document
+  around its decision arrays, which are rendered straight from the schedule
+  columns, so the whole is byte-identical to ``json.dumps(doc, indent=2)`` of
+  the nested dicts. Every writer is a generator of fragments, each of at most
+  a fixed block of rows (wheeling JSON is one fragment), so the command line
+  writes a report as it is rendered and never holds the whole document;
+  :func:`write_report` joins the same fragments into one string.
 
 Writers are deterministic: identical inputs yield byte-identical output,
 and write -> load -> write is byte-identical. A loaded file is not always
@@ -240,11 +241,12 @@ def _load_price_rows(body: str) -> dict[str, PriceSeries]:
                 last_t = timesteps[-1]
                 if t == last_t:
                     raise DuplicateRowError(
-                        f"duplicate timestep {_shown(t)} for region '{region_id}'", line=lineno
+                        f"duplicate timestep {_shown(t)} for region {_shown(region_id)}",
+                        line=lineno,
                     )
                 if t < last_t:
                     raise ParseError(
-                        f"timestep {_shown(t)} for region '{region_id}' is out of order "
+                        f"timestep {_shown(t)} for region {_shown(region_id)} is out of order "
                         f"(last was {_shown(last_t)})",
                         line=lineno,
                     )
@@ -479,16 +481,37 @@ def write_report(
 
 
 def _report(result, fmt: str, expected: dict | None = None) -> Iterator[str]:
-    """The fragments of :func:`write_report`'s document; the format is checked first."""
+    """The fragments of :func:`write_report`'s document. A bad format raises before
+    any fragment is asked for; the result's kind gives the schedules and the JSON
+    head, or the wheeling rows that both formats read."""
+    if fmt not in ("csv", "structured"):
+        raise ValueError(f"unknown report format {_shown(fmt)} (use 'csv' or 'structured')")
+
+    def head(s: Schedule) -> dict:
+        return dict(link_id=s.interconnector_id, total_profit_eur=s.total_profit, decisions=[])
+
+    if isinstance(result, Schedule):
+        schedules, doc = (result,), {"type": "schedule", **head(result)}
+    elif isinstance(result, PortfolioResult):
+        schedules = result.schedules
+        doc = {
+            "type": "portfolio",
+            "grand_total_eur": result.grand_total,
+            "annualized_eur": result.annualized,
+            "schedules": list(map(head, schedules)),
+        }
+    else:
+        rows = [(r.scenario.value, r.feasible, r.gate_values[0], r.gate_values[1],
+                 r.dispatched_mw, r.profit) for r in result]
+        if fmt == "csv":
+            return _wheeling_csv(rows)
+        schedules = ()
+        doc = {"type": "wheeling", "scenarios": [dict(zip(_WHEELING_KEYS, row)) for row in rows]}
     if fmt == "csv":
-        if isinstance(result, Schedule):
-            return _schedule_csv([result])
-        if isinstance(result, PortfolioResult):
-            return _schedule_csv(result.schedules)
-        return _wheeling_csv(result)
-    if fmt == "structured":
-        return _structured(result, expected)
-    raise ValueError(f"unknown report format {_shown(fmt)} (use 'csv' or 'structured')")
+        return _schedule_csv(schedules)
+    if expected is not None:
+        doc["expected"] = expected
+    return _structured(doc, schedules)
 
 
 def _blocks(rows: Iterable[str], sep: str = "") -> Iterator[str]:
@@ -510,12 +533,11 @@ def _schedule_csv(schedules: Sequence[Schedule]) -> Iterator[str]:
         )
 
 
-def _wheeling_csv(results: Sequence[WheelingResult]) -> Iterator[str]:
+def _wheeling_csv(rows: Iterable[tuple]) -> Iterator[str]:
     yield WHEELING_CSV_HEADER + "\n"
     yield from _blocks(
-        f"{r.scenario.value},{str(r.feasible).lower()},{r.gate_values[0]!r},"
-        f"{r.gate_values[1]!r},{r.dispatched_mw!r},{r.profit!r}\n"
-        for r in results
+        f"{scenario},{str(feasible).lower()},{gate_a!r},{gate_b!r},{mw!r},{profit!r}\n"
+        for scenario, feasible, gate_a, gate_b, mw, profit in rows
     )
 
 
@@ -532,9 +554,10 @@ def _plot_csv(result: PortfolioResult) -> Iterator[str]:
 
 
 # The structured report: json.dumps(doc, indent=2) writes all but the decision
-# arrays, which are rendered from the schedule columns as json.dumps would.
-
-_DECISION_KEYS = ("timestep", "direction", "quantity_mw", "lambda_eur_mwh", "profit_eur")
+# arrays, which are rendered from the schedule columns as json.dumps would. Its
+# keys are the CSV headers' fields, a decision's without the schedule's link_id.
+_DECISION_KEYS = tuple(key for key in SCHEDULE_CSV_HEADER.split(",") if key != "link_id")
+_WHEELING_KEYS = tuple(WHEELING_CSV_HEADER.split(","))
 
 
 def _json(value) -> str:
@@ -571,47 +594,16 @@ def _decisions(s: Schedule, pad: str) -> Iterator[str]:
     yield f"\n{pad}]"
 
 
-def _structured(result, expected) -> Iterator[str]:
-    """The structured document's fragments: json.dumps's text, split at each
-    schedule's ``"decisions": []`` with the schedule's decision array in its place.
-    json.dumps escapes every quote inside a string, so that text unescaped is a
-    key, and the ledger comes after every schedule, so the split stops before it."""
-
-    def head(s: Schedule) -> dict:
-        return dict(link_id=s.interconnector_id, total_profit_eur=s.total_profit, decisions=[])
-
-    if isinstance(result, Schedule):
-        schedules, pad = (result,), "  "
-        doc = {"type": "schedule", **head(result)}
-    elif isinstance(result, PortfolioResult):
-        schedules, pad = result.schedules, "      "
-        doc = {
-            "type": "portfolio",
-            "grand_total_eur": result.grand_total,
-            "annualized_eur": result.annualized,
-            "schedules": list(map(head, schedules)),
-        }
-    else:
-        schedules, pad = (), ""
-        scenarios = [
-            {
-                "scenario": r.scenario.value,
-                "feasible": r.feasible,
-                "gate_a_eur_mwh": r.gate_values[0],
-                "gate_b_eur_mwh": r.gate_values[1],
-                "dispatched_mw": r.dispatched_mw,
-                "profit_eur": r.profit,
-            }
-            for r in result
-        ]
-        doc = {"type": "wheeling", "scenarios": scenarios}
-    if expected is not None:
-        doc["expected"] = expected
-    first, *rest = (_json(doc) + "\n").split('"decisions": []', len(schedules))
-    yield first
-    for s, text in zip(schedules, rest):
+def _structured(doc: dict, schedules: Sequence[Schedule]) -> Iterator[str]:
+    """``json.dumps(doc, indent=2)``'s text, each ``"decisions": []`` replaced by the
+    next schedule's decision array, indented as its line. json.dumps escapes every
+    quote inside a string, so that text unescaped is a key, and the ledger comes
+    after every schedule, so the split stops before it."""
+    chunks = (_json(doc) + "\n").split('"decisions": []', len(schedules))
+    yield chunks[0]
+    for s, before, text in zip(schedules, chunks, chunks[1:]):
         yield '"decisions": '
-        yield from _decisions(s, pad)
+        yield from _decisions(s, before.rpartition("\n")[2])
         yield text
 
 

@@ -379,7 +379,7 @@ def validate_network(network: Network) -> list[str]:
         for endpoint in link.endpoints():
             if endpoint not in seen_regions:
                 report.append(
-                    f"interconnector '{link.id}': endpoint '{endpoint}' is not "
+                    f"interconnector '{link.id}': endpoint {_shown(endpoint)} is not "
                     f"a declared region"
                 )
 
@@ -390,7 +390,7 @@ def validate_network(network: Network) -> list[str]:
             report.append(f"duplicate price series for region '{series.region_id}'")
         seen_series.add(series.region_id)
         if series.region_id not in seen_regions:
-            report.append(f"price series references unknown region '{series.region_id}'")
+            report.append(f"price series references unknown region {_shown(series.region_id)}")
 
     # Every region touched by a link needs prices, and the priced horizons of
     # linked regions must coincide (they define the analysis horizon).

@@ -83,16 +83,10 @@ class WheelingChain:
             violations = link.violations()
             if violations:
                 raise ValueError(violations[0])
-        if not self.link12.connects(self.area1, self.area2):
-            raise ValueError(
-                f"link '{self.link12.id}' does not connect "
-                f"'{self.area1}' and '{self.area2}'"
-            )
-        if not self.link23.connects(self.area2, self.area3):
-            raise ValueError(
-                f"link '{self.link23.id}' does not connect "
-                f"'{self.area2}' and '{self.area3}'"
-            )
+        legs = ((self.link12, self.area1, self.area2), (self.link23, self.area2, self.area3))
+        for link, area_x, area_y in legs:
+            if not link.connects(area_x, area_y):
+                raise ValueError(f"link '{link.id}' does not connect '{area_x}' and '{area_y}'")
 
 
 @dataclass(frozen=True)

@@ -784,8 +784,9 @@ _SHOWING_SITES = [
     ("capacity_mw", lambda v: _config_error({"links": [_link_entry(capacity_mw=v)]}),
      ["text", "str-int", "nested"]),
     ("region entry", lambda v: _config_error({"regions": [v]}), ["text", "str-int", "nested"]),
+    # a text endpoint is read, and refused as no declared region
     ("link endpoint", lambda v: _config_error({"links": [_link_entry(**{"from": v})]}),
-     ["str-int", "nested"]),
+     ["text", "str-int", "nested"]),
     ("prices_csv", lambda v: _config_error({"prices_csv": v}), ["str-int", "nested"]),
     ("region id", lambda v: "\n".join(validate_network(Network((Region(" " + v),)))),
      ["text"]),

@@ -567,6 +567,12 @@ class TestWheel:
             4, "", "error: unknown link 'nordlink'\n"
         )
 
+    def test_an_unknown_second_link_is_named_as_evaluate_names_it(self, capsys):
+        argv = ["wheel", "france", "ireland", "scotland", "--via", "celtic", "o'neill"]
+        assert run(capsys, *argv, "--quantity", "10") == (
+            4, "", "error: unknown link 'o'neill'\n"
+        )
+
     def test_capacity_error_names_binding_link(self, capsys):
         code, _, err = run(
             capsys,
@@ -1062,6 +1068,11 @@ def _hostile_price_files() -> dict[str, str]:
     price = "9" * 100_000
     files["a_100000_character_price"] = f"{header}\n{row.rpartition(',')[0]},{price}\n{rest}"
     files["a_100000_character_header"] = f"{'x' * 100_000}\n{body}"
+    # a region id the run refuses: a repeated row, a row out of order, an undeclared region
+    long_id = "r" * 100_000
+    files["a_100000_character_region_repeated"] = f"{base}1,{long_id},1.0\n1,{long_id},2.0\n"
+    files["a_100000_character_region_out_of_order"] = f"{base}2,{long_id},1.0\n1,{long_id},2.0\n"
+    files["a_100000_character_region_undeclared"] = f"{base}1,{long_id},1.0\n"
     return files
 
 

@@ -961,6 +961,56 @@ class TestStructuredReportMatchesJsonDumps:
                 )
 
 
+def reference_csv_report(result) -> str:
+    """The CSV report built field by field: ``repr`` for a number, ``str(bool).lower()``
+    for feasibility, and the value of a direction or scenario."""
+    if isinstance(result, (Schedule, PortfolioResult)):
+        lines = ["timestep,link_id,direction,quantity_mw,lambda_eur_mwh,profit_eur"]
+        for s in [result] if isinstance(result, Schedule) else result.schedules:
+            columns = s.timesteps, s.directions, s.quantities, s.lambdas, s.profits
+            for t, direction, *numbers in zip(*columns):
+                fields = repr(t), s.interconnector_id, direction.value, *map(repr, numbers)
+                lines.append(",".join(fields))
+    else:
+        lines = ["scenario,feasible,gate_a_eur_mwh,gate_b_eur_mwh,dispatched_mw,profit_eur"]
+        for r in result:
+            numbers = (*r.gate_values, r.dispatched_mw, r.profit)
+            lines.append(",".join([r.scenario.value, str(r.feasible).lower(), *map(repr, numbers)]))
+    return "".join(line + "\n" for line in lines)
+
+
+# Every special number in a wheeling result's numeric fields, in both scenarios.
+SPECIAL_WHEELING = (
+    WheelingResult(WheelScenario.S123, True, (math.nan, math.inf), -0.0, -math.inf),
+    WheelingResult(WheelScenario.S321, False, (-0.0, 5e-324), math.nan, 1e16),
+)
+
+
+class TestCsvReportMatchesFields:
+    """write_report's CSV form of every result kind, byte for byte against the fields."""
+
+    @settings(max_examples=300)
+    @given(result=report_results())
+    def test_random_results(self, result):
+        assert write_report(result, "csv") == reference_csv_report(result)
+
+    @pytest.mark.parametrize("schedule", special_schedules())
+    def test_special_values_alone_and_in_a_portfolio(self, schedule):
+        for result in (schedule, PortfolioResult((schedule, schedule), 0.0, 0.0)):
+            assert write_report(result, "csv") == reference_csv_report(result)
+
+    def test_wheeling_special_values(self):
+        assert write_report(SPECIAL_WHEELING, "csv") == reference_csv_report(SPECIAL_WHEELING)
+        want = reference_structured_report(SPECIAL_WHEELING)
+        assert write_report(SPECIAL_WHEELING, "structured") == want
+
+    def test_case_study_and_wheel(self, bundle):
+        result = schedule_portfolio(bundle.network)
+        wheel = evaluate_wheel(make_chain(), 50, 75, 100, 100)
+        for doc in (result, *result.schedules, wheel):
+            assert write_report(doc, "csv") == reference_csv_report(doc)
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 is a ParseError naming the file."""
 
